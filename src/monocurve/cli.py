@@ -3,7 +3,7 @@
 Two subcommands: `ideal` prints any of the curve's attached objects, and
 `verify` runs a verification suite over a parameter grid and emits a report
 as text, JSON, or CSV.  Exit codes: 0 all cases pass, 1 at least one case
-failed, 2 usage or configuration error.
+failed, 2 usage or configuration error, including a grid with no cases.
 """
 
 from __future__ import annotations
@@ -36,6 +36,13 @@ class UsageError(Exception):
     pass
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="monocurve",
@@ -62,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--field", default="rational", help="rational | fp | fp:<p>")
     p_verify.add_argument("--format", default="text", choices=("text", "json", "csv"))
     p_verify.add_argument("--out", type=str, help="write the report to this path")
-    p_verify.add_argument("--jobs", type=int, default=1)
+    p_verify.add_argument("--jobs", type=positive_int, default=1)
     return parser
 
 
@@ -137,6 +144,8 @@ def _cmd_verify(args) -> int:
             ]
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
+    if not any(r.total for r in reports):
+        raise UsageError("the grid holds no cases; nothing was verified")
     text = _render_reports(reports, args.format)
     if args.out:
         with open(args.out, "w") as fh:

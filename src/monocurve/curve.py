@@ -288,21 +288,7 @@ def mono_I(d: int, n: int) -> MonomialIdeal:
     candidates: set = set()
     for dem in set(_composition_demands(d, n)):
         _emit_block_product_gens(dem, v, candidates)
-    minimal = []
-    for m in candidates:
-        exps = m.exps
-        suffix = _suffix_sums(exps)
-        keep = True
-        for p in range(v):
-            if exps[p] == 0:
-                continue
-            reduced = tuple(s - 1 if q <= p else s for q, s in enumerate(suffix))
-            if _member_suffix(d, n, reduced):
-                keep = False
-                break
-        if keep:
-            minimal.append(m)
-    return MonomialIdeal(minimal, v, _trusted_minimal=True)
+    return MonomialIdeal(candidates, v)
 
 
 def pure_powers(d: int, k: int) -> list[Monomial]:

@@ -10,35 +10,104 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement
 
-from .poly import Monomial, _guard, sort_key
+from .poly import Monomial, sort_key
+
+
+class _DivisorIndex:
+    """Exponent trie answering "does a stored monomial divide m".
+
+    The stored monomials must be minimal: none divides another.  Levels are
+    keyed by the exponent of x_d, then x_{d-1}, down to x_3; the deepest level
+    maps the x_3 exponent to the x_2 exponent of the one monomial stored under
+    that path, so it needs no further recursion.  (With one variable the
+    deepest level has the single key 0.)  The curve ideals are sums of
+    powers of (x_{i+1}, ..., x_d), so the last variables split the stored
+    monomials best, which is why the trie starts there.
+    """
+
+    __slots__ = ("root", "top")
+
+    def __init__(self, varcount: int):
+        self.root: dict = {}
+        self.top = varcount - 1  # position of the variable keyed at the root
+
+    def insert(self, exps) -> None:
+        node = self.root
+        for p in range(self.top, 1, -1):
+            node = node.setdefault(exps[p], {})
+        node[exps[1] if self.top else 0] = exps[0]
+
+    def has_divisor(self, exps) -> bool:
+        return _has_divisor(self.root, exps, self.top)
+
+    def standard_count(self) -> int:
+        """Monomials divisible by no stored monomial.  Needs a pure power of
+        every variable among the stored monomials (a finite staircase)."""
+        if self.top == 0:
+            return self.root[0]
+        return _standard_count([self.root], self.top)
+
+
+def _has_divisor(node: dict, exps, p: int) -> bool:
+    if p <= 1:
+        e1 = exps[1] if p else 0
+        e0 = exps[0]
+        for key, low in node.items():
+            if key <= e1 and low <= e0:
+                return True
+        return False
+    e = exps[p]
+    for key, child in node.items():
+        if key <= e and _has_divisor(child, exps, p - 1):
+            return True
+    return False
+
+
+def _standard_count(nodes: list, p: int) -> int:
+    """Standard monomials in x_2..x_{p+2} over a fixed prefix of the later
+    exponents; `nodes` are the level-p subtries whose paths divide it.
+
+    The count under an exponent e of x_{p+2} changes only where e reaches a
+    key, so it is taken once per key and weighted by the gap to the next.
+    Standard monomials form an order ideal: once that count is 0 it stays 0,
+    and the staircase is finite, so it is 0 at the last key.
+    """
+    by_key: dict = {}
+    for node in nodes:
+        for key, sub in node.items():
+            by_key.setdefault(key, []).append(sub)
+    keys = sorted(by_key)
+    total = 0
+    below: list = []
+    least = None
+    for key, next_key in zip(keys, keys[1:]):
+        if p == 1:
+            # the least x_2 exponent among the monomials with x_3 exponent <= key
+            low = min(by_key[key])
+            least = low if least is None else min(least, low)
+            count = least
+        else:
+            below += by_key[key]
+            count = _standard_count(below, p - 1)
+        if not count:
+            break
+        total += count * (next_key - key)
+    return total
 
 
 def minimal_generators(monomials) -> tuple:
     """Minimalize: drop every monomial divisible by another; idempotent."""
     out: list[Monomial] = []
-    packed: list = []
-    guard = None
+    index = None
     for m in sorted(set(monomials), key=sort_key):
         if m.degree == 0:
             return (m,)  # unit ideal
-        mp = m.packed
-        if guard is None:
-            guard = _guard(len(m.exps))
-        redundant = False
-        if mp is not None:
-            for i, gp in enumerate(packed):
-                if gp is not None:
-                    if ((mp | guard) - gp) & guard == guard:
-                        redundant = True
-                        break
-                elif out[i].divides(m):
-                    redundant = True
-                    break
-        else:
-            redundant = any(g.divides(m) for g in out)
-        if not redundant:
-            out.append(m)
-            packed.append(mp)
+        if index is None:
+            index = _DivisorIndex(len(m.exps))
+        elif index.has_divisor(m.exps):
+            continue
+        index.insert(m.exps)
+        out.append(m)
     return tuple(out)
 
 
@@ -63,9 +132,11 @@ class MonomialIdeal:
     the constant monomial.
     """
 
-    __slots__ = ("gens", "varcount", "_packs", "_guard")
+    __slots__ = ("gens", "varcount", "_index")
 
     def __init__(self, monomials, varcount: int, _trusted_minimal: bool = False):
+        if varcount < 1:
+            raise ValueError("a monomial ideal needs at least one variable")
         monomials = list(monomials)
         for m in monomials:
             if m.varcount != varcount:
@@ -76,8 +147,7 @@ class MonomialIdeal:
             gens = minimal_generators(monomials)
         self.gens = gens
         self.varcount = varcount
-        self._packs = tuple(g.packed for g in gens)
-        self._guard = _guard(varcount)
+        self._index = None  # the divisor index, built on the first membership test
 
     @classmethod
     def zero(cls, varcount: int) -> "MonomialIdeal":
@@ -114,17 +184,13 @@ class MonomialIdeal:
 
     def contains(self, m: Monomial) -> bool:
         """Monomial membership: some generator divides m."""
-        mp = m.packed
-        if mp is not None:
-            guard = self._guard
-            deg = m.degree
-            for g, gp in zip(self.gens, self._packs):
-                if g.degree > deg:
-                    return False  # gens sorted by degree
-                if gp is not None and ((mp | guard) - gp) & guard == guard:
-                    return True
-            return False
-        return any(g.divides(m) for g in self.gens)
+        return (self._index or self._build_index()).has_divisor(m.exps)
+
+    def _build_index(self) -> _DivisorIndex:
+        index = self._index = _DivisorIndex(self.varcount)
+        for g in self.gens:
+            index.insert(g.exps)
+        return index
 
     def contains_ideal(self, other: "MonomialIdeal") -> bool:
         return all(self.contains(g) for g in other.gens)
@@ -213,14 +279,7 @@ class MonomialIdeal:
         """Number of monomials outside the ideal (the staircase length)."""
         if not self.is_artinian():
             raise ValueError("length of a non-Artinian quotient is infinite")
-        count = 0
-        level = [Monomial.one(self.varcount)]
-        if self.contains(level[0]):
-            return 0
-        while level:
-            count += len(level)
-            level = self._next_level(level)
-        return count
+        return (self._index or self._build_index()).standard_count()
 
     def hilbert_function(self, max_degree: int) -> list[int]:
         """Counts of standard monomials in degrees 0..max_degree."""
@@ -232,19 +291,6 @@ class MonomialIdeal:
             out.append(len(level))
             level = self._next_level(level)
         return out
-
-    def max_standard_degree(self) -> int:
-        """Largest degree carrying a standard monomial; -1 for the unit ideal."""
-        if not self.is_artinian():
-            raise ValueError("staircase of a non-Artinian ideal is unbounded")
-        level = [Monomial.one(self.varcount)]
-        if self.contains(level[0]):
-            return -1
-        deg = -1
-        while level:
-            deg += 1
-            level = self._next_level(level)
-        return deg
 
 
 def monomials_between(inner: MonomialIdeal, outer: MonomialIdeal) -> list[Monomial]:

@@ -396,11 +396,20 @@ def _pool_entry(item):
     return _CASE_FUNCS[name](args)
 
 
+def worker_count(jobs: int, cases: int) -> int:
+    """Pool size for a grid: the requested jobs, at most one per CPU and one
+    per case; 1 means serial."""
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1, got %d" % jobs)
+    return max(1, min(jobs, os.cpu_count() or 1, cases))
+
+
 def _eval_cases(jobs: int, tagged_args) -> list:
     tagged = list(tagged_args)
-    if jobs <= 1:
+    workers = worker_count(jobs, len(tagged))
+    if workers == 1:
         return [_CASE_FUNCS[name](args) for name, args in tagged]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_pool_entry, tagged))
 
 

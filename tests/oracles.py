@@ -1,7 +1,8 @@
 """Independent reference implementations the tests check the engine against.
 
 Nothing here shares an algorithm with the package: determinants come from
-the permutation sum, staircase lengths from degree-capped enumeration, the
+the permutation sum, minimal generators from the all-pairs definition,
+staircase lengths from degree-capped enumeration, the
 order from a literal transcription of its definition, and membership in
 products of variable-range powers from Hall's condition.
 """
@@ -35,9 +36,22 @@ def divides_tuple(a, b) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
+def minimal_generators_naive(gen_exps) -> list:
+    """Exponent tuples divisible by no other one in the list, deduplicated and
+    sorted by (degree, exponents): the all-pairs definition."""
+    distinct = set(map(tuple, gen_exps))
+    keep = [g for g in distinct if not any(h != g and divides_tuple(h, g) for h in distinct)]
+    return sorted(keep, key=lambda g: (sum(g), g))
+
+
 def staircase_count(gen_exps, varcount: int) -> int:
-    """Monomials of degree <= sum(generator degrees) outside the ideal."""
-    cap = sum(sum(g) for g in gen_exps)
+    """Monomials outside an Artinian ideal, enumerated degree by degree.
+
+    If x_i^a_i is the least pure power of x_i among the generators, no
+    monomial of degree above sum(a_i - 1) is standard, so the enumeration
+    stops there.
+    """
+    cap = sum(min(g[i] for g in gen_exps if sum(g) == g[i]) - 1 for i in range(varcount))
     count = 0
     for degree in range(cap + 1):
         for exps in monomials_of_degree(varcount, degree):

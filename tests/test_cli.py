@@ -76,6 +76,21 @@ def test_verify_all_pass_exit_zero(capsys):
     assert "6/6 passed" in out
 
 
+def test_verify_empty_grid_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "verify", "--suite", "length", "--d", "3", "--n-max", "-2")
+    assert code == 2
+    assert out == ""
+    assert "no cases" in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_verify_jobs_below_one_is_usage_error(capsys, jobs):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "length", "--d", "3", "--n-max", "2", "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
 def test_verify_socle(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "socle", "--d", "3")
     assert code == 0

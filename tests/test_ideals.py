@@ -7,7 +7,7 @@ from monocurve.curve import mono_I, range_monomials
 from monocurve.ideals import MonomialIdeal, minimal_generators, monomials_between
 from monocurve.poly import Monomial
 
-from oracles import staircase_count, terms_equal
+from oracles import divides_tuple, minimal_generators_naive, staircase_count, terms_equal
 
 
 def I(exps_list, varcount):
@@ -16,6 +16,14 @@ def I(exps_list, varcount):
 
 mons2 = st.tuples(st.integers(0, 5), st.integers(0, 5)).map(Monomial)
 ideals2 = st.lists(mons2, min_size=1, max_size=5).map(lambda ms: MonomialIdeal(ms, 2))
+
+
+@st.composite
+def exponent_lists(draw, max_exp=4, max_size=12):
+    """(varcount, exponent tuples) for 1 to 5 variables."""
+    v = draw(st.integers(1, 5))
+    exps = st.tuples(*[st.integers(0, max_exp)] * v)
+    return v, draw(st.lists(exps, max_size=max_size))
 
 
 # -- minimalize ---------------------------------------------------------------
@@ -41,6 +49,30 @@ def test_minimalize_idempotent():
 
 def test_unit_short_circuit():
     assert I([(0, 0), (2, 1)], 2).is_unit()
+
+
+@settings(max_examples=150, deadline=None)
+@given(exponent_lists())
+def test_minimal_generators_match_all_pairs_definition(case):
+    _, exps_list = case
+    got = minimal_generators([Monomial(e) for e in exps_list])
+    assert [g.exps for g in got] == minimal_generators_naive(exps_list)
+
+
+@pytest.mark.parametrize("exps_list,want", [
+    ([(3,), (2,), (5,), (2,)], [(2,)]),                      # one variable, duplicated
+    ([(1, 2, 0), (0, 0, 0), (4, 4, 4)], [(0, 0, 0)]),        # unit ideal
+    ([], []),                                                # zero ideal
+    ([(1, 1), (1, 1), (2, 0), (2, 0)], [(1, 1), (2, 0)]),    # duplicated inputs
+])
+def test_minimal_generators_edge_cases(exps_list, want):
+    got = minimal_generators([Monomial(e) for e in exps_list])
+    assert [g.exps for g in got] == want == minimal_generators_naive(exps_list)
+
+
+def test_ideal_needs_a_variable():
+    with pytest.raises(ValueError):
+        MonomialIdeal((), 0)
 
 
 # -- sum / product ------------------------------------------------------------
@@ -115,6 +147,24 @@ def test_contains_examples():
         assert mono_I(d, 1).contains(Monomial((1, 1) + (0,) * (d - 3)))
 
 
+@settings(max_examples=150, deadline=None)
+@given(exponent_lists(max_size=8), st.data())
+def test_contains_matches_divisibility_scan(case, data):
+    v, exps_list = case
+    ideal = I(exps_list, v)
+    probes = data.draw(st.lists(st.tuples(*[st.integers(0, 5)] * v), min_size=1, max_size=10))
+    for p in probes:
+        assert ideal.contains(Monomial(p)) == any(divides_tuple(g, p) for g in exps_list)
+
+
+def test_contains_edge_cases():
+    one_var = I([(3,), (5,), (3,)], 1)
+    assert [one_var.contains(Monomial((e,))) for e in range(5)] == [False] * 3 + [True] * 2
+    assert MonomialIdeal.unit(3).contains(Monomial((0, 0, 0)))
+    assert not MonomialIdeal.zero(3).contains(Monomial((4, 4, 4)))
+    assert I([(1, 0, 2), (1, 0, 2)], 3).contains(Monomial((1, 1, 2)))
+
+
 def test_equality_ignores_presentation_order():
     gens = [(2, 0), (1, 1), (0, 3)]
     shuffled = list(gens)
@@ -145,13 +195,26 @@ def test_length_examples():
     assert MonomialIdeal.unit(3).length_quotient() == 0
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(mons2, min_size=0, max_size=4), st.integers(1, 5), st.integers(1, 5))
-def test_length_against_bruteforce(extra, px, py):
+@settings(max_examples=100, deadline=None)
+@given(exponent_lists(max_exp=5, max_size=6), st.data())
+def test_length_against_bruteforce(case, data):
     # pure powers force the quotient to be Artinian; extras shape the staircase
-    gens = [Monomial((px, 0)), Monomial((0, py))] + extra
-    ideal = MonomialIdeal(gens, 2)
-    assert ideal.length_quotient() == staircase_count([g.exps for g in ideal.gens], 2)
+    v, extra = case
+    top = (5, 5, 4, 3, 3)[v - 1]  # keeps the brute-force enumeration small
+    powers = data.draw(st.lists(st.integers(1, top), min_size=v, max_size=v))
+    pure = [tuple(a if j == i else 0 for j in range(v)) for i, a in enumerate(powers)]
+    ideal = I(pure + extra, v)
+    assert ideal.length_quotient() == staircase_count([g.exps for g in ideal.gens], v)
+
+
+def test_length_edge_cases():
+    assert I([(4,), (6,), (4,)], 1).length_quotient() == 4
+    assert MonomialIdeal.unit(1).length_quotient() == 0
+    assert MonomialIdeal.unit(4).length_quotient() == 0
+    with pytest.raises(ValueError):
+        MonomialIdeal.zero(2).length_quotient()
+    # duplicated inputs: (x2^2, x2*x3, x3^2) leaves 1, x2, x3
+    assert I([(2, 0), (1, 1), (0, 2), (1, 1)], 2).length_quotient() == 3
 
 
 def test_hilbert_function_univariate():

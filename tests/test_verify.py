@@ -16,6 +16,7 @@ from monocurve.verify import (
     default_n_max,
     expected_length,
     socle_dimension_artinian_reduction,
+    worker_count,
 )
 
 
@@ -163,6 +164,23 @@ def test_default_grids_and_env_overrides(monkeypatch):
     monkeypatch.setenv("MONOCURVE_NMAX_GROEBNER", "2")
     assert default_n_max(6, groebner=False) == 3
     assert default_n_max(4, groebner=True) == 2
+
+
+def test_worker_count_clamps(monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    assert worker_count(1, 100) == 1
+    assert worker_count(3, 100) == 3
+    assert worker_count(10**6, 100) == 4      # at most one worker per CPU
+    assert worker_count(10**6, 2) == 2        # ... and one per case
+    assert worker_count(8, 0) == 1            # an empty grid runs serially
+    monkeypatch.setattr("os.cpu_count", lambda: None)
+    assert worker_count(10**6, 100) == 1      # CPU count unknown
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_worker_count_rejects_below_one(jobs):
+    with pytest.raises(ValueError):
+        worker_count(jobs, 10)
 
 
 def test_worker_pool_matches_serial():
