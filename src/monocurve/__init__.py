@@ -5,7 +5,6 @@ from .curve import (
     CurveParams,
     InvariantViolation,
     algorithm1,
-    antidiagonal_product,
     build_matrix,
     cal_I,
     cal_J,
@@ -33,7 +32,7 @@ from .groebner import (
 )
 from .ideals import MonomialIdeal, minimal_generators, monomials_between, monomials_of_degree
 from .order import GREVELEX, GRLEX, MonomialOrder, compare, leading_monomial, leading_term
-from .poly import Monomial, Polynomial, PolyMatrix, determinant, substitute_parametrization
+from .poly import Monomial, Polynomial, PolyMatrix, substitute_parametrization
 from .scalars import (
     GFElement,
     PrimeField,

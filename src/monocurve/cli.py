@@ -61,9 +61,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ideal.add_argument("--field", default="rational", help="rational | fp | fp:<p>")
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("--suite", required=True, choices=verify.SUITE_NAMES + ("all",))
+    p_verify.add_argument("--suite", required=True, choices=tuple(verify.SUITES) + ("all",))
     p_verify.add_argument("--d", type=int)
-    p_verify.add_argument("--m", type=int, default=1)
+    p_verify.add_argument("--m", type=int)
     p_verify.add_argument("--n-max", type=int, dest="n_max")
     p_verify.add_argument("--k", type=int)
     p_verify.add_argument("--field", default="rational", help="rational | fp | fp:<p>")
@@ -130,6 +130,10 @@ def _render_reports(reports, fmt: str) -> str:
 
 def _cmd_verify(args) -> int:
     if args.suite == "all":
+        given = [f for f in ("d", "n_max", "k", "m") if getattr(args, f) is not None]
+        if given:
+            raise UsageError("--suite all runs its own grid; it does not read %s"
+                             % ", ".join("--" + f.replace("_", "-") for f in given))
         reports = verify.run_all(jobs=args.jobs)
     else:
         if args.d is None:

@@ -304,17 +304,7 @@ def lambda_set(d: int, j: int, n: int) -> list[tuple]:
     """Compositions (a_1, ..., a_j) of weight n with a_j nonzero, colex order."""
     if not 1 <= j <= d - 1:
         raise ValueError("need 1 <= j <= d-1")
-
-    def rec(jj, rem):
-        if jj == 0:
-            if rem == 0:
-                yield ()
-            return
-        for last in range(rem // jj + 1):
-            for head in rec(jj - 1, rem - jj * last):
-                yield head + (last,)
-
-    return [a for a in rec(j, n) if a[-1] != 0]
+    return [a for a in compositions(j + 1, n) if a[-1]]
 
 
 def s_set(d: int, a) -> frozenset:
@@ -555,19 +545,3 @@ def _verify_witness(d, mons, a, i, witness: ColonWitness) -> None:
     )
     if adjusted < n - i + 1:
         raise InvariantViolation("adjusted weight %d below %d" % (adjusted, n - i + 1))
-
-
-# -- small helpers shared by order checks ------------------------------------
-
-
-def antidiagonal_product(matrix: PolyMatrix) -> Monomial:
-    """Product of the anti-diagonal entries; entries must be single terms."""
-    n = matrix.size
-    out = Monomial.one(matrix.varcount)
-    for r in range(n):
-        entry = matrix.entries[r][n - 1 - r]
-        if len(entry.terms) != 1:
-            raise ValueError("anti-diagonal entry is not a single term")
-        (m,) = entry.terms
-        out = out.times(m)
-    return out

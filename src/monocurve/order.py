@@ -69,7 +69,3 @@ def leading_term(f: Polynomial, order: MonomialOrder = GREVELEX):
 
 def leading_monomial(f: Polynomial, order: MonomialOrder = GREVELEX) -> Monomial:
     return leading_term(f, order)[0]
-
-
-def leading_coefficient(f: Polynomial, order: MonomialOrder = GREVELEX):
-    return leading_term(f, order)[1]

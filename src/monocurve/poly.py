@@ -65,9 +65,6 @@ class Monomial:
     def varcount(self) -> int:
         return len(self.exps)
 
-    def is_constant(self) -> bool:
-        return self.degree == 0
-
     def times(self, other: "Monomial") -> "Monomial":
         self._check(other)
         return Monomial(a + b for a, b in zip(self.exps, other.exps))
@@ -98,9 +95,6 @@ class Monomial:
     def coprime(self, other: "Monomial") -> bool:
         self._check(other)
         return all(a == 0 or b == 0 for a, b in zip(self.exps, other.exps))
-
-    def support(self):
-        return tuple(i for i, e in enumerate(self.exps) if e)
 
     def __eq__(self, other):
         return isinstance(other, Monomial) and self.exps == other.exps
@@ -231,9 +225,6 @@ class Polynomial:
         degrees = {m.degree for m in self.terms}
         return len(degrees) <= 1
 
-    def monomials(self):
-        return list(self.terms)
-
     def __repr__(self):
         if not self.terms:
             return "Polynomial(0)"
@@ -265,11 +256,6 @@ class PolyMatrix:
     def submatrix(self, rows, cols) -> "PolyMatrix":
         return PolyMatrix([[self.entries[r][c] for c in cols] for r in rows])
 
-    def swap_rows(self, i: int, j: int) -> "PolyMatrix":
-        rows = list(range(self.size))
-        rows[i], rows[j] = rows[j], rows[i]
-        return self.submatrix(rows, range(self.size))
-
     def det(self) -> Polynomial:
         """Cofactor expansion memoized on column subsets (the row prefix is implied)."""
         memo: dict = {}
@@ -296,10 +282,6 @@ class PolyMatrix:
             return out
 
         return minor(tuple(range(n)))
-
-
-def determinant(matrix: PolyMatrix) -> Polynomial:
-    return matrix.det()
 
 
 def substitute_parametrization(f: Polynomial, d: int, m: int) -> Polynomial:

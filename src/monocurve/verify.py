@@ -20,6 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from typing import Callable, NamedTuple
 
 from .curve import (
     CurveParams,
@@ -38,20 +39,7 @@ from .groebner import PolyIdeal, leading_ideal
 from .ideals import MonomialIdeal, monomials_between
 from .poly import Monomial, substitute_parametrization
 from .render import format_ideal, format_monomial
-
-GROEBNER_SUITES = frozenset({"leading", "sanity"})
-
-SUITE_NAMES = (
-    "colon",
-    "regseq",
-    "length",
-    "alternating",
-    "leading",
-    "scounts",
-    "gscolon",
-    "socle",
-    "sanity",
-)
+from .scalars import active_field, using_field
 
 
 def binom(a: int, b: int) -> int:
@@ -74,17 +62,11 @@ def default_n_max(d: int, groebner: bool) -> int:
     env = os.environ.get(env_var)
     if env:
         return int(env)
-    if groebner:
-        if d <= 4:
-            return 6
-        if d == 5:
-            return 4
-        raise ValueError("Groebner suites are infeasible for d >= 6; use the monomial suites")
     if d <= 4:
         return 6
-    if d == 5:
-        return 8
-    return 6
+    if groebner:
+        return 4 if d == 5 else 3
+    return 8 if d == 5 else 6
 
 
 # -- report structure --------------------------------------------------------
@@ -168,11 +150,6 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-def _finish(suite: str, params: dict, cases: list, t0: float) -> VerificationReport:
-    millis = int((time.perf_counter() - t0) * 1000)
-    return VerificationReport(suite, params, cases, millis)
-
-
 def _ideal_value(ideal: MonomialIdeal) -> str:
     """Canonical short rendering of an ideal for report payloads."""
     text = format_ideal(ideal)
@@ -222,19 +199,12 @@ def _case_length(args) -> Case:
     return Case({"d": d, "n": n}, expected, actual, actual == expected)
 
 
-def _alternating_formula(d: int, n: int, k: int) -> int:
+def _alternating_sum(length, d: int, n: int, k: int) -> int:
+    """Sum over subsets S of {1..k-1} of (-1)^|S| * length(d, n - sum(S))."""
     total = 0
     for size in range(k):
         for subset in combinations(range(1, k), size):
-            total += (-1) ** size * expected_length(d, n - sum(subset))
-    return total
-
-
-def _alternating_engine(d: int, n: int, k: int) -> int:
-    total = 0
-    for size in range(k):
-        for subset in combinations(range(1, k), size):
-            total += (-1) ** size * length_In(d, n - sum(subset))
+            total += (-1) ** size * length(d, n - sum(subset))
     return total
 
 
@@ -242,8 +212,8 @@ def _case_alternating(args) -> Case:
     d, n, k = args
     ideal = mono_I(d, n) + MonomialIdeal(pure_powers(d, k), d - 1)
     actual = ideal.length_quotient()
-    alternating = _alternating_engine(d, n, k)
-    formula = _alternating_formula(d, n, k)
+    alternating = _alternating_sum(length_In, d, n, k)
+    formula = _alternating_sum(expected_length, d, n, k)
     ok = actual == alternating == formula
     inputs = {"d": d, "n": n, "k": k}
     if not ok:
@@ -375,25 +345,10 @@ def _case_sanity_substitution(args) -> Case:
     )
 
 
-_CASE_FUNCS = {
-    "colon": _case_colon,
-    "regseq": _case_regseq,
-    "length": _case_length,
-    "alternating": _case_alternating,
-    "leading": _case_leading,
-    "leading_f": _case_leading_with_f,
-    "scount": _case_scount,
-    "spanning": _case_spanning,
-    "gscolon": _case_gscolon,
-    "sanity_homogeneous": _case_sanity_homogeneous,
-    "sanity_artinian": _case_sanity_artinian,
-    "sanity_substitution": _case_sanity_substitution,
-}
-
-
-def _pool_entry(item):
-    name, args = item
-    return _CASE_FUNCS[name](args)
+def _pool_entry(item) -> Case:
+    field, evaluator, args = item
+    with using_field(field):
+        return evaluator(args)
 
 
 def worker_count(jobs: int, cases: int) -> int:
@@ -404,13 +359,28 @@ def worker_count(jobs: int, cases: int) -> int:
     return max(1, min(jobs, os.cpu_count() or 1, cases))
 
 
-def _eval_cases(jobs: int, tagged_args) -> list:
-    tagged = list(tagged_args)
-    workers = worker_count(jobs, len(tagged))
+def _run(suite: str, params: dict, grid: list, jobs: int) -> VerificationReport:
+    """Evaluate the grid's (evaluator, args) items in order, serially or on a
+    pool whose workers compute over the caller's active field."""
+    t0 = time.perf_counter()
+    workers = worker_count(jobs, len(grid))
     if workers == 1:
-        return [_CASE_FUNCS[name](args) for name, args in tagged]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_pool_entry, tagged))
+        cases = [evaluator(args) for evaluator, args in grid]
+    else:
+        field = active_field()
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            cases = list(pool.map(_pool_entry, [(field, ev, args) for ev, args in grid]))
+    millis = int((time.perf_counter() - t0) * 1000)
+    return VerificationReport(suite, params, cases, millis)
+
+
+def _k_values(k: int | None, lo: int, hi: int):
+    """The k grid of a suite: k alone when given (lo <= k <= hi), else lo..hi."""
+    if k is None:
+        return range(lo, hi + 1)
+    if not lo <= k <= hi:
+        raise ValueError("need %d <= k <= %d, got k=%d" % (lo, hi, k))
+    return [k]
 
 
 # -- suites -------------------------------------------------------------------
@@ -418,101 +388,77 @@ def _eval_cases(jobs: int, tagged_args) -> list:
 
 def check_colon_identity(d: int, n_max: int, jobs: int = 1) -> VerificationReport:
     """(I_n : x_i^i) is the unit ideal for n < i and I_{n-i+1} otherwise."""
-    t0 = time.perf_counter()
-    args = [("colon", (d, n, i)) for n in range(1, n_max + 1) for i in range(2, d + 1)]
-    cases = _eval_cases(jobs, args)
-    return _finish("colon", {"d": d, "n_max": n_max}, cases, t0)
+    grid = [(_case_colon, (d, n, i)) for n in range(1, n_max + 1) for i in range(2, d + 1)]
+    return _run("colon", {"d": d, "n_max": n_max}, grid, jobs)
 
 
 def check_assoc_graded_regseq(d: int, n_max: int, jobs: int = 1) -> VerificationReport:
     """The colon identity behind the pure-power regular sequence on the
-    associated graded ring of the filtration."""
-    t0 = time.perf_counter()
-    args = [("regseq", (d, n, i)) for n in range(0, n_max + 1) for i in range(2, d + 1)]
-    cases = _eval_cases(jobs, args)
-    return _finish("regseq", {"d": d, "n_max": n_max}, cases, t0)
+    associated graded ring of the filtration: with sums over 2 <= j < i,
+    (I_{n+i} + sum x_j^j I_{n+i-j}) : x_i^i = I_{n+1} + sum x_j^j I_{n+1-j}."""
+    grid = [(_case_regseq, (d, n, i)) for n in range(0, n_max + 1) for i in range(2, d + 1)]
+    return _run("regseq", {"d": d, "n_max": n_max}, grid, jobs)
 
 
 def check_length_formula(d: int, n_max: int, jobs: int = 1) -> VerificationReport:
     """len(T'/I_n) = d * C(n+d-2, d-1), exactly."""
-    t0 = time.perf_counter()
-    args = [("length", (d, n)) for n in range(1, n_max + 1)]
-    cases = _eval_cases(jobs, args)
-    return _finish("length", {"d": d, "n_max": n_max}, cases, t0)
+    grid = [(_case_length, (d, n)) for n in range(1, n_max + 1)]
+    return _run("length", {"d": d, "n_max": n_max}, grid, jobs)
 
 
 def check_alternating_lengths(d: int, n_max: int, k: int | None = None, jobs: int = 1) -> VerificationReport:
     """len(T'/(I_n + (x_2^2..x_k^k))) against the alternating length sum and
     the closed binomial formula; k counts the variables 2..k (2 <= k <= d)."""
-    t0 = time.perf_counter()
-    ks = [k] if k is not None else list(range(2, d + 1))
-    for kk in ks:
-        if not 2 <= kk <= d:
-            raise ValueError("need 2 <= k <= d")
-    args = [("alternating", (d, n, kk)) for n in range(1, n_max + 1) for kk in ks]
-    cases = _eval_cases(jobs, args)
-    return _finish("alternating", {"d": d, "n_max": n_max, "k": k}, cases, t0)
+    ks = _k_values(k, 2, d)
+    grid = [(_case_alternating, (d, n, kk)) for n in range(1, n_max + 1) for kk in ks]
+    return _run("alternating", {"d": d, "n_max": n_max, "k": k}, grid, jobs)
 
 
 def check_leading_ideal_equality(
-    d: int, n_max: int, with_f: bool = False, k: int | None = None, jobs: int = 1
+    d: int, n_max: int, with_f: bool | None = None, k: int | None = None, jobs: int = 1
 ) -> VerificationReport:
-    """LI of the determinantal family equals the monomial family; the with_f
-    variant adjoins f_1..f_k and compares against the pure-power enlargement."""
-    t0 = time.perf_counter()
+    """LI(cal_I_n) = I_n; the with_f variant (the default when k is given)
+    adjoins f_1..f_k and checks LI = I_n + (x_2^2..x_{k+1}^{k+1})."""
+    if with_f is None:
+        with_f = k is not None
     if with_f:
-        ks = [k] if k is not None else list(range(1, d))
-        for kk in ks:
-            if not 1 <= kk <= d - 1:
-                raise ValueError("need 1 <= k <= d-1")
-        args = [("leading_f", (d, n, kk)) for n in range(1, n_max + 1) for kk in ks]
+        ks = _k_values(k, 1, d - 1)
+        grid = [(_case_leading_with_f, (d, n, kk)) for n in range(1, n_max + 1) for kk in ks]
+    elif k is not None:
+        raise ValueError("k applies only to the with_f variant")
     else:
-        args = [("leading", (d, n)) for n in range(1, n_max + 1)]
-    cases = _eval_cases(jobs, args)
-    params = {"d": d, "n_max": n_max, "with_f": with_f, "k": k}
-    return _finish("leading", params, cases, t0)
+        grid = [(_case_leading, (d, n)) for n in range(1, n_max + 1)]
+    return _run("leading", {"d": d, "n_max": n_max, "with_f": with_f, "k": k}, grid, jobs)
 
 
 def check_s_counts_and_spanning(d: int, n_max: int, jobs: int = 1) -> VerificationReport:
     """Counting: sum of #S over weight-(n-1) compositions is C(n-2, j-1);
     spanning: the S-monomial multiples generate I_{n-1} over (I_n : x_d);
     bound: the quotient length is at most C(n+d-3, d-2)."""
-    t0 = time.perf_counter()
-    args = []
+    grid = []
     for n in range(2, n_max + 1):
-        for j in range(1, d):
-            args.append(("scount", (d, n, j)))
-        args.append(("spanning", (d, n)))
-    cases = _eval_cases(jobs, args)
-    return _finish("scounts", {"d": d, "n_max": n_max}, cases, t0)
+        grid += [(_case_scount, (d, n, j)) for j in range(1, d)]
+        grid.append((_case_spanning, (d, n)))
+    return _run("scounts", {"d": d, "n_max": n_max}, grid, jobs)
 
 
 def check_gs_colon_chain(d: int, n_max: int, k: int | None = None, jobs: int = 1) -> VerificationReport:
     """Three-term length identity: the drop from adjoining x_{k+1}^{k+1} to
     I_{n+1} + (x_2^2..x_k^k) equals the length below I_{n+1-k}."""
-    t0 = time.perf_counter()
-    ks = [k] if k is not None else list(range(1, d))
-    for kk in ks:
-        if not 1 <= kk <= d - 1:
-            raise ValueError("need 1 <= k <= d-1")
-    args = [("gscolon", (d, n, kk)) for n in range(0, n_max + 1) for kk in ks]
-    cases = _eval_cases(jobs, args)
-    return _finish("gscolon", {"d": d, "n_max": n_max, "k": k}, cases, t0)
+    ks = _k_values(k, 1, d - 1)
+    grid = [(_case_gscolon, (d, n, kk)) for n in range(0, n_max + 1) for kk in ks]
+    return _run("gscolon", {"d": d, "n_max": n_max, "k": k}, grid, jobs)
 
 
 def check_construction_sanity(d: int, m: int, n_max: int, jobs: int = 1) -> VerificationReport:
     """Generators are homogeneous, leading ideals are Artinian, and every
     full-ring minor vanishes on the curve parametrization."""
-    t0 = time.perf_counter()
     CurveParams(d, m)  # validates coprimality
-    args = []
+    grid = []
     for n in range(1, n_max + 1):
-        args.append(("sanity_homogeneous", (d, n)))
-        args.append(("sanity_artinian", (d, n)))
-    for i in range(1, d):
-        args.append(("sanity_substitution", (d, m, i)))
-    cases = _eval_cases(jobs, args)
-    return _finish("sanity", {"d": d, "m": m, "n_max": n_max}, cases, t0)
+        grid += [(_case_sanity_homogeneous, (d, n)), (_case_sanity_artinian, (d, n))]
+    grid += [(_case_sanity_substitution, (d, m, i)) for i in range(1, d)]
+    return _run("sanity", {"d": d, "m": m, "n_max": n_max}, grid, jobs)
 
 
 # -- the Artinian reduction and its socle ------------------------------------
@@ -547,10 +493,7 @@ def _reduction_pieces(d: int) -> list[list[Monomial]]:
     return pieces
 
 
-def socle_dimension_artinian_reduction(d: int):
-    """Socle dimension of the bigraded Artinian reduction of the filtration's
-    associated graded ring; returns (dimension, report)."""
-    t0 = time.perf_counter()
+def _case_socle(d: int) -> Case:
     v = d - 1
     pieces = _reduction_pieces(d)
     multipliers = [(0, Monomial.variable(t, v)) for t in range(v)]
@@ -565,7 +508,7 @@ def socle_dimension_artinian_reduction(d: int):
             ):
                 socle_elements.append((level, u))
     dim = len(socle_elements)
-    case = Case(
+    return Case(
         {
             "d": d,
             "piece_dims": [len(p) for p in pieces],
@@ -577,15 +520,41 @@ def socle_dimension_artinian_reduction(d: int):
         dim,
         dim == 1,
     )
-    report = _finish("socle", {"d": d}, [case], t0)
-    return dim, report
 
 
 def check_socle(d: int, jobs: int = 1) -> VerificationReport:
-    return socle_dimension_artinian_reduction(d)[1]
+    """The bigraded Artinian reduction of the filtration's associated graded
+    ring has a one-dimensional socle (its Gorenstein property)."""
+    return _run("socle", {"d": d}, [(_case_socle, d)], jobs)
 
 
-# -- suite registry and the aggregate run ------------------------------------
+def socle_dimension_artinian_reduction(d: int):
+    """Socle dimension of the bigraded Artinian reduction of the filtration's
+    associated graded ring; returns (dimension, report)."""
+    report = check_socle(d)
+    return report.cases[0].actual, report
+
+
+# -- the suite table and the aggregate run ------------------------------------
+
+
+class Suite(NamedTuple):
+    check: Callable[..., VerificationReport]
+    groebner: bool
+    flags: frozenset  # the optional run_suite flags the check reads
+
+
+SUITES = {
+    "colon": Suite(check_colon_identity, False, frozenset({"n_max"})),
+    "regseq": Suite(check_assoc_graded_regseq, False, frozenset({"n_max"})),
+    "length": Suite(check_length_formula, False, frozenset({"n_max"})),
+    "alternating": Suite(check_alternating_lengths, False, frozenset({"n_max", "k"})),
+    "leading": Suite(check_leading_ideal_equality, True, frozenset({"n_max", "k"})),
+    "scounts": Suite(check_s_counts_and_spanning, False, frozenset({"n_max"})),
+    "gscolon": Suite(check_gs_colon_chain, False, frozenset({"n_max", "k"})),
+    "socle": Suite(check_socle, False, frozenset()),
+    "sanity": Suite(check_construction_sanity, True, frozenset({"n_max", "m"})),
+}
 
 
 def run_suite(
@@ -593,47 +562,33 @@ def run_suite(
     d: int,
     n_max: int | None = None,
     k: int | None = None,
-    m: int = 1,
+    m: int | None = None,
     jobs: int = 1,
 ) -> VerificationReport:
-    if name not in SUITE_NAMES:
+    """Run one suite of SUITES; a flag the suite does not read is a ValueError.
+    n_max defaults to default_n_max and the sanity suite's curve step m to 1."""
+    suite = SUITES.get(name)
+    if suite is None:
         raise ValueError("unknown suite %r" % name)
-    if name == "socle":
-        return check_socle(d, jobs=jobs)
-    if n_max is None:
-        n_max = default_n_max(d, name in GROEBNER_SUITES)
-    if name in GROEBNER_SUITES and d >= 6:
-        raise ValueError("Groebner suites are infeasible for d >= 6; use the monomial suites")
-    if name == "colon":
-        return check_colon_identity(d, n_max, jobs=jobs)
-    if name == "regseq":
-        return check_assoc_graded_regseq(d, n_max, jobs=jobs)
-    if name == "length":
-        return check_length_formula(d, n_max, jobs=jobs)
-    if name == "alternating":
-        return check_alternating_lengths(d, n_max, k=k, jobs=jobs)
-    if name == "leading":
-        return check_leading_ideal_equality(d, n_max, with_f=k is not None, k=k, jobs=jobs)
-    if name == "scounts":
-        return check_s_counts_and_spanning(d, n_max, jobs=jobs)
-    if name == "gscolon":
-        return check_gs_colon_chain(d, n_max, k=k, jobs=jobs)
-    if name == "sanity":
-        return check_construction_sanity(d, m, n_max, jobs=jobs)
-    raise AssertionError("unreachable")
+    given = {"n_max": n_max, "k": k, "m": m}
+    ignored = ["%s=%s" % (f, v) for f, v in given.items() if v is not None and f not in suite.flags]
+    if ignored:
+        raise ValueError("suite %s does not read %s" % (name, ", ".join(ignored)))
+    kwargs = {f: given[f] for f in suite.flags}
+    if "n_max" in kwargs and n_max is None:
+        kwargs["n_max"] = default_n_max(d, suite.groebner)
+    if "m" in kwargs and m is None:
+        kwargs["m"] = 1
+    return suite.check(d, jobs=jobs, **kwargs)
 
 
 def run_all(jobs: int = 1) -> list[VerificationReport]:
     """The default desk-scale grid over every suite."""
     reports = []
+    monomial = [s.check for s in SUITES.values() if not s.groebner and "n_max" in s.flags]
     for d in (2, 3, 4, 5, 6):
         nm = default_n_max(d, groebner=False)
-        reports.append(check_colon_identity(d, nm, jobs=jobs))
-        reports.append(check_assoc_graded_regseq(d, nm, jobs=jobs))
-        reports.append(check_length_formula(d, nm, jobs=jobs))
-        reports.append(check_alternating_lengths(d, nm, jobs=jobs))
-        reports.append(check_s_counts_and_spanning(d, nm, jobs=jobs))
-        reports.append(check_gs_colon_chain(d, nm, jobs=jobs))
+        reports += [check(d, nm, jobs=jobs) for check in monomial]
     for d in (2, 3, 4, 5):
         nm = default_n_max(d, groebner=True)
         reports.append(check_leading_ideal_equality(d, nm, jobs=jobs))

@@ -3,14 +3,15 @@
 Nothing here shares an algorithm with the package: determinants come from
 the permutation sum, minimal generators from the all-pairs definition,
 staircase lengths from degree-capped enumeration, the
-order from a literal transcription of its definition, and membership in
-products of variable-range powers from Hall's condition.
+order from a literal transcription of its definition, leading monomials of
+minors from their anti-diagonals, and membership in products of
+variable-range powers from Hall's condition.
 """
 
 from itertools import combinations, permutations
 
 from monocurve.ideals import monomials_of_degree
-from monocurve.poly import Polynomial
+from monocurve.poly import Monomial, Polynomial
 
 
 def leibniz_determinant(matrix) -> Polynomial:
@@ -30,6 +31,19 @@ def leibniz_determinant(matrix) -> Polynomial:
             term = e if term is None else term * e
         det = det + term if sign > 0 else det - term
     return det
+
+
+def antidiagonal_product(matrix) -> Monomial:
+    """Product of the anti-diagonal entries; entries must be single terms."""
+    n = matrix.size
+    out = Monomial.one(matrix.varcount)
+    for r in range(n):
+        entry = matrix.entries[r][n - 1 - r]
+        if len(entry.terms) != 1:
+            raise ValueError("anti-diagonal entry is not a single term")
+        (m,) = entry.terms
+        out = out.times(m)
+    return out
 
 
 def divides_tuple(a, b) -> bool:

@@ -97,10 +97,32 @@ def test_verify_socle(capsys):
     assert "1/1 passed" in out
 
 
-def test_groebner_suite_refused_for_large_d(capsys):
-    code, _, err = run_cli(capsys, "verify", "--suite", "leading", "--d", "6")
+def test_groebner_suite_runs_at_d6(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "leading", "--d", "6", "--n-max", "1")
+    assert code == 0
+    assert "1/1 passed" in out
+
+
+@pytest.mark.parametrize("argv,ignored", [
+    (["--suite", "colon", "--d", "3", "--n-max", "1", "--m", "2", "--k", "7"], ["k=7", "m=2"]),
+    (["--suite", "socle", "--d", "3", "--n-max", "3"], ["n_max=3"]),
+    (["--suite", "all", "--d", "3"], ["--d"]),
+])
+def test_verify_rejects_flags_the_suite_ignores(capsys, argv, ignored):
+    code, out, err = run_cli(capsys, "verify", *argv)
     assert code == 2
-    assert "monomial suites" in err
+    assert out == ""
+    assert all(flag in err for flag in ignored), err
+
+
+@pytest.mark.parametrize("argv,param", [
+    (["--suite", "sanity", "--d", "4", "--n-max", "1", "--m", "3"], '"m": 3'),
+    (["--suite", "alternating", "--d", "3", "--n-max", "2", "--k", "3"], '"k": 3'),
+])
+def test_verify_accepts_flags_the_suite_reads(capsys, argv, param):
+    code, out, _ = run_cli(capsys, "verify", *argv)
+    assert code == 0
+    assert param in out.splitlines()[0]
 
 
 def test_verify_failure_exit_one(capsys, monkeypatch):

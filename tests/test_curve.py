@@ -1,4 +1,5 @@
 import random
+from itertools import product
 from math import comb
 
 import pytest
@@ -7,7 +8,6 @@ from monocurve.curve import (
     ColonWitness,
     CurveParams,
     algorithm1,
-    antidiagonal_product,
     build_matrix,
     cal_I,
     cal_J,
@@ -27,6 +27,8 @@ from monocurve.curve import (
 from monocurve.ideals import MonomialIdeal
 from monocurve.order import leading_monomial
 from monocurve.poly import Monomial, Polynomial
+
+from oracles import antidiagonal_product
 
 
 def exps_of(p: Polynomial):
@@ -207,6 +209,22 @@ def test_lambda_examples():
     assert lambda_set(3, 2, 2) == [(0, 1)]
     assert lambda_set(3, 2, 4) == [(2, 1), (0, 2)]
     assert lambda_set(4, 3, 2) == []
+
+
+def _weighted_colex(j, n):
+    """Brute force: all (a_1..a_j) with sum i*a_i = n, in colex order."""
+    found = [a for a in product(range(n + 1), repeat=j)
+             if sum(i * x for i, x in enumerate(a, 1)) == n]
+    return sorted(found, key=lambda a: a[::-1])
+
+
+def test_compositions_and_lambda_against_bruteforce():
+    for d in range(2, 7):
+        for n in range(0, 8):
+            assert list(compositions(d, n)) == _weighted_colex(d - 1, n), (d, n)
+            for j in range(1, d):
+                want = [a for a in _weighted_colex(j, n) if a[-1] > 0]
+                assert lambda_set(d, j, n) == want, (d, j, n)
 
 
 def test_s_set_examples():

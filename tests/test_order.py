@@ -2,11 +2,11 @@ import pytest
 from hypothesis import given, strategies as st
 from itertools import combinations
 
-from monocurve.curve import antidiagonal_product, build_matrix, CurveParams
+from monocurve.curve import build_matrix, CurveParams
 from monocurve.order import GREVELEX, GRLEX, compare, leading_monomial, leading_term
 from monocurve.poly import Monomial, Polynomial
 
-from oracles import grevelex_greater
+from oracles import antidiagonal_product, grevelex_greater
 
 exps = st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6))
 mons = exps.map(Monomial)

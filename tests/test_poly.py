@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from monocurve.curve import CurveParams, build_matrix
 from monocurve.order import leading_monomial
-from monocurve.poly import Monomial, Polynomial, PolyMatrix, determinant, substitute_parametrization
+from monocurve.poly import Monomial, Polynomial, PolyMatrix, substitute_parametrization
 from monocurve.scalars import PrimeField, using_field
 
 from oracles import leibniz_determinant
@@ -101,7 +101,9 @@ def test_det_alternating(rows, i, j):
     M = PolyMatrix(rows)
     if i == j:
         return
-    assert M.swap_rows(i, j).det() == -M.det()
+    rows = [0, 1, 2]
+    rows[i], rows[j] = j, i
+    assert M.submatrix(rows, range(3)).det() == -M.det()
 
 
 def test_det_mod_p_agrees_with_rational():
@@ -112,10 +114,10 @@ def test_det_mod_p_agrees_with_rational():
             X = build_matrix(CurveParams(d), mod_x1=True)
             for i in range(1, d):
                 block = X.submatrix(range(i + 1), range(i + 1))
-                rational = determinant(block)
+                rational = block.det()
                 with using_field(field):
                     Xp = build_matrix(CurveParams(d), mod_x1=True)
-                    modp = determinant(Xp.submatrix(range(i + 1), range(i + 1)))
+                    modp = Xp.submatrix(range(i + 1), range(i + 1)).det()
                 reduced = {m: field.coerce(c) for m, c in rational.terms.items()}
                 assert {m: c for m, c in reduced.items() if c} == modp.terms
 

@@ -1,8 +1,13 @@
+import functools
 import json
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+from monocurve import verify
 from monocurve.ideals import MonomialIdeal
+from monocurve.scalars import PrimeField, active_field, using_field
 from monocurve.verify import (
     _ideal_case,
     check_alternating_lengths,
@@ -158,8 +163,7 @@ def test_default_grids_and_env_overrides(monkeypatch):
     assert default_n_max(5, groebner=False) == 8
     assert default_n_max(6, groebner=False) == 6
     assert default_n_max(5, groebner=True) == 4
-    with pytest.raises(ValueError):
-        default_n_max(6, groebner=True)
+    assert default_n_max(6, groebner=True) == 3
     monkeypatch.setenv("MONOCURVE_NMAX_MONOMIAL", "3")
     monkeypatch.setenv("MONOCURVE_NMAX_GROEBNER", "2")
     assert default_n_max(6, groebner=False) == 3
@@ -193,3 +197,28 @@ def test_worker_pool_on_groebner_suite():
     serial = check_leading_ideal_equality(3, 3, jobs=1).to_dict(include_timing=False)
     pooled = check_leading_ideal_equality(3, 3, jobs=2).to_dict(include_timing=False)
     assert serial == pooled
+
+
+def _active_field_key(_args):
+    return active_field().key
+
+
+def test_pooled_cases_compute_over_the_callers_field(monkeypatch):
+    # spawned workers start from a fresh import, so only the field passed
+    # with each case can tell them the caller's choice
+    spawn = functools.partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn"))
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", spawn)
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    with using_field(PrimeField(32003)):
+        report = verify._run("probe", {}, [(_active_field_key, None)] * 2, jobs=2)
+    assert report.cases == [("fp", 32003)] * 2
+    assert active_field().key == ("rational",)
+
+
+def test_leading_reads_k_without_with_f():
+    report = check_leading_ideal_equality(3, 2, k=1)
+    assert report.params["with_f"] is True
+    assert report.to_dict(include_timing=False) == check_leading_ideal_equality(
+        3, 2, with_f=True, k=1).to_dict(include_timing=False)
+    with pytest.raises(ValueError):
+        check_leading_ideal_equality(3, 2, with_f=False, k=1)
