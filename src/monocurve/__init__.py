@@ -28,7 +28,6 @@ from .groebner import (
     leading_ideal,
     normal_form,
     quotient_length_poly,
-    s_polynomial,
 )
 from .ideals import MonomialIdeal, minimal_generators, monomials_between, monomials_of_degree
 from .order import GREVELEX, GRLEX, MonomialOrder, compare, leading_monomial, leading_term

@@ -88,37 +88,26 @@ def build_matrix(params: CurveParams, mod_x1: bool = False) -> PolyMatrix:
     return PolyMatrix(rows)
 
 
-_MATRIX_CACHE: dict = {}
+# The cached values below hold coefficients, so their caches are keyed by
+# the active field's key: a run under GF(p) never sees Q coefficients.
 
 
-def _mod_matrix(d: int) -> PolyMatrix:
-    # coefficients live in the active field, so the cache is keyed by it
-    key = (active_field().key, d)
-    hit = _MATRIX_CACHE.get(key)
-    if hit is None:
-        hit = build_matrix(CurveParams(d, 1), mod_x1=True)
-        _MATRIX_CACHE[key] = hit
-    return hit
+@lru_cache(maxsize=None)
+def _mod_matrix(field_key, d: int) -> PolyMatrix:
+    return build_matrix(CurveParams(d, 1), mod_x1=True)
 
 
-def _f_poly_uncached(d: int, i: int) -> Polynomial:
-    X = _mod_matrix(d)
+@lru_cache(maxsize=None)
+def _f_poly(field_key, d: int, i: int) -> Polynomial:
+    X = _mod_matrix(field_key, d)
     return X.submatrix(range(i + 1), range(i + 1)).det()
-
-
-_F_CACHE: dict = {}
 
 
 def f_poly(d: int, i: int) -> Polynomial:
     """Determinant of the leading principal (i+1) x (i+1) block, mod x_1."""
     if not 1 <= i <= d - 1:
         raise ValueError("need 1 <= i <= d-1, got i=%d d=%d" % (i, d))
-    key = (active_field().key, d, i)
-    hit = _F_CACHE.get(key)
-    if hit is None:
-        hit = _f_poly_uncached(d, i)
-        _F_CACHE[key] = hit
-    return hit
+    return _f_poly(active_field().key, d, i)
 
 
 def minor_polynomials(d: int, i: int) -> list[Polynomial]:
@@ -126,7 +115,7 @@ def minor_polynomials(d: int, i: int) -> list[Polynomial]:
     column selections in lexicographic order."""
     if not 1 <= i <= d - 1:
         raise ValueError("need 1 <= i <= d-1, got i=%d d=%d" % (i, d))
-    X = _mod_matrix(d)
+    X = _mod_matrix(active_field().key, d)
     return [X.submatrix(range(i + 1), cols).det() for cols in combinations(range(d), i + 1)]
 
 
@@ -225,9 +214,6 @@ def _composition_demands(d: int, n: int) -> tuple:
     return tuple(out)
 
 
-_MEMBER_CACHE: dict = {}
-
-
 def _suffix_sums(exps) -> tuple:
     out = []
     acc = 0
@@ -238,15 +224,11 @@ def _suffix_sums(exps) -> tuple:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def _member_suffix(d: int, n: int, suffix: tuple) -> bool:
-    cache = _MEMBER_CACHE.setdefault((d, n), {})
-    hit = cache.get(suffix)
-    if hit is None:
-        hit = any(
-            all(dm <= s for dm, s in zip(dem, suffix)) for dem in _composition_demands(d, n)
-        )
-        cache[suffix] = hit
-    return hit
+    return any(
+        all(dm <= s for dm, s in zip(dem, suffix)) for dem in _composition_demands(d, n)
+    )
 
 
 def in_ideal_family(d: int, n: int, m: Monomial) -> bool:

@@ -52,13 +52,23 @@ class GroebnerBasis:
         )
 
 
+class _Divisors(list):
+    """(leading monomial, leading coefficient, polynomial) triples whose
+    leading terms are computed once, when the triple is appended."""
+
+    __slots__ = ()
+
+
 def normal_form(f: Polynomial, basis, order: MonomialOrder = GREVELEX) -> Polynomial:
-    """Remainder of f under full division by the list `basis`.
+    """Remainder of f under full division by the list `basis`, tried in list order.
 
     No monomial of the result is divisible by any leading monomial of the
     basis, and f minus the result lies in the ideal the basis generates.
+    `basis` holds polynomials, or is the `_Divisors` list `buchberger`
+    keeps, whose leading terms are not computed again.
     """
-    divisors = [(leading_term(g, order)) + (g,) for g in basis if g]
+    if not isinstance(basis, _Divisors):
+        basis = [leading_term(g, order) + (g,) for g in basis if g]
     key = order.key
     work = dict(f.terms)
     remainder: dict = {}
@@ -66,7 +76,7 @@ def normal_form(f: Polynomial, basis, order: MonomialOrder = GREVELEX) -> Polyno
         m = max(work, key=key)
         c = work.pop(m)
         hit = None
-        for lm, lc, g in divisors:
+        for lm, lc, g in basis:
             if lm.divides(m):
                 hit = (lm, lc, g)
                 break
@@ -89,16 +99,12 @@ def normal_form(f: Polynomial, basis, order: MonomialOrder = GREVELEX) -> Polyno
     return Polynomial(remainder, f.varcount)
 
 
-def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder = GREVELEX) -> Polynomial:
-    mf, cf = leading_term(f, order)
-    mg, cg = leading_term(g, order)
+def _s_poly(tf, tg) -> Polynomial:
+    """S-polynomial of two (leading monomial, leading coefficient, polynomial) triples."""
+    mf, cf, f = tf
+    mg, cg, g = tg
     lcm = mf.lcm(mg)
     return f.mul_term(lcm.quo(mf), 1 / cf) - g.mul_term(lcm.quo(mg), 1 / cg)
-
-
-def _monic(f: Polynomial, order: MonomialOrder) -> Polynomial:
-    _, c = leading_term(f, order)
-    return f if c == 1 else f.scale(1 / c)
 
 
 def _update_pairs(heap, live, lms, t, order):
@@ -140,19 +146,22 @@ def buchberger(ideal: PolyIdeal, order: MonomialOrder = GREVELEX) -> GroebnerBas
         key=lambda g: key(leading_term(g, order)[0]),
     )
 
-    basis: list[Polynomial] = []
+    # one (lm, lc, element) triple per basis element, made monic when added
+    divisors = _Divisors()
     lms: list[Monomial] = []
     heap: list = []
     live: dict = {}
 
     def add(h: Polynomial) -> None:
-        h = _monic(h, order)
-        basis.append(h)
-        lms.append(leading_term(h, order)[0])
-        _update_pairs(heap, live, lms, len(basis) - 1, order)
+        lm, lc = leading_term(h, order)
+        if lc != 1:
+            h = h.scale(1 / lc)
+        divisors.append((lm, h.terms[lm], h))
+        lms.append(lm)
+        _update_pairs(heap, live, lms, len(lms) - 1, order)
 
     for g in seeds:
-        r = normal_form(g, basis, order)
+        r = normal_form(g, divisors, order)
         if r:
             add(r)
 
@@ -161,23 +170,21 @@ def buchberger(ideal: PolyIdeal, order: MonomialOrder = GREVELEX) -> GroebnerBas
         if (i, j) not in live:
             continue
         del live[(i, j)]
-        r = normal_form(s_polynomial(basis[i], basis[j], order), basis, order)
+        r = normal_form(_s_poly(divisors[i], divisors[j]), divisors, order)
         if r:
             add(r)
 
-    # minimalize leading monomials, then tail-reduce
+    # minimalize leading monomials, then tail-reduce; a kept leading monomial
+    # is divisible by no other kept one, so it survives as the monic lead
     keep = []
     for i, lm in enumerate(lms):
         if any(j != i and lms[j].divides(lm) and (lms[j] != lm or j < i) for j in range(len(lms))):
             continue
         keep.append(i)
-    reduced = []
-    for i in keep:
-        others = [basis[j] for j in keep if j != i]
-        r = normal_form(basis[i], others, order)
-        if r:
-            reduced.append(_monic(r, order))
-    reduced.sort(key=lambda g: key(leading_term(g, order)[0]))
+    reduced = [
+        normal_form(divisors[i][2], _Divisors(divisors[j] for j in keep if j != i), order)
+        for i in sorted(keep, key=lambda i: key(lms[i]))
+    ]
     return GroebnerBasis(reduced, order, reduced=True)
 
 

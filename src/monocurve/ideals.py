@@ -266,31 +266,11 @@ class MonomialIdeal:
                 return False
         return True
 
-    def _next_level(self, level):
-        nxt = set()
-        varcount = self.varcount
-        for m in level:
-            exps = m.exps
-            for v in range(varcount):
-                nxt.add(Monomial(exps[:v] + (exps[v] + 1,) + exps[v + 1 :]))
-        return [m for m in nxt if not self.contains(m)]
-
     def length_quotient(self) -> int:
         """Number of monomials outside the ideal (the staircase length)."""
         if not self.is_artinian():
             raise ValueError("length of a non-Artinian quotient is infinite")
         return (self._index or self._build_index()).standard_count()
-
-    def hilbert_function(self, max_degree: int) -> list[int]:
-        """Counts of standard monomials in degrees 0..max_degree."""
-        out = []
-        level = [Monomial.one(self.varcount)]
-        if self.contains(level[0]):
-            level = []
-        for _ in range(max_degree + 1):
-            out.append(len(level))
-            level = self._next_level(level)
-        return out
 
 
 def monomials_between(inner: MonomialIdeal, outer: MonomialIdeal) -> list[Monomial]:

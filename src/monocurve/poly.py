@@ -11,39 +11,18 @@ from math import gcd
 
 from .scalars import active_field
 
-# Exponents below this bound are packed into one int (8 bits per variable)
-# so that divisibility is three integer operations.
-_PACK_LIMIT = 128
-
-_GUARDS: dict[int, int] = {}
-
-
-def _guard(varcount: int) -> int:
-    g = _GUARDS.get(varcount)
-    if g is None:
-        g = sum(0x80 << (8 * i) for i in range(varcount))
-        _GUARDS[varcount] = g
-    return g
-
 
 class Monomial:
     """A monomial, i.e. a vector of non-negative exponents with cached degree."""
 
-    __slots__ = ("exps", "degree", "packed")
+    __slots__ = ("exps", "degree")
 
     def __init__(self, exps):
         exps = tuple(exps)
+        if any(e < 0 for e in exps):
+            raise ValueError("negative exponent in %r" % (exps,))
         self.exps = exps
         self.degree = sum(exps)
-        if all(0 <= e < _PACK_LIMIT for e in exps):
-            p = 0
-            for i, e in enumerate(exps):
-                p |= e << (8 * i)
-            self.packed = p
-        else:
-            if any(e < 0 for e in exps):
-                raise ValueError("negative exponent in %r" % (exps,))
-            self.packed = None
 
     @classmethod
     def one(cls, varcount: int) -> "Monomial":
@@ -71,9 +50,6 @@ class Monomial:
 
     def divides(self, other: "Monomial") -> bool:
         self._check(other)
-        if self.packed is not None and other.packed is not None:
-            g = _guard(len(self.exps))
-            return ((other.packed | g) - self.packed) & g == g
         return all(a <= b for a, b in zip(self.exps, other.exps))
 
     def quo(self, other: "Monomial") -> "Monomial":

@@ -3,7 +3,8 @@
 Nothing here shares an algorithm with the package: determinants come from
 the permutation sum, minimal generators from the all-pairs definition,
 staircase lengths from degree-capped enumeration, the
-order from a literal transcription of its definition, leading monomials of
+order from a literal transcription of its definition, S-polynomials from
+theirs with leading terms picked by that order, leading monomials of
 minors from their anti-diagonals, and membership in products of
 variable-range powers from Hall's condition.
 """
@@ -84,6 +85,21 @@ def grevelex_greater(a, b) -> bool:
         if x != y:
             return x - y < 0
     return False
+
+
+def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
+    """lcm/lt(f) * f - lcm/lt(g) * g, with lcm the lcm of the two leading
+    monomials and leading terms picked by `grevelex_greater`."""
+    def lead(p):
+        top = None
+        for m in p.terms:
+            if top is None or grevelex_greater(m.exps, top.exps):
+                top = m
+        return top, p.terms[top]
+
+    (mf, cf), (mg, cg) = lead(f), lead(g)
+    lcm = Monomial(tuple(map(max, mf.exps, mg.exps)))
+    return f.mul_term(lcm.quo(mf), 1 / cf) - g.mul_term(lcm.quo(mg), 1 / cg)
 
 
 # -- factored products of variable-range powers -----------------------------

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import product
 from math import comb
 
@@ -27,6 +28,7 @@ from monocurve.curve import (
 from monocurve.ideals import MonomialIdeal
 from monocurve.order import leading_monomial
 from monocurve.poly import Monomial, Polynomial
+from monocurve.scalars import GFElement, PrimeField, using_field
 
 from oracles import antidiagonal_product
 
@@ -97,6 +99,14 @@ def test_f_leading_monomials_are_pure_powers():
     for d in range(2, 7):
         for i in range(1, d):
             assert leading_monomial(f_poly(d, i)) == Monomial.variable(i - 1, d - 1, i + 1)
+
+
+def test_f_poly_cache_keeps_fields_apart():
+    with using_field(PrimeField(32003)):
+        modp = f_poly(3, 1)
+    rational = f_poly(3, 1)
+    assert all(isinstance(c, GFElement) and c.p == 32003 for c in modp.terms.values())
+    assert all(isinstance(c, Fraction) for c in rational.terms.values())
 
 
 def test_f_poly_range_errors():

@@ -12,11 +12,11 @@ from monocurve.groebner import (
     leading_ideal,
     normal_form,
     quotient_length_poly,
-    s_polynomial,
 )
 from monocurve.ideals import MonomialIdeal
 from monocurve.order import GRLEX, leading_monomial
 from monocurve.poly import Monomial, Polynomial
+from oracles import s_polynomial
 
 
 def P(int_terms, varcount):
@@ -92,12 +92,23 @@ def test_buchberger_criterion_posthoc(d, n):
     assert _all_spolys_reduce(gb)
 
 
-def test_reduced_basis_is_interreduced():
-    gb = buchberger(cal_I(3, 2))
+def _assert_interreduced(gb):
     lms = [leading_monomial(g) for g in gb.elements]
     for i, g in enumerate(gb.elements):
         for m in g.terms:
             assert not any(j != i and lms[j].divides(m) for j in range(len(lms)))
+
+
+def test_reduced_basis_is_interreduced():
+    _assert_interreduced(buchberger(cal_I(3, 2)))
+
+
+def test_tail_reduction_reaches_earlier_elements():
+    # before the final tail reduction, one element here has a tail term
+    # divisible by the lead of an element added after it
+    f = P({(2, 2): -2, (3, 1): 1, (2, 0): -2}, 2)
+    g = P({(1, 1): -1, (2, 2): -1, (2, 1): -2}, 2)
+    _assert_interreduced(buchberger(PolyIdeal([f, g], 2)))
 
 
 def test_deterministic_output():
@@ -193,6 +204,29 @@ _coeffs = st.integers(-5, 5).filter(bool)
 _polys2 = st.dictionaries(_exps2, _coeffs, min_size=1, max_size=3).map(
     lambda terms: Polynomial.from_int_terms(terms, 2)
 )
+
+
+@pytest.mark.parametrize("d,n", [(3, 3), (4, 2), (4, 3)])
+def test_reduced_basis_matches_sympy(d, n):
+    # sympy's grevlex over the generators listed x_d, ..., x_2 is GREVELEX
+    sympy = pytest.importorskip("sympy")
+    xs = sympy.symbols("x2:%d" % (d + 1))
+    gens = xs[::-1]
+    ideal = cal_I(d, n)
+    exprs = [
+        sympy.Add(*(
+            sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*map(sympy.Pow, xs, m.exps))
+            for m, c in g.terms.items()
+        ))
+        for g in ideal.gens
+    ]
+    theirs = {
+        frozenset((mon[::-1], Fraction(int(c.p), int(c.q)))
+                  for mon, c in sympy.Poly(g, *gens).terms())
+        for g in sympy.groebner(exprs, *gens, order="grevlex", domain="QQ").exprs
+    }
+    ours = {frozenset((m.exps, c) for m, c in g.terms.items()) for g in buchberger(ideal).elements}
+    assert ours == theirs
 
 
 @settings(max_examples=50, deadline=None)

@@ -217,17 +217,6 @@ def test_length_edge_cases():
     assert I([(2, 0), (1, 1), (0, 2), (1, 1)], 2).length_quotient() == 3
 
 
-def test_hilbert_function_univariate():
-    assert I([(2,)], 1).hilbert_function(4) == [1, 1, 0, 0, 0]
-
-
-def test_hilbert_function_sums_to_length():
-    ideal = mono_I(3, 3)
-    hf = ideal.hilbert_function(20)
-    assert sum(hf) == ideal.length_quotient()
-    assert hf[-1] == 0
-
-
 def test_monomials_between():
     inner = I([(2, 0), (0, 2)], 2)
     outer = I([(1, 0)], 2)

@@ -8,7 +8,7 @@ from monocurve.order import leading_monomial
 from monocurve.poly import Monomial, Polynomial, PolyMatrix, substitute_parametrization
 from monocurve.scalars import PrimeField, using_field
 
-from oracles import leibniz_determinant
+from oracles import divides_tuple, leibniz_determinant
 
 
 def P(int_terms, varcount):
@@ -22,6 +22,41 @@ exps3 = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
 polys3 = st.dictionaries(exps3.map(Monomial), coeffs, max_size=4).map(
     lambda terms: Polynomial(terms, 3)
 )
+
+
+@st.composite
+def exponent_pairs(draw):
+    # exponents run past 127, beyond any 8-bit-per-variable encoding
+    v = draw(st.integers(1, 5))
+    vec = st.lists(st.just(0) | st.integers(0, 300), min_size=v, max_size=v).map(tuple)
+    a, b = draw(vec), draw(vec)
+    if draw(st.booleans()):
+        b = tuple(x + y for x, y in zip(a, b))  # a divides b
+    return a, b
+
+
+# -- monomials ------------------------------------------------------------------
+
+@settings(max_examples=200)
+@given(exponent_pairs())
+def test_monomial_operations_match_tuple_oracles(pair):
+    a, b = pair
+    ma, mb = Monomial(a), Monomial(b)
+    assert ma.divides(mb) == divides_tuple(a, b)
+    assert mb.divides(ma) == divides_tuple(b, a)
+    assert ma.lcm(mb).exps == tuple(map(max, a, b))
+    assert ma.gcd(mb).exps == tuple(map(min, a, b))
+    assert ma.coprime(mb) == all(x == 0 or y == 0 for x, y in zip(a, b))
+    if divides_tuple(a, b):
+        assert mb.quo(ma).exps == tuple(y - x for x, y in zip(a, b))
+    else:
+        with pytest.raises(ValueError):
+            mb.quo(ma)
+
+
+def test_negative_exponent_rejected():
+    with pytest.raises(ValueError):
+        Monomial((1, -1))
 
 
 # -- basic arithmetic ---------------------------------------------------------
