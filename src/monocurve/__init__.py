@@ -1,14 +1,11 @@
 """Exact ideal families of monomial curves and their machine verification."""
 
 from .curve import (
-    ColonWitness,
     CurveParams,
     InvariantViolation,
-    algorithm1,
     build_matrix,
     cal_I,
     cal_J,
-    colon_witness,
     compositions,
     f_poly,
     in_ideal_family,
@@ -18,7 +15,6 @@ from .curve import (
     pure_powers,
     range_monomials,
     s_set,
-    weight,
 )
 from .groebner import (
     GroebnerBasis,
@@ -27,7 +23,6 @@ from .groebner import (
     hilbert_oracle,
     leading_ideal,
     normal_form,
-    quotient_length_poly,
 )
 from .ideals import MonomialIdeal, minimal_generators, monomials_between, monomials_of_degree
 from .order import GREVELEX, GRLEX, MonomialOrder, compare, leading_monomial, leading_term
@@ -56,7 +51,6 @@ from .verify import (
     expected_length,
     run_all,
     run_suite,
-    socle_dimension_artinian_reduction,
 )
 
 __version__ = "0.1.0"

@@ -2,9 +2,9 @@
 
 Everything ideal-theoretic lives modulo x_1, in T' = k[x_2, ..., x_d]:
 the structured matrix and its minors, the determinantal ideals and their
-weighted-composition sums, the monomial counterparts, and the witness
-machinery for colon computations.  The parameter m only enters through the
-full-ring matrix used in parametrization sanity checks.
+weighted-composition sums, their monomial counterparts, and the S sets.
+The parameter m only enters through the full-ring matrix used in
+parametrization sanity checks.
 """
 
 from __future__ import annotations
@@ -40,11 +40,6 @@ class CurveParams:
     @property
     def exponents(self) -> tuple[int, ...]:
         return tuple(self.d + i * self.m for i in range(self.d))
-
-
-def weight(a) -> int:
-    """Weight of a composition: sum of i * a_i."""
-    return sum((i + 1) * ai for i, ai in enumerate(a))
 
 
 # -- the structured matrix and its minors --------------------------------
@@ -196,7 +191,7 @@ def mono_J(d: int, i: int) -> MonomialIdeal:
     """The (i+1)-st power of (x_{i+1}, ..., x_d) as a monomial ideal."""
     if not 1 <= i <= d - 1:
         raise ValueError("need 1 <= i <= d-1, got i=%d d=%d" % (i, d))
-    return MonomialIdeal(range_monomials(d, i + 1, d, i + 1), d - 1, _trusted_minimal=True)
+    return MonomialIdeal(range_monomials(d, i + 1, d, i + 1), d - 1)
 
 
 @lru_cache(maxsize=None)
@@ -312,218 +307,3 @@ def s_set(d: int, a) -> frozenset:
     return frozenset(
         head.times(s).times(mu) for s in s_set(d, a[:k]) for mu in bridge
     )
-
-
-# -- colon witnesses --------------------------------------------------------
-
-
-def algorithm1(b: dict, i: int, g: int, k: int | None = None):
-    """Division-with-bounded-remainder chain over j = i-1 down to k-1.
-
-    ``b`` maps j -> b_j for k <= j <= i-1.  Starting from r_i = 0, each step
-    solves b_j - r_{j+1} = (j+1) q_j - r_j with 0 <= r_j <= j; then
-    c = g - sum(b) and, when c > 0, c - r_k = k q_{k-1} - r_{k-1} with
-    0 <= r_{k-1} <= k-1.  Returns (q, r, c) as dicts plus the integer c.
-    """
-    if k is None:
-        if not b:
-            raise ValueError("k must be given explicitly when b is empty")
-        k = min(b)
-    if b:
-        if set(b) != set(range(k, i)):
-            raise ValueError("b must be indexed by k..i-1")
-        if any(v < 0 for v in b.values()):
-            raise ValueError("b entries must be non-negative")
-    q: dict = {}
-    r: dict = {i: 0}
-    for j in range(i - 1, k - 1, -1):
-        if b[j] == 0:
-            q[j], r[j] = 0, r[j + 1]
-        else:
-            # q_j may be any integer here; only 0 <= r_j <= j is required
-            t = b[j] - r[j + 1]
-            qj = -(-t // (j + 1))  # ceiling division
-            rj = (j + 1) * qj - t
-            if not 0 <= rj <= j:
-                raise InvariantViolation("no admissible (q_%d, r_%d) for t=%d" % (j, j, t))
-            q[j], r[j] = qj, rj
-    c = g - sum(b.values())
-    if c == 0:
-        q[k - 1], r[k - 1] = 0, r[k]
-    else:
-        # as above, q_{k-1} is occasionally negative on valid inputs; the
-        # remainder range is what pins the solution
-        t = c - r[k]
-        qk = -(-t // k)
-        rk = k * qk - t
-        if not 0 <= rk <= k - 1:
-            raise InvariantViolation("no admissible (q_%d, r_%d) for c=%d" % (k - 1, k - 1, c))
-        q[k - 1], r[k - 1] = qk, rk
-    return q, r, c
-
-
-@dataclass(frozen=True)
-class ColonWitness:
-    """Certificate that dividing a block product by x_i^g stays deep in the family.
-
-    ``mprime[j]`` is the adjusted block for 1 <= j <= i-1, ``aprime`` the
-    adjusted composition (unchanged from index i on), and ``leftover`` the
-    spare monomial N with (prod M_j) / x_i^g = (prod M'_j) * N.
-    """
-
-    qr: dict
-    aprime: tuple
-    mprime: dict
-    leftover: Monomial
-    k: int
-    g: int
-    c: int
-
-
-def _degree_divisor(w: Monomial, degree: int) -> Monomial:
-    """A fixed divisor of w of the given degree: greedy from the top variable."""
-    if degree > w.degree:
-        raise InvariantViolation("no degree-%d divisor of %r" % (degree, w.exps))
-    exps = [0] * len(w.exps)
-    need = degree
-    for p in range(len(w.exps) - 1, -1, -1):
-        take = min(w.exps[p], need)
-        exps[p] = take
-        need -= take
-        if need == 0:
-            break
-    return Monomial(exps)
-
-
-def colon_witness(d: int, mons, a, i: int) -> ColonWitness:
-    """Build and verify the witness for ((prod M_j) : x_i^i) membership.
-
-    ``mons[j-1]`` must lie in mono_J(d, j) to the power a_j, with degree
-    exactly (j+1) a_j.  The three verified facts: each M'_j stays in its block
-    power, the quotient identity holds exactly, and the adjusted weight is at
-    least wt(a) - i + 1.  A failure raises InvariantViolation.
-    """
-    v = d - 1
-    a = tuple(a)
-    mons = list(mons)
-    if len(a) != d - 1 or len(mons) != d - 1:
-        raise ValueError("need d-1 blocks and composition entries")
-    if not 2 <= i <= d:
-        raise ValueError("need 2 <= i <= d")
-    for j in range(1, d):
-        mj = mons[j - 1]
-        if mj.degree != (j + 1) * a[j - 1]:
-            raise ValueError("block %d has degree %d, expected %d" % (j, mj.degree, (j + 1) * a[j - 1]))
-        if any(mj.exps[p] and p < j - 1 for p in range(v)):
-            raise ValueError("block %d uses variables below x_%d" % (j, j + 1))
-    n = weight(a)
-    pos_i = i - 2
-    b = {j: mons[j - 1].exps[pos_i] for j in range(1, i)}
-    total_b = sum(b.values())
-
-    if total_b == 0:
-        witness = ColonWitness(
-            qr={},
-            aprime=a,
-            mprime={j: mons[j - 1] for j in range(1, i)},
-            leftover=Monomial.one(v),
-            k=i,
-            g=0,
-            c=0,
-        )
-        _verify_witness(d, mons, a, i, witness)
-        return witness
-
-    g = min(i, total_b)
-    k = i
-    acc = 0
-    for l in range(i - 1, 0, -1):
-        acc += b[l]
-        if acc <= i - 1:
-            k = l
-        else:
-            break
-    restricted = {j: b[j] for j in range(k, i)}
-    q, r, c = algorithm1(restricted, i, g, k=k)
-
-    try:
-        nmons = {i: Monomial.one(v)}
-        for j in range(i - 1, k - 1, -1):
-            if b[j] == 0:
-                nmons[j] = nmons[j + 1]
-            else:
-                w = mons[j - 1].times(nmons[j + 1]).quo(Monomial.variable(pos_i, v, b[j]))
-                nmons[j] = _degree_divisor(w, r[j])
-        m_last = mons[k - 2] if k >= 2 else Monomial.one(v)
-        w = m_last.times(nmons[k]).quo(Monomial.variable(pos_i, v, c))
-        nmons[k - 1] = _degree_divisor(w, r[k - 1])
-
-        aprime = list(a)
-        for j in range(max(k - 1, 1), i):
-            aprime[j - 1] = a[j - 1] - q[j]
-        rk1 = r[k - 1]
-        if rk1 >= 2:
-            # the bumped index never coincides with k-1 itself: in the c > 0
-            # branch r_{k-1} <= k-1, and c = 0 forces k = 1
-            aprime[rk1 - 2] = a[rk1 - 2] + 1
-
-        mprime: dict = {}
-        for j in range(1, i):
-            if j == k - 1:
-                mprime[j] = m_last.times(nmons[k]).quo(
-                    Monomial.variable(pos_i, v, c).times(nmons[k - 1])
-                )
-            elif j >= k:
-                mprime[j] = mons[j - 1].times(nmons[j + 1]).quo(
-                    Monomial.variable(pos_i, v, b[j]).times(nmons[j])
-                )
-            else:
-                mprime[j] = mons[j - 1]
-        if rk1 >= 2:
-            mprime[rk1 - 1] = mons[rk1 - 2].times(nmons[k - 1])
-
-        leftover = nmons[k - 1] if rk1 <= 1 else Monomial.one(v)
-    except ValueError as exc:
-        raise InvariantViolation("witness construction failed: %s" % exc) from exc
-
-    witness = ColonWitness(
-        qr={j: (q[j], r[j]) for j in q},
-        aprime=tuple(aprime),
-        mprime=mprime,
-        leftover=leftover,
-        k=k,
-        g=g,
-        c=c,
-    )
-    _verify_witness(d, mons, a, i, witness)
-    return witness
-
-
-def _verify_witness(d, mons, a, i, witness: ColonWitness) -> None:
-    v = d - 1
-    n = weight(a)
-    for j in range(1, i):
-        ap = witness.aprime[j - 1]
-        mp = witness.mprime[j]
-        if ap < 0:
-            raise InvariantViolation("negative adjusted exponent a'_%d" % j)
-        if mp.degree != (j + 1) * ap:
-            raise InvariantViolation(
-                "block %d has degree %d, expected %d" % (j, mp.degree, (j + 1) * ap)
-            )
-        if any(mp.exps[p] and p < j - 1 for p in range(v)):
-            raise InvariantViolation("adjusted block %d leaves its variable range" % j)
-    lhs = Monomial.one(v)
-    for j in range(1, i):
-        lhs = lhs.times(mons[j - 1])
-    lhs = lhs.quo(Monomial.variable(i - 2, v, witness.g))
-    rhs = witness.leftover
-    for j in range(1, i):
-        rhs = rhs.times(witness.mprime[j])
-    if lhs != rhs:
-        raise InvariantViolation("quotient identity fails: %r vs %r" % (lhs.exps, rhs.exps))
-    adjusted = sum(j * witness.aprime[j - 1] for j in range(1, i)) + sum(
-        j * a[j - 1] for j in range(i, d)
-    )
-    if adjusted < n - i + 1:
-        raise InvariantViolation("adjusted weight %d below %d" % (adjusted, n - i + 1))

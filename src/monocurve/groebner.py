@@ -196,18 +196,14 @@ def leading_ideal(ideal: PolyIdeal, order: MonomialOrder = GREVELEX) -> Monomial
     return MonomialIdeal(gb.leading_monomials(), ideal.varcount)
 
 
-def quotient_length_poly(ideal: PolyIdeal, order: MonomialOrder = GREVELEX) -> int:
-    """Length of T'/I, computed through the leading ideal's staircase."""
-    li = leading_ideal(ideal, order)
-    return li.length_quotient()
-
-
 def hilbert_oracle(ideal: PolyIdeal, order: MonomialOrder = GREVELEX) -> int:
     """Quotient length by degreewise rank counting; no Groebner bases involved.
 
     For each degree e the span of {m*g : deg(m*g) = e} is row-reduced over
     the degree-e monomial basis; the number of standard monomials at degree e
-    is the corank.  Summation stops after three consecutive empty degrees.
+    is the corank.  Summation stops at the first degree with no standard
+    monomial: the generators are homogeneous, so every later degree lies
+    in the ideal too.
     """
     gens = ideal.gens
     if not gens:
@@ -221,12 +217,10 @@ def hilbert_oracle(ideal: PolyIdeal, order: MonomialOrder = GREVELEX) -> int:
     key = order.key
 
     total = 0
-    zeros = 0
     e = 0
-    while zeros < 3:
-        if e > cap + 3:
+    while True:
+        if e > cap:
             raise ValueError("quotient does not appear to be Artinian")
-        dim_e = 0
         pivots: dict[Monomial, dict] = {}
         for g in gens:
             shift_deg = e - g.degree()
@@ -252,7 +246,7 @@ def hilbert_oracle(ideal: PolyIdeal, order: MonomialOrder = GREVELEX) -> int:
                             del row[m]
         n_monomials = len(list(monomials_of_degree(v, e)))
         std = n_monomials - len(pivots)
+        if std == 0:
+            return total
         total += std
-        zeros = zeros + 1 if std == 0 else 0
         e += 1
-    return total

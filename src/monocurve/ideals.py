@@ -1,5 +1,5 @@
-"""Monomial ideals in T': minimal generators, sum/product/colon, membership,
-the Artinian test, staircase lengths and Hilbert functions.
+"""Monomial ideals in T': minimal generators, sums, products and powers,
+colons by a monomial, membership, the Artinian test and staircase lengths.
 
 Generators are always stored minimal and sorted by (degree, exponents), so
 two equal ideals are structurally identical and every report is
@@ -134,28 +134,24 @@ class MonomialIdeal:
 
     __slots__ = ("gens", "varcount", "_index")
 
-    def __init__(self, monomials, varcount: int, _trusted_minimal: bool = False):
+    def __init__(self, monomials, varcount: int):
         if varcount < 1:
             raise ValueError("a monomial ideal needs at least one variable")
         monomials = list(monomials)
         for m in monomials:
             if m.varcount != varcount:
                 raise ValueError("generator has %d variables, ideal has %d" % (m.varcount, varcount))
-        if _trusted_minimal:
-            gens = tuple(sorted(monomials, key=sort_key))
-        else:
-            gens = minimal_generators(monomials)
-        self.gens = gens
+        self.gens = minimal_generators(monomials)
         self.varcount = varcount
         self._index = None  # the divisor index, built on the first membership test
 
     @classmethod
     def zero(cls, varcount: int) -> "MonomialIdeal":
-        return cls((), varcount, _trusted_minimal=True)
+        return cls((), varcount)
 
     @classmethod
     def unit(cls, varcount: int) -> "MonomialIdeal":
-        return cls((Monomial.one(varcount),), varcount, _trusted_minimal=True)
+        return cls((Monomial.one(varcount),), varcount)
 
     @classmethod
     def from_exponents(cls, exps_list, varcount: int) -> "MonomialIdeal":
@@ -229,33 +225,16 @@ class MonomialIdeal:
         return MonomialIdeal(prods, self.varcount)
 
     def scale(self, m: Monomial) -> "MonomialIdeal":
-        """The ideal m * I; scaling preserves minimality."""
+        """The ideal m * I."""
         if m.varcount != self.varcount:
             raise ValueError("variable count mismatch")
-        return MonomialIdeal([g.times(m) for g in self.gens], self.varcount, _trusted_minimal=True)
+        return MonomialIdeal([g.times(m) for g in self.gens], self.varcount)
 
     def colon_mon(self, m: Monomial) -> "MonomialIdeal":
         """(I : m), generated by g / gcd(g, m)."""
         if m.varcount != self.varcount:
             raise ValueError("variable count mismatch")
         return MonomialIdeal([g.quo(g.gcd(m)) for g in self.gens], self.varcount)
-
-    def colon(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        """(I : J) as the intersection of (I : g) over generators g of J."""
-        self._check(other)
-        if other.is_zero():
-            raise ValueError("colon by the zero ideal")
-        result = None
-        for g in other.gens:
-            piece = self.colon_mon(g)
-            result = piece if result is None else result.intersect(piece)
-        return result
-
-    def intersect(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        self._check(other)
-        if self.is_zero() or other.is_zero():
-            return MonomialIdeal.zero(self.varcount)
-        return MonomialIdeal({a.lcm(b) for a in self.gens for b in other.gens}, self.varcount)
 
     # -- Artinian structure ----------------------------------------------
 

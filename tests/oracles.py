@@ -5,13 +5,16 @@ the permutation sum, minimal generators from the all-pairs definition,
 staircase lengths from degree-capped enumeration, the
 order from a literal transcription of its definition, S-polynomials from
 theirs with leading terms picked by that order, leading monomials of
-minors from their anti-diagonals, and membership in products of
-variable-range powers from Hall's condition.
+minors from their anti-diagonals, membership in products of
+variable-range powers from Hall's condition, and the filtration sums from
+the package's ideal sums chained one summand at a time rather than from
+one generator list.
 """
 
 from itertools import combinations, permutations
 
-from monocurve.ideals import monomials_of_degree
+from monocurve.curve import mono_I
+from monocurve.ideals import MonomialIdeal, monomials_of_degree
 from monocurve.poly import Monomial, Polynomial
 
 
@@ -73,6 +76,16 @@ def staircase_count(gen_exps, varcount: int) -> int:
             if not any(divides_tuple(g, exps) for g in gen_exps):
                 count += 1
     return count
+
+
+def filtration_sum_chained(d: int, N: int, i: int) -> MonomialIdeal:
+    """I_N + sum over 2 <= j < i of x_j^j I_{N-j}, one ideal sum at a time,
+    each scaled summand minimalized with the running sum."""
+    v = d - 1
+    out = mono_I(d, N)
+    for j in range(2, i):
+        out = out + mono_I(d, N - j).scale(Monomial.variable(j - 2, v, j))
+    return out
 
 
 def grevelex_greater(a, b) -> bool:

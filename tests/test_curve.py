@@ -6,13 +6,10 @@ from math import comb
 import pytest
 
 from monocurve.curve import (
-    ColonWitness,
     CurveParams,
-    algorithm1,
     build_matrix,
     cal_I,
     cal_J,
-    colon_witness,
     compositions,
     f_poly,
     full_minors,
@@ -23,7 +20,6 @@ from monocurve.curve import (
     pure_powers,
     range_monomials,
     s_set,
-    weight,
 )
 from monocurve.ideals import MonomialIdeal
 from monocurve.order import leading_monomial
@@ -211,7 +207,7 @@ def test_pure_powers_list():
 
 def test_compositions_colex_order():
     assert compositions(3, 4) == ((4, 0), (2, 1), (0, 2))
-    assert all(weight(a) == 4 for a in compositions(3, 4))
+    assert all(sum(i * ai for i, ai in enumerate(a, start=1)) == 4 for a in compositions(3, 4))
 
 
 def test_lambda_examples():
@@ -273,87 +269,3 @@ def test_s_count_small():
         j: sum(len(s_set(3, a)) for a in lambda_set(3, j, 2)) for j in (1, 2)
     }
     assert counts == {1: 1, 2: 1}  # C(1,0), C(1,1)
-
-
-# -- algorithm 1 and colon witnesses ----------------------------------------------------
-
-def test_algorithm1_zero_block_propagates():
-    q, r, c = algorithm1({3: 0, 4: 0}, 5, 0, k=3)
-    assert (q[4], r[4]) == (0, 0) and (q[3], r[3]) == (0, 0)
-    assert c == 0 and (q[2], r[2]) == (0, r[3])
-
-
-def test_algorithm1_congruence_step():
-    q, r, c = algorithm1({2: 5, 3: 0, 4: 0, 5: 0}, 6, 5, k=2)
-    assert (q[2], r[2]) == (2, 1)
-    assert c == 0 and (q[1], r[1]) == (0, r[2])
-
-
-def test_algorithm1_positive_c():
-    # b = {2:0, 3:1}, i=4, total valuation 5 through b_1 -> g=4, c=3
-    q, r, c = algorithm1({2: 0, 3: 1}, 4, 4, k=2)
-    assert c == 3
-    assert (q[3], r[3]) == (1, 3)
-    assert r[2] == 3
-    assert (q[1], r[1]) == (0, 0)  # c - r_2 = 0 = 2*0 - 0
-
-
-def test_algorithm1_empty_b_requires_k():
-    with pytest.raises(ValueError):
-        algorithm1({}, 3, 2)
-    q, r, c = algorithm1({}, 3, 2, k=3)
-    assert c == 2 and (q[2], r[2]) == (1, 1)
-
-
-def test_colon_witness_identity_branch():
-    mons = [Monomial((0, 2)), Monomial((0, 0))]
-    w = colon_witness(3, mons, (1, 0), 2)
-    assert w.aprime == (1, 0)
-    assert w.mprime[1] == mons[0]
-    assert w.leftover.degree == 0 and w.g == 0
-
-
-def test_colon_witness_worked_example():
-    w = colon_witness(3, [Monomial((3, 1)), Monomial((0, 0))], (2, 0), 2)
-    assert w.aprime == (1, 0)
-    assert w.mprime[1].exps == (1, 1)
-    assert w.leftover.degree == 0
-    assert w.g == 2
-
-
-def test_colon_witness_randomized():
-    # the witness verifies its own claims; here we also confirm the colon
-    # quotient lands in the deeper family ideal
-    rng = random.Random(4)
-    for _ in range(300):
-        d = rng.randint(2, 6)
-        n = rng.randint(1, 8)
-        comps = compositions(d, n)
-        a = comps[rng.randrange(len(comps))]
-        mons = []
-        for j in range(1, d):
-            if a[j - 1] == 0:
-                mons.append(Monomial.one(d - 1))
-            else:
-                opts = range_monomials(d, j + 1, d, (j + 1) * a[j - 1])
-                mons.append(opts[rng.randrange(len(opts))])
-        i = rng.randint(2, d)
-        w = colon_witness(d, mons, a, i)
-        assert isinstance(w, ColonWitness)
-        for j in range(1, i):
-            assert w.mprime[j].degree == (j + 1) * w.aprime[j - 1]
-        total = Monomial.one(d - 1)
-        for m in mons:
-            total = total.times(m)
-        quot = total.quo(total.gcd(Monomial.variable(i - 2, d - 1, i)))
-        assert in_ideal_family(d, n - i + 1, quot)
-
-
-def test_colon_witness_input_validation():
-    with pytest.raises(ValueError):
-        colon_witness(3, [Monomial((1, 1))], (1,), 2)  # wrong lengths
-    with pytest.raises(ValueError):
-        colon_witness(3, [Monomial((1, 0)), Monomial((0, 0))], (1, 0), 2)  # bad degree
-    with pytest.raises(ValueError):
-        # block for j=2 may not use x2
-        colon_witness(3, [Monomial((0, 2)), Monomial((1, 2))], (1, 1), 2)

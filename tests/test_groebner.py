@@ -11,7 +11,6 @@ from monocurve.groebner import (
     hilbert_oracle,
     leading_ideal,
     normal_form,
-    quotient_length_poly,
 )
 from monocurve.ideals import MonomialIdeal
 from monocurve.order import GRLEX, leading_monomial
@@ -144,17 +143,17 @@ def test_leading_contains_and_equals_family():
 
 def test_length_of_variable_ideal():
     gens = [Polynomial.variable(i, 3) for i in range(3)]
-    assert quotient_length_poly(PolyIdeal(gens, 3)) == 1
+    assert leading_ideal(PolyIdeal(gens, 3)).length_quotient() == 1
 
 
 def test_family_lengths():
-    assert quotient_length_poly(cal_I(3, 1)) == 3
-    assert quotient_length_poly(cal_I(4, 2)) == 16
+    assert leading_ideal(cal_I(3, 1)).length_quotient() == 3
+    assert leading_ideal(cal_I(4, 2)).length_quotient() == 16
 
 
 def test_length_requires_artinian_leading_ideal():
     with pytest.raises(ValueError):
-        quotient_length_poly(PolyIdeal([P({(1, 1): 1}, 2)], 2))
+        leading_ideal(PolyIdeal([P({(1, 1): 1}, 2)], 2)).length_quotient()
 
 
 # -- the rank oracle ----------------------------------------------------------------
@@ -184,10 +183,10 @@ def test_hilbert_oracle_detects_non_artinian():
 @pytest.mark.parametrize("d,n", [(2, 4), (3, 1), (3, 2), (3, 3), (4, 2)])
 def test_three_way_length_agreement(d, n):
     ideal = cal_I(d, n)
-    gb_length = quotient_length_poly(ideal)
-    staircase = leading_ideal(ideal).length_quotient()
+    gb_length = leading_ideal(ideal).length_quotient()
+    monomial_route = mono_I(d, n).length_quotient()
     rank_route = hilbert_oracle(ideal)
-    assert gb_length == staircase == rank_route
+    assert gb_length == monomial_route == rank_route
 
 
 @pytest.mark.parametrize("d,n", [(3, 3), (4, 2), (4, 3), (5, 2)])

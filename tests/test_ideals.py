@@ -115,18 +115,6 @@ def test_colon_examples_from_family():
     assert I2.colon_mon(Monomial((2, 0))) == mono_I(3, 1)    # n=2 >= i=2
 
 
-def test_colon_by_ideal_intersects():
-    # (x2^3, x3^3) : (x2, x3) = (x2^2, x3^3) meet (x2^3, x3^2)
-    J = I([(3, 0), (0, 3)], 2)
-    D = I([(1, 0), (0, 1)], 2)
-    assert J.colon(D) == I([(3, 0), (2, 2), (0, 3)], 2)
-
-
-def test_colon_by_zero_ideal_rejected():
-    with pytest.raises(ValueError):
-        I([(1, 0)], 2).colon(MonomialIdeal.zero(2))
-
-
 @settings(max_examples=120)
 @given(ideals2, mons2, mons2)
 def test_colon_composition_law(J, m1, m2):

@@ -7,6 +7,7 @@ import pytest
 
 from monocurve import verify
 from monocurve.ideals import MonomialIdeal
+from monocurve.poly import Monomial
 from monocurve.scalars import PrimeField, active_field, using_field
 from monocurve.verify import (
     _ideal_case,
@@ -18,11 +19,13 @@ from monocurve.verify import (
     check_leading_ideal_equality,
     check_length_formula,
     check_s_counts_and_spanning,
+    check_socle,
     default_n_max,
     expected_length,
-    socle_dimension_artinian_reduction,
     worker_count,
 )
+
+from oracles import filtration_sum_chained
 
 
 def test_expected_length_conventions():
@@ -47,10 +50,10 @@ def test_pinned_small_lengths():
     assert I2.length_quotient() - (I2 + MonomialIdeal(pure_powers(3, 2), 2)).length_quotient() == 3
     # adjoining f_1, f_2 at d=3, n=2 leaves length 6 on both routes
     from monocurve.curve import cal_I, f_poly
-    from monocurve.groebner import PolyIdeal, quotient_length_poly
+    from monocurve.groebner import PolyIdeal, leading_ideal
 
     gens = list(cal_I(3, 2).gens) + [f_poly(3, 1), f_poly(3, 2)]
-    assert quotient_length_poly(PolyIdeal(gens, 2)) == 6
+    assert leading_ideal(PolyIdeal(gens, 2)).length_quotient() == 6
     assert (mono_I(3, 2) + MonomialIdeal(pure_powers(3, 3), 2)).length_quotient() == 6
     # d=4, n=4: the spanning quotient attains C(5,2) = 10
     from monocurve.poly import Monomial
@@ -128,23 +131,40 @@ def test_spanning_bound_is_attained():
                 assert case.inputs["equality_observed"], case.inputs
 
 
+def test_filtration_sum_matches_chained_sums():
+    # the one-pass generator list, its per-generator colon and the socle
+    # denominator against ideal sums built one summand at a time
+    for d in range(2, 6):
+        v = d - 1
+        for N in range(0, 6):
+            for i in range(2, d + 2):
+                oracle = filtration_sum_chained(d, N, i)
+                gens = verify._filtration_sum(d, N, i)
+                assert MonomialIdeal(gens, v) == oracle, (d, N, i)
+                if i <= d:
+                    xi = Monomial.variable(i - 2, v, i)
+                    colon = MonomialIdeal([g.quo(g.gcd(xi)) for g in gens], v)
+                    assert colon == oracle.colon_mon(xi), (d, N, i)
+            assert verify._reduction_denominator(d, N) == filtration_sum_chained(d, N + 1, d + 1)
+
+
 def test_socle_dimensions():
     for d in (2, 3, 4):
-        dim, report = socle_dimension_artinian_reduction(d)
-        assert dim == 1
+        report = check_socle(d)
+        assert report.cases[0].actual == 1
         assert report.all_pass
 
 
 def test_socle_d5_beyond_required_grid():
-    dim, report = socle_dimension_artinian_reduction(5)
-    assert dim == 1
+    report = check_socle(5)
+    assert report.cases[0].actual == 1
     dims = report.cases[0].inputs["piece_dims"]
     nonzero = [p for p in dims if p]
     assert nonzero == nonzero[::-1]  # symmetric, as a one-dimensional socle suggests
 
 
 def test_socle_d2_hand_values():
-    dim, report = socle_dimension_artinian_reduction(2)
+    report = check_socle(2)
     inputs = report.cases[0].inputs
     assert inputs["piece_dims"][0] == 2          # classes of 1 and x2
     assert all(p == 0 for p in inputs["piece_dims"][1:])
@@ -153,7 +173,7 @@ def test_socle_d2_hand_values():
 
 def test_socle_never_contains_the_unit_class():
     for d in (2, 3, 4):
-        _, report = socle_dimension_artinian_reduction(d)
+        report = check_socle(d)
         for entry in report.cases[0].inputs["socle"]:
             assert not (entry["level"] == 0 and entry["monomial"] == "1")
 
