@@ -20,7 +20,6 @@ from .groebner import (
     GroebnerBasis,
     PolyIdeal,
     buchberger,
-    hilbert_oracle,
     leading_ideal,
     normal_form,
 )

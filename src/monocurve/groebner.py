@@ -1,17 +1,18 @@
-"""Reduced Groebner bases, leading ideals, and quotient lengths.
+"""Leading ideals of homogeneous ideals, and reduced Groebner bases.
 
-Buchberger's algorithm with the Gebauer-Moeller pair update; pairs are
-processed by increasing lcm degree with ties broken by the monomial order,
-so output is deterministic for a fixed generator ordering.  A separate
-linear-algebra rank computation (`hilbert_oracle`) recovers the same
-quotient lengths without ever forming a basis, as an independent check.
+`leading_ideal`, which the suites call, reads the leading ideal off one
+degree-by-degree echelon form of the Macaulay matrices (Lazard, EUROCAL
+1983).  `buchberger` is the general reduced-basis routine and the tests'
+independent route: Gebauer-Moeller pair update, pairs by increasing lcm
+degree with ties broken by the order, so output is deterministic.
 """
 
 from __future__ import annotations
 
 import heapq
+from math import comb
 
-from .ideals import MonomialIdeal, monomials_of_degree
+from .ideals import MonomialIdeal
 from .order import GREVELEX, MonomialOrder, leading_term
 from .poly import Monomial, Polynomial
 
@@ -60,26 +61,35 @@ class _Divisors(list):
 
 
 def normal_form(f: Polynomial, basis, order: MonomialOrder = GREVELEX) -> Polynomial:
-    """Remainder of f under full division by the list `basis`, tried in list order.
+    """Remainder of f under full division by `basis`, tried in list order.
 
     No monomial of the result is divisible by any leading monomial of the
     basis, and f minus the result lies in the ideal the basis generates.
-    `basis` holds polynomials, or is the `_Divisors` list `buchberger`
-    keeps, whose leading terms are not computed again.
+    `basis` holds polynomials; or is the `_Divisors` list `buchberger`
+    keeps, whose leading terms are not computed again; or is a dict from
+    leading monomial to such a triple, as `leading_ideal` keeps, with every
+    lead of the degree of a homogeneous f: a lead then divides a monomial
+    of f only by being it, so the divisor is looked up, not searched for.
     """
-    if not isinstance(basis, _Divisors):
-        basis = [leading_term(g, order) + (g,) for g in basis if g]
+    if isinstance(basis, dict):
+        find = basis.get
+    else:
+        if not isinstance(basis, _Divisors):
+            basis = [leading_term(g, order) + (g,) for g in basis if g]
+
+        def find(m):
+            for t in basis:
+                if t[0].divides(m):
+                    return t
+            return None
+
     key = order.key
     work = dict(f.terms)
     remainder: dict = {}
     while work:
         m = max(work, key=key)
         c = work.pop(m)
-        hit = None
-        for lm, lc, g in basis:
-            if lm.divides(m):
-                hit = (lm, lc, g)
-                break
+        hit = find(m)
         if hit is None:
             remainder[m] = c
             continue
@@ -189,64 +199,48 @@ def buchberger(ideal: PolyIdeal, order: MonomialOrder = GREVELEX) -> GroebnerBas
 
 
 def leading_ideal(ideal: PolyIdeal, order: MonomialOrder = GREVELEX) -> MonomialIdeal:
-    """The ideal of leading monomials; the zero ideal maps to the zero ideal."""
-    if not ideal.gens:
-        return MonomialIdeal.zero(ideal.varcount)
-    gb = buchberger(ideal, order)
-    return MonomialIdeal(gb.leading_monomials(), ideal.varcount)
+    """The leading ideal of a homogeneous ideal, degree by degree; the zero
+    ideal maps to the zero ideal.
 
-
-def hilbert_oracle(ideal: PolyIdeal, order: MonomialOrder = GREVELEX) -> int:
-    """Quotient length by degreewise rank counting; no Groebner bases involved.
-
-    For each degree e the span of {m*g : deg(m*g) = e} is row-reduced over
-    the degree-e monomial basis; the number of standard monomials at degree e
-    is the corank.  Summation stops at the first degree with no standard
-    monomial: the generators are homogeneous, so every later degree lies
-    in the ideal too.
+    Degree e of the ideal is spanned by its degree-e generators and x_k times
+    the echelon rows of degree e-1, for every k.  Each row's `normal_form`
+    against the pivots so far is zero or a new pivot; the pivots' leading
+    monomials are the leading ideal in degree e.  The walk stops at the first
+    degree where every monomial is a pivot.  Raises ValueError on
+    inhomogeneous generators, or past degree v(D-1)+1, D the largest
+    generator degree, where only a non-Artinian quotient has standard
+    monomials left.
     """
-    gens = ideal.gens
-    if not gens:
-        raise ValueError("the zero ideal has an infinite quotient")
-    for g in gens:
-        if not g.is_homogeneous():
-            raise ValueError("hilbert_oracle requires homogeneous generators")
     v = ideal.varcount
-    maxdeg = max(g.degree() for g in gens)
-    cap = v * (maxdeg - 1) + 1 if maxdeg > 0 else 0
-    key = order.key
+    if not ideal.gens:
+        return MonomialIdeal.zero(v)
+    by_degree: dict[int, list] = {}
+    for g in ideal.gens:
+        if not g.is_homogeneous():
+            raise ValueError("leading_ideal requires homogeneous generators")
+        by_degree.setdefault(g.degree(), []).append(g)
+    cap = max(v * (max(by_degree) - 1) + 1, 0)
 
-    total = 0
-    e = 0
-    while True:
-        if e > cap:
-            raise ValueError("quotient does not appear to be Artinian")
-        pivots: dict[Monomial, dict] = {}
-        for g in gens:
-            shift_deg = e - g.degree()
-            if shift_deg < 0:
-                continue
-            for exps in monomials_of_degree(v, shift_deg):
-                shift = Monomial(exps)
-                row = {m.times(shift): c for m, c in g.terms.items()}
-                while row:
-                    lead = max(row, key=key)
-                    hit = pivots.get(lead)
-                    if hit is None:
-                        lc = row[lead]
-                        pivots[lead] = {m: c / lc for m, c in row.items()}
-                        break
-                    factor = row[lead]
-                    for m, c in hit.items():
-                        s = row.get(m)
-                        s = -factor * c if s is None else s - factor * c
-                        if s:
-                            row[m] = s
-                        elif m in row:
-                            del row[m]
-        n_monomials = len(list(monomials_of_degree(v, e)))
-        std = n_monomials - len(pivots)
-        if std == 0:
-            return total
-        total += std
-        e += 1
+    xs = [Monomial.variable(k, v) for k in range(v)]
+    leads: list[Monomial] = []
+    prev: list[Polynomial] = []  # the echelon rows of degree e-1
+    for e in range(cap + 1):
+        size = comb(e + v - 1, v - 1)  # the monomials of degree e
+        rows = list(by_degree.get(e, ()))
+        below = {m for row in prev for m in row.terms}
+        for x in xs:
+            up = {m: m.times(x) for m in below}
+            rows += [Polynomial({up[m]: c for m, c in row.terms.items()}, v) for row in prev]
+        pivots: dict = {}  # leading monomial -> (lm, lc, row), as normal_form takes
+        for row in rows:
+            if len(pivots) == size:
+                break
+            r = normal_form(row, pivots, order)
+            if r:
+                lm, lc = leading_term(r, order)
+                pivots[lm] = (lm, lc, r)
+        leads += pivots
+        if len(pivots) == size:
+            return MonomialIdeal(leads, v)
+        prev = [r for _, _, r in pivots.values()]
+    raise ValueError("quotient is not Artinian")

@@ -230,33 +230,39 @@ def _case_alternating(args) -> Case:
     return Case(inputs, {"alternating": alternating, "formula": formula}, actual, ok)
 
 
+def _leading_or_failure(ideal: PolyIdeal, inputs: dict, expected) -> MonomialIdeal | Case:
+    """The leading ideal, or, when `leading_ideal` refuses the ideal as not
+    homogeneous or not Artinian, a failed case that carries the refusal."""
+    try:
+        return leading_ideal(ideal)
+    except ValueError as exc:
+        return Case(dict(inputs, error=str(exc)), expected, False, False)
+
+
 def _case_leading(args) -> Case:
     d, n = args
-    actual = leading_ideal(cal_I(d, n))
-    return _ideal_case({"d": d, "n": n}, actual, mono_I(d, n))
+    inputs = {"d": d, "n": n}
+    expected = mono_I(d, n)
+    li = _leading_or_failure(cal_I(d, n), inputs, _ideal_value(expected))
+    return li if isinstance(li, Case) else _ideal_case(inputs, li, expected)
 
 
 def _case_leading_with_f(args) -> Case:
     d, n, k = args
     gens = list(cal_I(d, n).gens) + [f_poly(d, i) for i in range(1, k + 1)]
-    li = leading_ideal(PolyIdeal(gens, d - 1))
     mono = mono_I(d, n) + MonomialIdeal(pure_powers(d, k + 1), d - 1)
+    inputs = {"d": d, "n": n, "k": k}
+    expected = {"contained": True, "length": mono.length_quotient(), "equal": True}
+    li = _leading_or_failure(PolyIdeal(gens, d - 1), inputs, expected)
+    if isinstance(li, Case):
+        return li
     contained = li.contains_ideal(mono)
     len_li = li.length_quotient()
-    len_mono = mono.length_quotient()
     equal = li == mono
-    ok = contained and len_li == len_mono and equal
-    inputs = {"d": d, "n": n, "k": k}
+    ok = contained and len_li == expected["length"] and equal
     if not ok:
-        inputs = dict(inputs)
-        inputs["leading_gens"] = format_ideal(li)
-        inputs["monomial_gens"] = format_ideal(mono)
-    return Case(
-        inputs,
-        {"contained": True, "length": len_mono, "equal": True},
-        {"contained": contained, "length": len_li, "equal": equal},
-        ok,
-    )
+        inputs = dict(inputs, leading_gens=format_ideal(li), monomial_gens=format_ideal(mono))
+    return Case(inputs, expected, {"contained": contained, "length": len_li, "equal": equal}, ok)
 
 
 def _case_scount(args) -> Case:
@@ -330,13 +336,10 @@ def _case_sanity_homogeneous(args) -> Case:
 
 def _case_sanity_artinian(args) -> Case:
     d, n = args
-    li = leading_ideal(cal_I(d, n))
-    ok = li.is_artinian()
     inputs = {"d": d, "n": n, "check": "artinian"}
-    if not ok:
-        inputs = dict(inputs)
-        inputs["leading_gens"] = format_ideal(li)
-    return Case(inputs, True, ok, ok)
+    # leading_ideal returns only Artinian leading ideals and raises otherwise
+    li = _leading_or_failure(cal_I(d, n), inputs, True)
+    return li if isinstance(li, Case) else Case(inputs, True, True, True)
 
 
 def _case_sanity_substitution(args) -> Case:

@@ -2,7 +2,9 @@
 
 Nothing here shares an algorithm with the package: determinants come from
 the permutation sum, minimal generators from the all-pairs definition,
-staircase lengths from degree-capped enumeration, the
+staircase lengths from degree-capped enumeration, quotient lengths of
+polynomial ideals from the rank of every generator times every monomial of
+each degree (the package shifts only its echelon rows), the
 order from a literal transcription of its definition, S-polynomials from
 theirs with leading terms picked by that order, leading monomials of
 minors from their anti-diagonals, membership in products of
@@ -14,7 +16,9 @@ one generator list.
 from itertools import combinations, permutations
 
 from monocurve.curve import mono_I
+from monocurve.groebner import PolyIdeal
 from monocurve.ideals import MonomialIdeal, monomials_of_degree
+from monocurve.order import GREVELEX, MonomialOrder
 from monocurve.poly import Monomial, Polynomial
 
 
@@ -76,6 +80,62 @@ def staircase_count(gen_exps, varcount: int) -> int:
             if not any(divides_tuple(g, exps) for g in gen_exps):
                 count += 1
     return count
+
+
+def hilbert_oracle(ideal: PolyIdeal, order: MonomialOrder = GREVELEX) -> int:
+    """Quotient length by degreewise rank counting; no Groebner bases involved.
+
+    For each degree e the span of {m*g : deg(m*g) = e} is row-reduced over
+    the degree-e monomial basis; the number of standard monomials at degree e
+    is the corank.  Summation stops at the first degree with no standard
+    monomial: the generators are homogeneous, so every later degree lies
+    in the ideal too.
+    """
+    gens = ideal.gens
+    if not gens:
+        raise ValueError("the zero ideal has an infinite quotient")
+    for g in gens:
+        if not g.is_homogeneous():
+            raise ValueError("hilbert_oracle requires homogeneous generators")
+    v = ideal.varcount
+    maxdeg = max(g.degree() for g in gens)
+    cap = v * (maxdeg - 1) + 1 if maxdeg > 0 else 0
+    key = order.key
+
+    total = 0
+    e = 0
+    while True:
+        if e > cap:
+            raise ValueError("quotient does not appear to be Artinian")
+        pivots: dict[Monomial, dict] = {}
+        for g in gens:
+            shift_deg = e - g.degree()
+            if shift_deg < 0:
+                continue
+            for exps in monomials_of_degree(v, shift_deg):
+                shift = Monomial(exps)
+                row = {m.times(shift): c for m, c in g.terms.items()}
+                while row:
+                    lead = max(row, key=key)
+                    hit = pivots.get(lead)
+                    if hit is None:
+                        lc = row[lead]
+                        pivots[lead] = {m: c / lc for m, c in row.items()}
+                        break
+                    factor = row[lead]
+                    for m, c in hit.items():
+                        s = row.get(m)
+                        s = -factor * c if s is None else s - factor * c
+                        if s:
+                            row[m] = s
+                        elif m in row:
+                            del row[m]
+        n_monomials = len(list(monomials_of_degree(v, e)))
+        std = n_monomials - len(pivots)
+        if std == 0:
+            return total
+        total += std
+        e += 1
 
 
 def filtration_sum_chained(d: int, N: int, i: int) -> MonomialIdeal:

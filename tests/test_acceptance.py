@@ -19,7 +19,7 @@ from monocurve.curve import (
     range_monomials,
     s_set,
 )
-from monocurve.groebner import PolyIdeal, hilbert_oracle, leading_ideal
+from monocurve.groebner import PolyIdeal, buchberger, leading_ideal
 from monocurve.ideals import MonomialIdeal
 from monocurve.order import compare
 from monocurve.poly import Monomial
@@ -35,7 +35,7 @@ from monocurve.verify import (
     check_socle,
 )
 
-from oracles import terms_equal
+from oracles import hilbert_oracle, terms_equal
 
 
 def _line(cid: str, ok: bool, detail: str) -> None:
@@ -163,10 +163,11 @@ def test_criterion_11_oracle_equivalence():
                     PolyIdeal(list(cal_I(d, n).gens) + [f_poly(d, i) for i in range(1, k + 1)], d - 1)
                 )
             for ideal in ideals:
-                gb_len = leading_ideal(ideal).length_quotient()
+                echelon_len = leading_ideal(ideal).length_quotient()
+                basis_len = MonomialIdeal(buchberger(ideal).leading_monomials(), d - 1).length_quotient()
                 rank_route = hilbert_oracle(ideal)
                 cells += 1
-                if gb_len != rank_route:
+                if not echelon_len == basis_len == rank_route:
                     ok = False
     _finish("11 oracle equivalence", ok, "%d ideals" % cells, time.perf_counter() - t0)
 

@@ -3,23 +3,30 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from monocurve.curve import cal_I, cal_J, mono_I
+from monocurve.curve import cal_I, cal_J, f_poly, mono_I
 from monocurve.groebner import (
     GroebnerBasis,
     PolyIdeal,
     buchberger,
-    hilbert_oracle,
     leading_ideal,
     normal_form,
 )
-from monocurve.ideals import MonomialIdeal
-from monocurve.order import GRLEX, leading_monomial
+from monocurve.ideals import MonomialIdeal, monomials_of_degree
+from monocurve.order import GREVELEX, GRLEX, leading_monomial
 from monocurve.poly import Monomial, Polynomial
-from oracles import s_polynomial
+from monocurve.scalars import PrimeField, using_field
+from oracles import hilbert_oracle, s_polynomial
 
 
 def P(int_terms, varcount):
     return Polynomial.from_int_terms(int_terms, varcount)
+
+
+_exps2 = st.tuples(st.integers(0, 3), st.integers(0, 3))
+_coeffs = st.integers(-5, 5).filter(bool)
+_polys2 = st.dictionaries(_exps2, _coeffs, min_size=1, max_size=3).map(
+    lambda terms: Polynomial.from_int_terms(terms, 2)
+)
 
 
 # -- normal form ----------------------------------------------------------------
@@ -139,6 +146,73 @@ def test_leading_contains_and_equals_family():
         assert li == mono_I(d, n)
 
 
+# -- the echelon kernel against Buchberger ---------------------------------------
+
+def _basis_leading_ideal(ideal, order):
+    return MonomialIdeal(buchberger(ideal, order).leading_monomials(), ideal.varcount)
+
+
+def _family_with_f(d, n, k):
+    return PolyIdeal(list(cal_I(d, n).gens) + [f_poly(d, i) for i in range(1, k + 1)], d - 1)
+
+
+@pytest.mark.parametrize("order", [GREVELEX, GRLEX], ids=lambda o: o.name)
+@pytest.mark.parametrize("d,n", [(3, 1), (3, 4), (4, 2), (4, 3), (5, 2), (5, 3)])
+def test_echelon_matches_buchberger_on_families(d, n, order):
+    ideals = [cal_I(d, n)] + [_family_with_f(d, n, k) for k in range(1, d)]
+    for ideal in ideals:
+        assert leading_ideal(ideal, order) == _basis_leading_ideal(ideal, order)
+
+
+def test_echelon_matches_buchberger_over_prime_field():
+    with using_field(PrimeField(32003)):
+        for d, n in [(4, 3), (5, 3)]:
+            for ideal in (cal_I(d, n), _family_with_f(d, n, d - 1)):
+                assert leading_ideal(ideal) == _basis_leading_ideal(ideal, GREVELEX)
+
+
+@st.composite
+def _artinian_homogeneous(draw):
+    """Random homogeneous polynomials in 2-3 variables plus one pure power of
+    each variable, in random order."""
+    v = draw(st.integers(2, 3))
+    gens = []
+    for _ in range(draw(st.integers(0, 3))):
+        monomials = list(monomials_of_degree(v, draw(st.integers(1, 3))))
+        terms = draw(st.dictionaries(st.sampled_from(monomials), _coeffs, min_size=1, max_size=4))
+        gens.append(P(terms, v))
+    for i in range(v):
+        gens.append(P({tuple(draw(st.integers(1, 4)) if j == i else 0 for j in range(v)): 1}, v))
+    return PolyIdeal(draw(st.permutations(gens)), v)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_artinian_homogeneous(), st.sampled_from([GREVELEX, GRLEX]))
+def test_echelon_matches_buchberger_random(ideal, order):
+    li = leading_ideal(ideal, order)
+    assert li == _basis_leading_ideal(ideal, order)
+    assert li.length_quotient() == hilbert_oracle(ideal)
+
+
+def test_echelon_stops_at_the_cap():
+    # x2^3, x3^3, x4^3 leave x2^2 x3^2 x4^2 standard, so the walk ends at
+    # degree 7 = v(D-1)+1, the last degree it may reach
+    gens = [P({tuple(3 if j == i else 0 for j in range(3)): 1}, 3) for i in range(3)]
+    li = leading_ideal(PolyIdeal(gens, 3))
+    assert li == MonomialIdeal.from_exponents([(3, 0, 0), (0, 3, 0), (0, 0, 3)], 3)
+    assert li.length_quotient() == 27
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [[P({(2, 0): 1, (1, 0): 1}, 2), P({(0, 2): 1}, 2)], [P({(1, 1): 1}, 2)]],
+    ids=["inhomogeneous", "non-artinian"],
+)
+def test_echelon_raises(gens):
+    with pytest.raises(ValueError):
+        leading_ideal(PolyIdeal(gens, 2))
+
+
 # -- lengths -----------------------------------------------------------------------
 
 def test_length_of_variable_ideal():
@@ -183,10 +257,11 @@ def test_hilbert_oracle_detects_non_artinian():
 @pytest.mark.parametrize("d,n", [(2, 4), (3, 1), (3, 2), (3, 3), (4, 2)])
 def test_three_way_length_agreement(d, n):
     ideal = cal_I(d, n)
-    gb_length = leading_ideal(ideal).length_quotient()
+    echelon_route = leading_ideal(ideal).length_quotient()
+    basis_route = _basis_leading_ideal(ideal, GREVELEX).length_quotient()
     monomial_route = mono_I(d, n).length_quotient()
     rank_route = hilbert_oracle(ideal)
-    assert gb_length == monomial_route == rank_route
+    assert echelon_route == basis_route == monomial_route == rank_route
 
 
 @pytest.mark.parametrize("d,n", [(3, 3), (4, 2), (4, 3), (5, 2)])
@@ -197,13 +272,6 @@ def test_colength_is_order_independent(d, n):
 
 
 # -- randomized Buchberger certificates -----------------------------------------
-
-_exps2 = st.tuples(st.integers(0, 3), st.integers(0, 3))
-_coeffs = st.integers(-5, 5).filter(bool)
-_polys2 = st.dictionaries(_exps2, _coeffs, min_size=1, max_size=3).map(
-    lambda terms: Polynomial.from_int_terms(terms, 2)
-)
-
 
 @pytest.mark.parametrize("d,n", [(3, 3), (4, 2), (4, 3)])
 def test_reduced_basis_matches_sympy(d, n):

@@ -121,6 +121,30 @@ def test_failures_carry_counterexample_payload():
     assert case.inputs["expected_gens"] == "x2^3"
 
 
+def _non_artinian_cal_I(monkeypatch):
+    # leading_ideal raises on (x2 x3): its quotient is not Artinian
+    from monocurve.groebner import PolyIdeal
+    from monocurve.poly import Polynomial
+
+    x2x3 = PolyIdeal([Polynomial.from_int_terms({(1, 1): 1}, 2)], 2)
+    monkeypatch.setattr(verify, "cal_I", lambda d, n: x2x3)
+
+
+def test_sanity_reports_a_non_artinian_case(monkeypatch):
+    _non_artinian_cal_I(monkeypatch)
+    report = check_construction_sanity(3, 2, 1)
+    failed = [c for c in report.cases if not c.ok]
+    assert [(c.inputs["check"], c.expected, c.actual) for c in failed] == [("artinian", True, False)]
+    assert "Artinian" in failed[0].inputs["error"]
+
+
+def test_leading_reports_a_non_artinian_case(monkeypatch):
+    _non_artinian_cal_I(monkeypatch)
+    report = check_leading_ideal_equality(3, 2)
+    assert [(c.inputs["n"], c.ok, c.actual) for c in report.cases] == [(1, False, False), (2, False, False)]
+    assert all("Artinian" in c.inputs["error"] for c in report.cases)
+
+
 def test_spanning_bound_is_attained():
     # the upper bound C(n+d-3, d-2) is attained on the whole tested grid,
     # as the telescoping length computation forces
