@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
@@ -22,6 +23,7 @@ from monocurve.verify import (
     check_socle,
     default_n_max,
     expected_length,
+    run_suite,
     worker_count,
 )
 
@@ -80,6 +82,19 @@ def test_suites_pass_on_small_grids(fn, kwargs):
     report = fn(**kwargs)
     assert report.all_pass, [c.inputs for c in report.cases if not c.ok]
     assert report.total == report.passed > 0
+
+
+def test_report_bytes_are_pinned(monkeypatch):
+    # every suite at its default grid for d = 3, 4 plus one with-f leading
+    # grid: a refactor that moves any report byte moves this digest
+    monkeypatch.delenv("MONOCURVE_NMAX_MONOMIAL", raising=False)
+    monkeypatch.delenv("MONOCURVE_NMAX_GROEBNER", raising=False)
+    reports = [run_suite(name, d) for d in (3, 4) for name in verify.SUITES]
+    reports.append(check_leading_ideal_equality(4, 3, k=2))
+    text = "".join(r.to_json(include_timing=False) for r in reports)
+    assert (len(reports), sum(r.total for r in reports)) == (19, 223)
+    assert (hashlib.sha256(text.encode()).hexdigest()
+            == "a24384f10486ec0e8139004129ae43916ccb13f998832dd1bc3dd296a1c590a0")
 
 
 def test_report_schema_and_counts():
