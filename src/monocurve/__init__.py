@@ -8,7 +8,6 @@ from .curve import (
     cal_J,
     compositions,
     f_poly,
-    in_ideal_family,
     lambda_set,
     mono_I,
     mono_J,
@@ -24,8 +23,8 @@ from .groebner import (
     normal_form,
 )
 from .ideals import MonomialIdeal, minimal_generators, monomials_between, monomials_of_degree
-from .order import GREVELEX, GRLEX, MonomialOrder, compare, leading_monomial, leading_term
-from .poly import Monomial, Polynomial, PolyMatrix, substitute_parametrization
+from .order import GREVELEX, GRLEX, MonomialOrder, leading_term
+from .poly import Polynomial, PolyMatrix, substitute_parametrization
 from .scalars import (
     GFElement,
     PrimeField,

@@ -16,7 +16,7 @@ from math import gcd
 
 from .groebner import PolyIdeal
 from .ideals import MonomialIdeal, monomials_of_degree
-from .poly import Monomial, Polynomial, PolyMatrix
+from .poly import Polynomial, PolyMatrix, pure_power, times
 from .scalars import active_field
 
 
@@ -78,7 +78,7 @@ def build_matrix(params: CurveParams, mod_x1: bool = False) -> PolyMatrix:
                     exps = [0] * d
                     exps[0] = m
                     exps[i + j - d - 2] += 1
-                row.append(Polynomial({Monomial(exps): field.one}, d))
+                row.append(Polynomial({tuple(exps): field.one}, d))
             rows.append(row)
     return PolyMatrix(rows)
 
@@ -169,12 +169,12 @@ def cal_I(d: int, n: int) -> PolyIdeal:
 # -- the monomial side -----------------------------------------------------
 
 
-def range_monomials(d: int, lo: int, hi: int, degree: int) -> list[Monomial]:
+def range_monomials(d: int, lo: int, hi: int, degree: int) -> list[tuple]:
     """Monomials of T' of the given degree supported on x_lo, ..., x_hi."""
     if not 2 <= lo or not hi <= d:
         raise ValueError("variable range out of bounds")
     if lo > hi:
-        return [] if degree > 0 else [Monomial.one(d - 1)]
+        return [] if degree > 0 else [(0,) * (d - 1)]
     width = hi - lo + 1
     offset = lo - 2
     v = d - 1
@@ -182,7 +182,7 @@ def range_monomials(d: int, lo: int, hi: int, degree: int) -> list[Monomial]:
     for exps in monomials_of_degree(width, degree):
         full = [0] * v
         full[offset : offset + width] = exps
-        out.append(Monomial(full))
+        out.append(tuple(full))
     return out
 
 
@@ -209,47 +209,22 @@ def _composition_demands(d: int, n: int) -> tuple:
     return tuple(out)
 
 
-def _suffix_sums(exps) -> tuple:
-    out = []
-    acc = 0
-    for e in reversed(exps):
-        acc += e
-        out.append(acc)
-    out.reverse()
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _member_suffix(d: int, n: int, suffix: tuple) -> bool:
-    return any(
-        all(dm <= s for dm, s in zip(dem, suffix)) for dem in _composition_demands(d, n)
-    )
-
-
-def in_ideal_family(d: int, n: int, m: Monomial) -> bool:
-    """Membership of a monomial in I_n, decided from suffix degree sums."""
-    if n <= 0:
-        return True
-    return _member_suffix(d, n, _suffix_sums(m.exps))
-
-
-def _emit_block_product_gens(dem: tuple, v: int, out: set) -> None:
+def _emit_block_product_gens(dem: tuple, exps: list, p: int, s: int, out: set) -> None:
     """Generators of one product of variable-power ideals: monomials of exact
-    degree dem[0] whose suffix sums dominate the demand vector."""
-    total = dem[0]
-    exps = [0] * v
+    degree dem[0] whose suffix sums dominate the demand vector.
 
-    def rec(p, s):
-        if p == 0:
-            exps[0] = total - s
-            out.add(Monomial(tuple(exps)))
-            return
-        for e in range(max(0, dem[p] - s), total - s + 1):
-            exps[p] = e
-            rec(p - 1, s + e)
-        exps[p] = 0
-
-    rec(v - 1, 0)
+    Fills positions p, ..., 0 of `exps`, whose later positions sum to s.  It
+    recurses at module level: a nested recursive closure is a reference
+    cycle that keeps `out` alive until the cyclic collector runs.
+    """
+    if p == 0:
+        exps[0] = dem[0] - s
+        out.add(tuple(exps))
+        return
+    for e in range(max(0, dem[p] - s), dem[0] - s + 1):
+        exps[p] = e
+        _emit_block_product_gens(dem, exps, p - 1, s + e, out)
+    exps[p] = 0
 
 
 @lru_cache(maxsize=None)
@@ -264,14 +239,14 @@ def mono_I(d: int, n: int) -> MonomialIdeal:
         return MonomialIdeal.unit(v)
     candidates: set = set()
     for dem in set(_composition_demands(d, n)):
-        _emit_block_product_gens(dem, v, candidates)
+        _emit_block_product_gens(dem, [0] * v, v - 1, 0, candidates)
     return MonomialIdeal(candidates, v)
 
 
-def pure_powers(d: int, k: int) -> list[Monomial]:
+def pure_powers(d: int, k: int) -> list[tuple]:
     """The list x_2^2, ..., x_k^k (empty when k < 2)."""
     v = d - 1
-    return [Monomial.variable(j - 2, v, j) for j in range(2, k + 1)]
+    return [pure_power(j - 2, v, j) for j in range(2, k + 1)]
 
 
 # -- weighted compositions and the S sets ----------------------------------
@@ -298,12 +273,10 @@ def s_set(d: int, a) -> frozenset:
     if a[-1] == 0:
         raise ValueError("the last entry of the composition must be nonzero")
     v = d - 1
-    head = Monomial.variable(j - 1, v, (j + 1) * a[-1] - j)
+    head = pure_power(j - 1, v, (j + 1) * a[-1] - j)
     earlier = [idx for idx in range(1, j) if a[idx - 1] != 0]
     if not earlier:
         return frozenset({head})
     k = max(earlier)
     bridge = range_monomials(d, k + 1, j + 1, k)
-    return frozenset(
-        head.times(s).times(mu) for s in s_set(d, a[:k]) for mu in bridge
-    )
+    return frozenset(times(times(head, s), mu) for s in s_set(d, a[:k]) for mu in bridge)

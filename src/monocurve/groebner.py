@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import heapq
 from math import comb
+from operator import sub
 
 from .ideals import MonomialIdeal
 from .order import GREVELEX, MonomialOrder, leading_term
-from .poly import Monomial, Polynomial
+from .poly import Polynomial, divides, pure_power, times
 
 
 class PolyIdeal:
@@ -42,7 +43,7 @@ class GroebnerBasis:
         self.order = order
         self.reduced = reduced
 
-    def leading_monomials(self) -> list[Monomial]:
+    def leading_monomials(self) -> list[tuple]:
         return [leading_term(g, self.order)[0] for g in self.elements]
 
     def __repr__(self):
@@ -79,7 +80,7 @@ def normal_form(f: Polynomial, basis, order: MonomialOrder = GREVELEX) -> Polyno
 
         def find(m):
             for t in basis:
-                if t[0].divides(m):
+                if divides(t[0], m):
                     return t
             return None
 
@@ -94,12 +95,12 @@ def normal_form(f: Polynomial, basis, order: MonomialOrder = GREVELEX) -> Polyno
             remainder[m] = c
             continue
         lm, lc, g = hit
-        shift = m.quo(lm)
+        shift = tuple(map(sub, m, lm))
         factor = c / lc
         for gm, gc in g.terms.items():
             if gm is lm:
-                continue  # the lead cancels against the popped term
-            mm = gm.times(shift)
+                continue  # the lead, g's own key, cancels against the popped term
+            mm = times(gm, shift)
             s = work.get(mm)
             s = -factor * gc if s is None else s - factor * gc
             if s:
@@ -113,8 +114,9 @@ def _s_poly(tf, tg) -> Polynomial:
     """S-polynomial of two (leading monomial, leading coefficient, polynomial) triples."""
     mf, cf, f = tf
     mg, cg, g = tg
-    lcm = mf.lcm(mg)
-    return f.mul_term(lcm.quo(mf), 1 / cf) - g.mul_term(lcm.quo(mg), 1 / cg)
+    lcm = tuple(map(max, mf, mg))
+    uf, ug = tuple(map(sub, lcm, mf)), tuple(map(sub, lcm, mg))
+    return f.mul_term(uf, 1 / cf) - g.mul_term(ug, 1 / cg)
 
 
 def _update_pairs(heap, live, lms, t, order):
@@ -128,24 +130,25 @@ def _update_pairs(heap, live, lms, t, order):
     lm_t = lms[t]
     key = order.key
 
-    lcms = {i: lm_t.lcm(lms[i]) for i in range(t)}
+    lcms = {i: tuple(map(max, lm_t, lms[i])) for i in range(t)}
     candidates = sorted(range(t), key=lambda i: (key(lcms[i]), i))
     kept: list[int] = []
     for i in candidates:
-        if lm_t.coprime(lms[i]) or not any(lcms[j].divides(lcms[i]) for j in kept):
+        coprime = not any(map(min, lm_t, lms[i]))
+        if coprime or not any(divides(lcms[j], lcms[i]) for j in kept):
             kept.append(i)
 
     for (i, j) in list(live):
         lij = live[(i, j)]
-        if lm_t.divides(lij) and lcms[i] != lij and lcms[j] != lij:
+        if divides(lm_t, lij) and lcms[i] != lij and lcms[j] != lij:
             del live[(i, j)]
 
     for i in kept:
-        if lm_t.coprime(lms[i]):
+        if not any(map(min, lm_t, lms[i])):
             continue  # product criterion: that S-polynomial reduces to zero
         li = lcms[i]
         live[(i, t)] = li
-        heapq.heappush(heap, (li.degree, key(li), i, t))
+        heapq.heappush(heap, (sum(li), key(li), i, t))
 
 
 def buchberger(ideal: PolyIdeal, order: MonomialOrder = GREVELEX) -> GroebnerBasis:
@@ -158,7 +161,7 @@ def buchberger(ideal: PolyIdeal, order: MonomialOrder = GREVELEX) -> GroebnerBas
 
     # one (lm, lc, element) triple per basis element, made monic when added
     divisors = _Divisors()
-    lms: list[Monomial] = []
+    lms: list[tuple] = []
     heap: list = []
     live: dict = {}
 
@@ -188,7 +191,7 @@ def buchberger(ideal: PolyIdeal, order: MonomialOrder = GREVELEX) -> GroebnerBas
     # is divisible by no other kept one, so it survives as the monic lead
     keep = []
     for i, lm in enumerate(lms):
-        if any(j != i and lms[j].divides(lm) and (lms[j] != lm or j < i) for j in range(len(lms))):
+        if any(j != i and divides(lms[j], lm) and (lms[j] != lm or j < i) for j in range(len(lms))):
             continue
         keep.append(i)
     reduced = [
@@ -221,15 +224,15 @@ def leading_ideal(ideal: PolyIdeal, order: MonomialOrder = GREVELEX) -> Monomial
         by_degree.setdefault(g.degree(), []).append(g)
     cap = max(v * (max(by_degree) - 1) + 1, 0)
 
-    xs = [Monomial.variable(k, v) for k in range(v)]
-    leads: list[Monomial] = []
+    xs = [pure_power(k, v) for k in range(v)]
+    leads: list[tuple] = []
     prev: list[Polynomial] = []  # the echelon rows of degree e-1
     for e in range(cap + 1):
         size = comb(e + v - 1, v - 1)  # the monomials of degree e
         rows = list(by_degree.get(e, ()))
         below = {m for row in prev for m in row.terms}
         for x in xs:
-            up = {m: m.times(x) for m in below}
+            up = {m: times(m, x) for m in below}
             rows += [Polynomial({up[m]: c for m, c in row.terms.items()}, v) for row in prev]
         pivots: dict = {}  # leading monomial -> (lm, lc, row), as normal_form takes
         for row in rows:

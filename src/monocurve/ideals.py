@@ -1,16 +1,14 @@
-"""Monomial ideals in T': minimal generators, sums, products and powers,
-colons by a monomial, membership, the Artinian test and staircase lengths.
+"""Monomial ideals in T': minimal generators, sums, colons by a monomial,
+membership, the Artinian test and staircase lengths.
 
-Generators are always stored minimal and sorted by (degree, exponents), so
-two equal ideals are structurally identical and every report is
-deterministic.
+Generators are exponent tuples, always stored minimal and sorted by
+(degree, exponents), so two equal ideals are structurally identical and
+every report is deterministic.
 """
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
-
-from .poly import Monomial, sort_key
+from .poly import sort_key
 
 
 class _DivisorIndex:
@@ -97,16 +95,16 @@ def _standard_count(nodes: list, p: int) -> int:
 
 def minimal_generators(monomials) -> tuple:
     """Minimalize: drop every monomial divisible by another; idempotent."""
-    out: list[Monomial] = []
+    out: list[tuple] = []
     index = None
     for m in sorted(set(monomials), key=sort_key):
-        if m.degree == 0:
+        if not any(m):
             return (m,)  # unit ideal
         if index is None:
-            index = _DivisorIndex(len(m.exps))
-        elif index.has_divisor(m.exps):
+            index = _DivisorIndex(len(m))
+        elif index.has_divisor(m):
             continue
-        index.insert(m.exps)
+        index.insert(m)
         out.append(m)
     return tuple(out)
 
@@ -126,7 +124,7 @@ def monomials_of_degree(varcount: int, degree: int):
 
 
 class MonomialIdeal:
-    """A monomial ideal given by its minimal generating set.
+    """A monomial ideal, generated by exponent tuples of length `varcount`.
 
     The zero ideal is the empty generator set; the unit ideal is generated by
     the constant monomial.
@@ -139,8 +137,11 @@ class MonomialIdeal:
             raise ValueError("a monomial ideal needs at least one variable")
         monomials = list(monomials)
         for m in monomials:
-            if m.varcount != varcount:
-                raise ValueError("generator has %d variables, ideal has %d" % (m.varcount, varcount))
+            if len(m) != varcount:
+                raise ValueError("generator %r has %d variables, ideal has %d"
+                                 % (m, len(m), varcount))
+            if min(m) < 0:
+                raise ValueError("negative exponent in %r" % (m,))
         self.gens = minimal_generators(monomials)
         self.varcount = varcount
         self._index = None  # the divisor index, built on the first membership test
@@ -151,17 +152,10 @@ class MonomialIdeal:
 
     @classmethod
     def unit(cls, varcount: int) -> "MonomialIdeal":
-        return cls((Monomial.one(varcount),), varcount)
-
-    @classmethod
-    def from_exponents(cls, exps_list, varcount: int) -> "MonomialIdeal":
-        return cls([Monomial(e) for e in exps_list], varcount)
+        return cls(((0,) * varcount,), varcount)
 
     def is_zero(self) -> bool:
         return not self.gens
-
-    def is_unit(self) -> bool:
-        return bool(self.gens) and self.gens[0].degree == 0
 
     def __eq__(self, other):
         return (
@@ -174,18 +168,18 @@ class MonomialIdeal:
         return hash((self.varcount, self.gens))
 
     def __repr__(self):
-        return "MonomialIdeal[%s]" % ", ".join("x^%r" % (g.exps,) for g in self.gens)
+        return "MonomialIdeal[%s]" % ", ".join("x^%r" % (g,) for g in self.gens)
 
     # -- membership -----------------------------------------------------
 
-    def contains(self, m: Monomial) -> bool:
+    def contains(self, m: tuple) -> bool:
         """Monomial membership: some generator divides m."""
-        return (self._index or self._build_index()).has_divisor(m.exps)
+        return (self._index or self._build_index()).has_divisor(m)
 
     def _build_index(self) -> _DivisorIndex:
         index = self._index = _DivisorIndex(self.varcount)
         for g in self.gens:
-            index.insert(g.exps)
+            index.insert(g)
         return index
 
     def contains_ideal(self, other: "MonomialIdeal") -> bool:
@@ -193,55 +187,25 @@ class MonomialIdeal:
 
     # -- arithmetic ------------------------------------------------------
 
-    def _check(self, other: "MonomialIdeal") -> None:
+    def __add__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         if self.varcount != other.varcount:
             raise ValueError("variable count mismatch: %d vs %d" % (self.varcount, other.varcount))
-
-    def __add__(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        self._check(other)
         return MonomialIdeal(self.gens + other.gens, self.varcount)
 
-    def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        self._check(other)
-        if self.is_zero() or other.is_zero():
-            return MonomialIdeal.zero(self.varcount)
-        prods = {a.times(b) for a in self.gens for b in other.gens}
-        return MonomialIdeal(prods, self.varcount)
-
-    def power(self, k: int) -> "MonomialIdeal":
-        """k-th power; the empty product is the unit ideal."""
-        if k < 0:
-            raise ValueError("negative ideal power")
-        if k == 0:
-            return MonomialIdeal.unit(self.varcount)
-        if self.is_zero():
-            return MonomialIdeal.zero(self.varcount)
-        prods = set()
-        for combo in combinations_with_replacement(self.gens, k):
-            m = combo[0]
-            for g in combo[1:]:
-                m = m.times(g)
-            prods.add(m)
-        return MonomialIdeal(prods, self.varcount)
-
-    def scale(self, m: Monomial) -> "MonomialIdeal":
-        """The ideal m * I."""
-        if m.varcount != self.varcount:
-            raise ValueError("variable count mismatch")
-        return MonomialIdeal([g.times(m) for g in self.gens], self.varcount)
-
-    def colon_mon(self, m: Monomial) -> "MonomialIdeal":
+    def colon_mon(self, m: tuple) -> "MonomialIdeal":
         """(I : m), generated by g / gcd(g, m)."""
-        if m.varcount != self.varcount:
+        if len(m) != self.varcount:
             raise ValueError("variable count mismatch")
-        return MonomialIdeal([g.quo(g.gcd(m)) for g in self.gens], self.varcount)
+        return MonomialIdeal(
+            [tuple(max(a - b, 0) for a, b in zip(g, m)) for g in self.gens], self.varcount
+        )
 
     # -- Artinian structure ----------------------------------------------
 
     def is_artinian(self) -> bool:
         """True iff every variable has a pure power among the generators."""
         for v in range(self.varcount):
-            if not any(all(e == 0 for i, e in enumerate(g.exps) if i != v) for g in self.gens):
+            if not any(sum(g) == g[v] for g in self.gens):
                 return False
         return True
 
@@ -252,7 +216,7 @@ class MonomialIdeal:
         return (self._index or self._build_index()).standard_count()
 
 
-def monomials_between(inner: MonomialIdeal, outer: MonomialIdeal) -> list[Monomial]:
+def monomials_between(inner: MonomialIdeal, outer: MonomialIdeal) -> list[tuple]:
     """Monomials lying in `outer` but not in `inner`; `inner` must be Artinian.
 
     Enumerates degree by degree and stops at the first degree fully contained
@@ -265,8 +229,7 @@ def monomials_between(inner: MonomialIdeal, outer: MonomialIdeal) -> list[Monomi
     degree = 0
     while True:
         full = True
-        for exps in monomials_of_degree(varcount, degree):
-            m = Monomial(exps)
+        for m in monomials_of_degree(varcount, degree):
             if inner.contains(m):
                 continue
             full = False

@@ -1,90 +1,39 @@
 """Sparse multivariate polynomials over the active coefficient field.
 
-Monomials are exponent tuples; a polynomial is a map monomial -> nonzero
-scalar.  Variable names are contextual: position ``p`` means x_{p+2} when
-working modulo x_1 (the usual case) and x_{p+1} for full-ring polynomials.
+A monomial is a plain tuple of non-negative exponents, here and in every
+other module; a polynomial is a map monomial -> nonzero scalar.  Variable
+names are contextual: position ``p`` means x_{p+2} when working modulo x_1
+(the usual case) and x_{p+1} for full-ring polynomials.
 """
 
 from __future__ import annotations
 
 from math import gcd
+from operator import add, le
 
 from .scalars import active_field
 
 
-class Monomial:
-    """A monomial, i.e. a vector of non-negative exponents with cached degree."""
-
-    __slots__ = ("exps", "degree")
-
-    def __init__(self, exps):
-        exps = tuple(exps)
-        if any(e < 0 for e in exps):
-            raise ValueError("negative exponent in %r" % (exps,))
-        self.exps = exps
-        self.degree = sum(exps)
-
-    @classmethod
-    def one(cls, varcount: int) -> "Monomial":
-        return cls((0,) * varcount)
-
-    @classmethod
-    def variable(cls, index: int, varcount: int, power: int = 1) -> "Monomial":
-        if not 0 <= index < varcount:
-            raise ValueError("variable index %d out of range for %d variables" % (index, varcount))
-        exps = [0] * varcount
-        exps[index] = power
-        return cls(exps)
-
-    def _check(self, other: "Monomial") -> None:
-        if len(self.exps) != len(other.exps):
-            raise ValueError("variable count mismatch: %d vs %d" % (len(self.exps), len(other.exps)))
-
-    @property
-    def varcount(self) -> int:
-        return len(self.exps)
-
-    def times(self, other: "Monomial") -> "Monomial":
-        self._check(other)
-        return Monomial(a + b for a, b in zip(self.exps, other.exps))
-
-    def divides(self, other: "Monomial") -> bool:
-        self._check(other)
-        return all(a <= b for a, b in zip(self.exps, other.exps))
-
-    def quo(self, other: "Monomial") -> "Monomial":
-        """Exact quotient self / other; other must divide self."""
-        self._check(other)
-        out = tuple(a - b for a, b in zip(self.exps, other.exps))
-        if any(e < 0 for e in out):
-            raise ValueError("%r does not divide %r" % (other.exps, self.exps))
-        return Monomial(out)
-
-    def gcd(self, other: "Monomial") -> "Monomial":
-        self._check(other)
-        return Monomial(min(a, b) for a, b in zip(self.exps, other.exps))
-
-    def lcm(self, other: "Monomial") -> "Monomial":
-        self._check(other)
-        return Monomial(max(a, b) for a, b in zip(self.exps, other.exps))
-
-    def coprime(self, other: "Monomial") -> bool:
-        self._check(other)
-        return all(a == 0 or b == 0 for a, b in zip(self.exps, other.exps))
-
-    def __eq__(self, other):
-        return isinstance(other, Monomial) and self.exps == other.exps
-
-    def __hash__(self):
-        return hash(self.exps)
-
-    def __repr__(self):
-        return "Monomial%r" % (self.exps,)
+def times(a: tuple, b: tuple) -> tuple:
+    """The product of two monomials."""
+    return tuple(map(add, a, b))
 
 
-def sort_key(m: Monomial):
+def divides(a: tuple, b: tuple) -> bool:
+    """Whether the monomial a divides b."""
+    return all(map(le, a, b))
+
+
+def pure_power(index: int, varcount: int, power: int = 1) -> tuple:
+    """The monomial x^power in the variable at position `index`."""
+    if not 0 <= index < varcount:
+        raise ValueError("variable index %d out of range for %d variables" % (index, varcount))
+    return (0,) * index + (power,) + (0,) * (varcount - index - 1)
+
+
+def sort_key(m: tuple):
     """Canonical listing key for generator sets and reports: degree, then lex."""
-    return (m.degree, m.exps)
+    return (sum(m), m)
 
 
 class Polynomial:
@@ -103,17 +52,11 @@ class Polynomial:
     @classmethod
     def constant(cls, c, varcount: int) -> "Polynomial":
         c = active_field().coerce(c)
-        return cls({Monomial.one(varcount): c}, varcount)
+        return cls({(0,) * varcount: c}, varcount)
 
     @classmethod
     def variable(cls, index: int, varcount: int) -> "Polynomial":
-        return cls({Monomial.variable(index, varcount): active_field().one}, varcount)
-
-    @classmethod
-    def from_int_terms(cls, int_terms: dict, varcount: int) -> "Polynomial":
-        """Build from {exponent tuple: integer coefficient} via the active field."""
-        field = active_field()
-        return cls({Monomial(e): field.coerce(c) for e, c in int_terms.items()}, varcount)
+        return cls({pure_power(index, varcount): active_field().one}, varcount)
 
     def _check(self, other: "Polynomial") -> None:
         if self.varcount != other.varcount:
@@ -173,7 +116,7 @@ class Polynomial:
         out: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = m1.times(m2)
+                m = times(m1, m2)
                 s = out.get(m)
                 s = c1 * c2 if s is None else s + c1 * c2
                 if s:
@@ -182,11 +125,11 @@ class Polynomial:
                     del out[m]
         return Polynomial(out, self.varcount)
 
-    def mul_term(self, m: Monomial, c) -> "Polynomial":
+    def mul_term(self, m: tuple, c) -> "Polynomial":
         """Multiply by the single term c*m."""
         if not c:
             return Polynomial.zero(self.varcount)
-        return Polynomial({mm.times(m): cc * c for mm, cc in self.terms.items()}, self.varcount)
+        return Polynomial({times(mm, m): cc * c for mm, cc in self.terms.items()}, self.varcount)
 
     def scale(self, c) -> "Polynomial":
         if not c:
@@ -195,17 +138,16 @@ class Polynomial:
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        return max((m.degree for m in self.terms), default=-1)
+        return max(map(sum, self.terms), default=-1)
 
     def is_homogeneous(self) -> bool:
-        degrees = {m.degree for m in self.terms}
-        return len(degrees) <= 1
+        return len(set(map(sum, self.terms))) <= 1
 
     def __repr__(self):
         if not self.terms:
             return "Polynomial(0)"
         items = ", ".join(
-            "%r: %s" % (m.exps, c) for m, c in sorted(self.terms.items(), key=lambda t: sort_key(t[0]))
+            "%r: %s" % (m, c) for m, c in sorted(self.terms.items(), key=lambda t: sort_key(t[0]))
         )
         return "Polynomial{%s}" % items
 
@@ -273,8 +215,7 @@ def substitute_parametrization(f: Polynomial, d: int, m: int) -> Polynomial:
     weights = [d + i * m for i in range(d)]
     out: dict = {}
     for mono, c in f.terms.items():
-        t = sum(e * w for e, w in zip(mono.exps, weights))
-        key = Monomial((t,))
+        key = (sum(e * w for e, w in zip(mono, weights)),)
         s = out.get(key)
         s = c if s is None else s + c
         if s:

@@ -11,14 +11,14 @@ from fractions import Fraction
 
 from .ideals import MonomialIdeal
 from .order import GREVELEX, MonomialOrder
-from .poly import Monomial, Polynomial, PolyMatrix, sort_key
+from .poly import Polynomial, PolyMatrix, sort_key
 
 
-def format_monomial(m: Monomial, first_index: int = 2) -> str:
-    if m.degree == 0:
+def format_monomial(m: tuple, first_index: int = 2) -> str:
+    if not any(m):
         return "1"
     parts = []
-    for p, e in enumerate(m.exps):
+    for p, e in enumerate(m):
         if e:
             name = "x%d" % (p + first_index)
             parts.append(name if e == 1 else "%s^%d" % (name, e))
@@ -38,7 +38,7 @@ def format_polynomial(f: Polynomial, order: MonomialOrder = GREVELEX, first_inde
     out = []
     for m in sorted(f.terms, key=key, reverse=True):
         sign, mag = _sign_split(f.terms[m])
-        if m.degree == 0:
+        if not any(m):
             body = str(mag)
         elif mag == 1:
             body = format_monomial(m, first_index)

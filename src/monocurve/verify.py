@@ -37,7 +37,7 @@ from .curve import (
 )
 from .groebner import PolyIdeal, leading_ideal
 from .ideals import MonomialIdeal, monomials_between
-from .poly import Monomial, substitute_parametrization
+from .poly import pure_power, substitute_parametrization, times
 from .render import format_ideal, format_monomial
 from .scalars import active_field, using_field
 
@@ -57,11 +57,18 @@ def length_In(d: int, n: int) -> int:
 
 
 def default_n_max(d: int, groebner: bool) -> int:
-    """Desk-scale grid defaults, overridable through the environment."""
+    """Desk-scale grid defaults, overridable through the environment by an
+    integer of at least 1; any other set value is a ValueError."""
     env_var = "MONOCURVE_NMAX_GROEBNER" if groebner else "MONOCURVE_NMAX_MONOMIAL"
     env = os.environ.get(env_var)
     if env:
-        return int(env)
+        try:
+            n_max = int(env)
+        except ValueError:
+            n_max = 0
+        if n_max < 1:
+            raise ValueError("%s must be an integer of at least 1, got %r" % (env_var, env))
+        return n_max
     if d <= 4:
         return 6
     if groebner:
@@ -174,18 +181,18 @@ def _ideal_case(inputs: dict, actual: MonomialIdeal, expected: MonomialIdeal) ->
 def _case_colon(args) -> Case:
     d, n, i = args
     In = mono_I(d, n)
-    actual = In.colon_mon(Monomial.variable(i - 2, d - 1, i))
+    actual = In.colon_mon(pure_power(i - 2, d - 1, i))
     expected = MonomialIdeal.unit(d - 1) if n < i else mono_I(d, n - i + 1)
     return _ideal_case({"d": d, "n": n, "i": i}, actual, expected)
 
 
-def _filtration_sum(d: int, N: int, i: int) -> list[Monomial]:
+def _filtration_sum(d: int, N: int, i: int) -> list[tuple]:
     """Generators, not minimalized, of I_N + sum over 2 <= j < i of x_j^j I_{N-j}."""
     v = d - 1
     gens = list(mono_I(d, N).gens)
     for j in range(2, i):
-        pw = Monomial.variable(j - 2, v, j)
-        gens += [g.times(pw) for g in mono_I(d, N - j).gens]
+        pw = pure_power(j - 2, v, j)
+        gens += [times(g, pw) for g in mono_I(d, N - j).gens]
     return gens
 
 
@@ -194,8 +201,10 @@ def _case_regseq(args) -> Case:
     v = d - 1
     # (A + B) : m = (A : m) + (B : m), so the sum is coloned generator by
     # generator and minimalized once
-    xi = Monomial.variable(i - 2, v, i)
-    actual = MonomialIdeal([g.quo(g.gcd(xi)) for g in _filtration_sum(d, n + i, i)], v)
+    xi = pure_power(i - 2, v, i)
+    actual = MonomialIdeal(
+        [tuple(max(a - b, 0) for a, b in zip(g, xi)) for g in _filtration_sum(d, n + i, i)], v
+    )
     expected = MonomialIdeal(_filtration_sum(d, n + 1, i), v)
     return _ideal_case({"d": d, "n": n, "i": i}, actual, expected)
 
@@ -276,7 +285,7 @@ def _case_spanning(args) -> Case:
     d, n = args
     v = d - 1
     prev = mono_I(d, n - 1)
-    col = mono_I(d, n).colon_mon(Monomial.variable(v - 1, v))
+    col = mono_I(d, n).colon_mon(pure_power(v - 1, v))
     contained = prev.contains_ideal(col)  # (I_n : x_d) inside I_{n-1}
     listed: set = set()
     for j in range(1, d):
@@ -284,7 +293,7 @@ def _case_spanning(args) -> Case:
         for a in lambda_set(d, j, n - 1):
             for s in s_set(d, a):
                 for mu in bridge:
-                    listed.add(s.times(mu))
+                    listed.add(times(s, mu))
     spanning = True
     witness_missing = None
     for m in monomials_between(col, prev):
@@ -481,7 +490,7 @@ def _reduction_denominator(d: int, n: int) -> MonomialIdeal:
     return MonomialIdeal(_filtration_sum(d, n + 1, d + 1), d - 1)
 
 
-def _reduction_pieces(d: int) -> list[list[Monomial]]:
+def _reduction_pieces(d: int) -> list[list[tuple]]:
     cap = d * (d - 1) // 2 + d
     pieces = []
     zeros = 0
@@ -502,14 +511,14 @@ def _reduction_pieces(d: int) -> list[list[Monomial]]:
 def _case_socle(d: int) -> Case:
     v = d - 1
     pieces = _reduction_pieces(d)
-    multipliers = [(0, Monomial.variable(t, v)) for t in range(v)]
+    multipliers = [(0, pure_power(t, v)) for t in range(v)]
     for j in range(1, d):
         multipliers.extend((j, w) for w in mono_J(d, j).gens)
     socle_elements = []
     for level, basis in enumerate(pieces):
         for u in basis:
             if all(
-                _reduction_denominator(d, level + j).contains(u.times(w))
+                _reduction_denominator(d, level + j).contains(times(u, w))
                 for j, w in multipliers
             ):
                 socle_elements.append((level, u))

@@ -2,24 +2,40 @@
 
 Nothing here shares an algorithm with the package: determinants come from
 the permutation sum, minimal generators from the all-pairs definition,
-staircase lengths from degree-capped enumeration, quotient lengths of
+products and powers of monomial ideals from generator-by-generator
+products, staircase lengths from degree-capped enumeration, quotient lengths of
 polynomial ideals from the rank of every generator times every monomial of
 each degree (the package shifts only its echelon rows), the
 order from a literal transcription of its definition, S-polynomials from
 theirs with leading terms picked by that order, leading monomials of
 minors from their anti-diagonals, membership in products of
-variable-range powers from Hall's condition, and the filtration sums from
+variable-range powers from Hall's condition, membership in I_n from suffix
+degree sums against each composition's demands, and the filtration sums from
 the package's ideal sums chained one summand at a time rather than from
 one generator list.
 """
 
 from itertools import combinations, permutations
 
-from monocurve.curve import mono_I
+from monocurve.curve import compositions, mono_I
 from monocurve.groebner import PolyIdeal
 from monocurve.ideals import MonomialIdeal, monomials_of_degree
 from monocurve.order import GREVELEX, MonomialOrder
-from monocurve.poly import Monomial, Polynomial
+from monocurve.poly import Polynomial, pure_power, times
+from monocurve.scalars import active_field
+
+
+def int_poly(int_terms: dict, varcount: int) -> Polynomial:
+    """A polynomial from {exponent tuple: integer coefficient} over the active field."""
+    field = active_field()
+    return Polynomial({e: field.coerce(c) for e, c in int_terms.items()}, varcount)
+
+
+def compare(a, b, order: MonomialOrder = GREVELEX) -> int:
+    """The package's order as a three-way comparison for the axiom tests:
+    -1, 0 or 1 as a is below, equal to or above b."""
+    ka, kb = order.key(a), order.key(b)
+    return (ka > kb) - (ka < kb)
 
 
 def leibniz_determinant(matrix) -> Polynomial:
@@ -41,16 +57,16 @@ def leibniz_determinant(matrix) -> Polynomial:
     return det
 
 
-def antidiagonal_product(matrix) -> Monomial:
+def antidiagonal_product(matrix) -> tuple:
     """Product of the anti-diagonal entries; entries must be single terms."""
     n = matrix.size
-    out = Monomial.one(matrix.varcount)
+    out = (0,) * matrix.varcount
     for r in range(n):
         entry = matrix.entries[r][n - 1 - r]
         if len(entry.terms) != 1:
             raise ValueError("anti-diagonal entry is not a single term")
         (m,) = entry.terms
-        out = out.times(m)
+        out = times(out, m)
     return out
 
 
@@ -107,14 +123,13 @@ def hilbert_oracle(ideal: PolyIdeal, order: MonomialOrder = GREVELEX) -> int:
     while True:
         if e > cap:
             raise ValueError("quotient does not appear to be Artinian")
-        pivots: dict[Monomial, dict] = {}
+        pivots: dict[tuple, dict] = {}
         for g in gens:
             shift_deg = e - g.degree()
             if shift_deg < 0:
                 continue
-            for exps in monomials_of_degree(v, shift_deg):
-                shift = Monomial(exps)
-                row = {m.times(shift): c for m, c in g.terms.items()}
+            for shift in monomials_of_degree(v, shift_deg):
+                row = {times(m, shift): c for m, c in g.terms.items()}
                 while row:
                     lead = max(row, key=key)
                     hit = pivots.get(lead)
@@ -138,14 +153,46 @@ def hilbert_oracle(ideal: PolyIdeal, order: MonomialOrder = GREVELEX) -> int:
         e += 1
 
 
+def ideal_product(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
+    """The product ideal, generated by every product of two generators."""
+    return MonomialIdeal([times(g, h) for g in a.gens for h in b.gens], a.varcount)
+
+
+def ideal_power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
+    """The k-th power as k ideal products; the empty product is the unit ideal."""
+    out = MonomialIdeal.unit(ideal.varcount)
+    for _ in range(k):
+        out = ideal_product(out, ideal)
+    return out
+
+
+def scaled_ideal(ideal: MonomialIdeal, m) -> MonomialIdeal:
+    """The ideal m * I."""
+    return MonomialIdeal([times(g, m) for g in ideal.gens], ideal.varcount)
+
+
 def filtration_sum_chained(d: int, N: int, i: int) -> MonomialIdeal:
     """I_N + sum over 2 <= j < i of x_j^j I_{N-j}, one ideal sum at a time,
     each scaled summand minimalized with the running sum."""
     v = d - 1
     out = mono_I(d, N)
     for j in range(2, i):
-        out = out + mono_I(d, N - j).scale(Monomial.variable(j - 2, v, j))
+        out = out + scaled_ideal(mono_I(d, N - j), pure_power(j - 2, v, j))
     return out
+
+
+def in_ideal_family(d: int, n: int, m) -> bool:
+    """Membership of a monomial in I_n: some composition a of n demands at
+    most the degree m has in every suffix x_{j+1}, ..., x_d, where a demands
+    sum over i >= j of (i+1) a_i there."""
+    if n <= 0:
+        return True
+    suffix = [sum(m[j - 1:]) for j in range(1, d)]
+    for a in compositions(d, n):
+        demand = [sum((i + 1) * a[i - 1] for i in range(j, d)) for j in range(1, d)]
+        if all(dm <= s for dm, s in zip(demand, suffix)):
+            return True
+    return False
 
 
 def grevelex_greater(a, b) -> bool:
@@ -166,13 +213,15 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     def lead(p):
         top = None
         for m in p.terms:
-            if top is None or grevelex_greater(m.exps, top.exps):
+            if top is None or grevelex_greater(m, top):
                 top = m
         return top, p.terms[top]
 
     (mf, cf), (mg, cg) = lead(f), lead(g)
-    lcm = Monomial(tuple(map(max, mf.exps, mg.exps)))
-    return f.mul_term(lcm.quo(mf), 1 / cf) - g.mul_term(lcm.quo(mg), 1 / cg)
+    lcm = tuple(map(max, mf, mg))
+    uf = tuple(x - y for x, y in zip(lcm, mf))
+    ug = tuple(x - y for x, y in zip(lcm, mg))
+    return f.mul_term(uf, 1 / cf) - g.mul_term(ug, 1 / cg)
 
 
 # -- factored products of variable-range powers -----------------------------

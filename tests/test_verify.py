@@ -7,8 +7,9 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 from monocurve import verify
+from monocurve.cli import main
 from monocurve.ideals import MonomialIdeal
-from monocurve.poly import Monomial
+from monocurve.poly import pure_power
 from monocurve.scalars import PrimeField, active_field, using_field
 from monocurve.verify import (
     _ideal_case,
@@ -27,7 +28,7 @@ from monocurve.verify import (
     worker_count,
 )
 
-from oracles import filtration_sum_chained
+from oracles import filtration_sum_chained, int_poly
 
 
 def test_expected_length_conventions():
@@ -58,9 +59,7 @@ def test_pinned_small_lengths():
     assert leading_ideal(PolyIdeal(gens, 2)).length_quotient() == 6
     assert (mono_I(3, 2) + MonomialIdeal(pure_powers(3, 3), 2)).length_quotient() == 6
     # d=4, n=4: the spanning quotient attains C(5,2) = 10
-    from monocurve.poly import Monomial
-
-    col = mono_I(4, 4).colon_mon(Monomial.variable(2, 3))
+    col = mono_I(4, 4).colon_mon(pure_power(2, 3))
     assert col.length_quotient() - mono_I(4, 3).length_quotient() == 10
 
 
@@ -128,8 +127,8 @@ def test_csv_has_header_and_rows():
 
 
 def test_failures_carry_counterexample_payload():
-    lhs = MonomialIdeal.from_exponents([(2, 0)], 2)
-    rhs = MonomialIdeal.from_exponents([(3, 0)], 2)
+    lhs = MonomialIdeal([(2, 0)], 2)
+    rhs = MonomialIdeal([(3, 0)], 2)
     case = _ideal_case({"d": 3}, lhs, rhs)
     assert not case.ok
     assert case.inputs["actual_gens"] == "x2^2"
@@ -139,9 +138,8 @@ def test_failures_carry_counterexample_payload():
 def _non_artinian_cal_I(monkeypatch):
     # leading_ideal raises on (x2 x3): its quotient is not Artinian
     from monocurve.groebner import PolyIdeal
-    from monocurve.poly import Polynomial
 
-    x2x3 = PolyIdeal([Polynomial.from_int_terms({(1, 1): 1}, 2)], 2)
+    x2x3 = PolyIdeal([int_poly({(1, 1): 1}, 2)], 2)
     monkeypatch.setattr(verify, "cal_I", lambda d, n: x2x3)
 
 
@@ -181,9 +179,9 @@ def test_filtration_sum_matches_chained_sums():
                 gens = verify._filtration_sum(d, N, i)
                 assert MonomialIdeal(gens, v) == oracle, (d, N, i)
                 if i <= d:
-                    xi = Monomial.variable(i - 2, v, i)
-                    colon = MonomialIdeal([g.quo(g.gcd(xi)) for g in gens], v)
-                    assert colon == oracle.colon_mon(xi), (d, N, i)
+                    xi = pure_power(i - 2, v, i)
+                    coloned = [tuple(max(a - b, 0) for a, b in zip(g, xi)) for g in gens]
+                    assert MonomialIdeal(coloned, v) == oracle.colon_mon(xi), (d, N, i)
             assert verify._reduction_denominator(d, N) == filtration_sum_chained(d, N + 1, d + 1)
 
 
@@ -227,6 +225,16 @@ def test_default_grids_and_env_overrides(monkeypatch):
     monkeypatch.setenv("MONOCURVE_NMAX_GROEBNER", "2")
     assert default_n_max(6, groebner=False) == 3
     assert default_n_max(4, groebner=True) == 2
+    # a value that would empty or garble the grid names its variable, and the
+    # command exits 2 instead of passing vacuously
+    for bad in ("0", "-1", "x"):
+        monkeypatch.setenv("MONOCURVE_NMAX_MONOMIAL", bad)
+        monkeypatch.setenv("MONOCURVE_NMAX_GROEBNER", bad)
+        for groebner in (False, True):
+            with pytest.raises(ValueError, match="MONOCURVE_NMAX_"):
+                default_n_max(3, groebner)
+        assert main(["verify", "--suite", "all"]) == 2
+        assert main(["verify", "--suite", "length", "--d", "3"]) == 2
 
 
 def test_worker_count_clamps(monkeypatch):
