@@ -29,7 +29,10 @@ from .poly import sort_key
 from .render import format_ideal, format_matrix, format_monomial, format_polynomial
 from .scalars import field_from_spec, set_active_field
 
-IDEAL_KINDS = ("X", "fi", "calJ", "calI", "J", "I", "lambda", "S")
+# The flags each ideal kind reads.  All are required except --m, which only
+# X reads and which defaults to 1.
+IDEAL_KINDS = {"X": ("m",), "fi": ("i",), "calJ": ("i",), "calI": ("n",),
+               "J": ("i",), "I": ("n",), "lambda": ("j", "n"), "S": ("a",)}
 
 
 class UsageError(Exception):
@@ -52,8 +55,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_ideal = sub.add_parser("ideal", help="construct and print one object")
     p_ideal.add_argument("--d", type=int, required=True)
-    p_ideal.add_argument("--m", type=int, default=1)
-    p_ideal.add_argument("--kind", choices=IDEAL_KINDS, required=True)
+    p_ideal.add_argument("--m", type=int, help="curve step for X (default 1)")
+    p_ideal.add_argument("--kind", choices=tuple(IDEAL_KINDS), required=True)
     p_ideal.add_argument("--i", type=int, help="index for fi, calJ, J")
     p_ideal.add_argument("--n", type=int, help="index for calI, I, lambda")
     p_ideal.add_argument("--j", type=int, help="length for lambda")
@@ -78,35 +81,30 @@ def _cmd_ideal(args) -> int:
     if d < 2:
         raise UsageError("--d must be at least 2")
     kind = args.kind
+    reads = IDEAL_KINDS[kind]
+    given = [f for f in ("i", "n", "j", "a", "m") if getattr(args, f) is not None]
+    ignored = ["--" + f for f in given if f not in reads]
+    if ignored:
+        raise UsageError("--kind %s does not read %s" % (kind, ", ".join(ignored)))
+    missing = ["--" + f for f in reads if f != "m" and f not in given]
+    if missing:
+        raise UsageError("--kind %s requires %s" % (kind, ", ".join(missing)))
     if kind == "X":
-        print(format_matrix(build_matrix(CurveParams(d, args.m)), GREVELEX, first_index=1))
+        m = 1 if args.m is None else args.m
+        print(format_matrix(build_matrix(CurveParams(d, m)), GREVELEX, first_index=1))
     elif kind == "fi":
-        if args.i is None:
-            raise UsageError("--i is required for --kind fi")
         print(format_polynomial(f_poly(d, args.i)))
     elif kind == "calJ":
-        if args.i is None:
-            raise UsageError("--i is required for --kind calJ")
         print(", ".join(format_polynomial(g) for g in cal_J(d, args.i).gens))
     elif kind == "calI":
-        if args.n is None:
-            raise UsageError("--n is required for --kind calI")
         print(", ".join(format_polynomial(g) for g in cal_I(d, args.n).gens))
     elif kind == "J":
-        if args.i is None:
-            raise UsageError("--i is required for --kind J")
         print(format_ideal(mono_J(d, args.i)))
     elif kind == "I":
-        if args.n is None:
-            raise UsageError("--n is required for --kind I")
         print(format_ideal(mono_I(d, args.n)))
     elif kind == "lambda":
-        if args.j is None or args.n is None:
-            raise UsageError("--j and --n are required for --kind lambda")
         print(", ".join("(%s)" % ",".join(map(str, a)) for a in lambda_set(d, args.j, args.n)))
     elif kind == "S":
-        if not args.a:
-            raise UsageError("--a is required for --kind S")
         a = tuple(int(x) for x in args.a.split(","))
         mons = sorted(s_set(d, a), key=sort_key)
         print(", ".join(format_monomial(m) for m in mons))

@@ -54,55 +54,39 @@ def build_matrix(params: CurveParams, mod_x1: bool = False) -> PolyMatrix:
     lives in x_2, ..., x_d.
     """
     d, m = params.d, params.m
+    one = active_field().one
+    drop = 1 if mod_x1 else 0  # leading exponents left out of each entry
     rows = []
-    if mod_x1:
-        v = d - 1
-        for i in range(1, d + 1):
-            row = []
-            for j in range(1, d + 1):
-                idx = i + j - 1
-                if j <= d - i + 1 and idx >= 2:
-                    row.append(Polynomial.variable(idx - 2, v))
-                else:
-                    row.append(Polynomial.zero(v))
-            rows.append(row)
-    else:
-        field = active_field()
-        for i in range(1, d + 1):
-            row = []
-            for j in range(1, d + 1):
-                if j <= d - i + 1:
-                    exps = [0] * d
-                    exps[i + j - 2] = 1
-                else:
-                    exps = [0] * d
-                    exps[0] = m
-                    exps[i + j - d - 2] += 1
-                row.append(Polynomial({tuple(exps): field.one}, d))
-            rows.append(row)
+    for i in range(1, d + 1):
+        row = []
+        for j in range(1, d + 1):
+            exps = [0] * d
+            if j <= d - i + 1:
+                exps[i + j - 2] = 1
+            else:
+                exps[0] = m
+                exps[i + j - d - 2] += 1
+            terms = {} if mod_x1 and exps[0] else {tuple(exps[drop:]): one}
+            row.append(Polynomial(terms, d - drop))
+        rows.append(row)
     return PolyMatrix(rows)
 
 
-# The cached values below hold coefficients, so their caches are keyed by
-# the active field's key: a run under GF(p) never sees Q coefficients.
+# The minors hold coefficients, so their cache is keyed by the active
+# field's key: a run under GF(p) never sees Q coefficients.
 
 
 @lru_cache(maxsize=None)
-def _mod_matrix(field_key, d: int) -> PolyMatrix:
-    return build_matrix(CurveParams(d, 1), mod_x1=True)
-
-
-@lru_cache(maxsize=None)
-def _f_poly(field_key, d: int, i: int) -> Polynomial:
-    X = _mod_matrix(field_key, d)
-    return X.submatrix(range(i + 1), range(i + 1)).det()
+def _minors(field_key, d: int, i: int) -> tuple:
+    X = build_matrix(CurveParams(d), mod_x1=True)
+    return tuple(X.submatrix(range(i + 1), cols).det() for cols in combinations(range(d), i + 1))
 
 
 def f_poly(d: int, i: int) -> Polynomial:
     """Determinant of the leading principal (i+1) x (i+1) block, mod x_1."""
     if not 1 <= i <= d - 1:
         raise ValueError("need 1 <= i <= d-1, got i=%d d=%d" % (i, d))
-    return _f_poly(active_field().key, d, i)
+    return _minors(active_field().key, d, i)[0]
 
 
 def minor_polynomials(d: int, i: int) -> list[Polynomial]:
@@ -110,8 +94,7 @@ def minor_polynomials(d: int, i: int) -> list[Polynomial]:
     column selections in lexicographic order."""
     if not 1 <= i <= d - 1:
         raise ValueError("need 1 <= i <= d-1, got i=%d d=%d" % (i, d))
-    X = _mod_matrix(active_field().key, d)
-    return [X.submatrix(range(i + 1), cols).det() for cols in combinations(range(d), i + 1)]
+    return list(_minors(active_field().key, d, i))
 
 
 def cal_J(d: int, i: int) -> PolyIdeal:

@@ -36,22 +36,17 @@ class PolyIdeal:
 
 
 class GroebnerBasis:
-    __slots__ = ("elements", "order", "reduced")
+    __slots__ = ("elements", "order")
 
-    def __init__(self, elements, order: MonomialOrder, reduced: bool):
+    def __init__(self, elements, order: MonomialOrder):
         self.elements = tuple(elements)
         self.order = order
-        self.reduced = reduced
 
     def leading_monomials(self) -> list[tuple]:
         return [leading_term(g, self.order)[0] for g in self.elements]
 
     def __repr__(self):
-        return "GroebnerBasis(%d elements, %s%s)" % (
-            len(self.elements),
-            self.order.name,
-            ", reduced" if self.reduced else "",
-        )
+        return "GroebnerBasis(%d elements, %s)" % (len(self.elements), self.order.name)
 
 
 class _Divisors(list):
@@ -198,7 +193,7 @@ def buchberger(ideal: PolyIdeal, order: MonomialOrder = GREVELEX) -> GroebnerBas
         normal_form(divisors[i][2], _Divisors(divisors[j] for j in keep if j != i), order)
         for i in sorted(keep, key=lambda i: key(lms[i]))
     ]
-    return GroebnerBasis(reduced, order, reduced=True)
+    return GroebnerBasis(reduced, order)
 
 
 def leading_ideal(ideal: PolyIdeal, order: MonomialOrder = GREVELEX) -> MonomialIdeal:

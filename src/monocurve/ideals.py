@@ -1,5 +1,8 @@
 """Monomial ideals in T': minimal generators, sums, colons by a monomial,
-membership, the Artinian test and staircase lengths.
+membership, the Artinian test, and the staircase of an Artinian ideal.
+One exponent trie answers membership and yields each standard monomial once
+(after Bigatti, JPAA 1997); lengths count that walk and `monomials_between`
+filters it.
 
 Generators are exponent tuples, always stored minimal and sorted by
 (degree, exponents), so two equal ideals are structurally identical and
@@ -8,6 +11,7 @@ every report is deterministic.
 
 from __future__ import annotations
 
+from .order import GREVELEX
 from .poly import sort_key
 
 
@@ -38,12 +42,12 @@ class _DivisorIndex:
     def has_divisor(self, exps) -> bool:
         return _has_divisor(self.root, exps, self.top)
 
-    def standard_count(self) -> int:
-        """Monomials divisible by no stored monomial.  Needs a pure power of
-        every variable among the stored monomials (a finite staircase)."""
+    def standard_monomials(self):
+        """Each monomial divisible by no stored monomial, once.  Needs a pure
+        power of every variable among the stored monomials (a finite staircase)."""
         if self.top == 0:
-            return self.root[0]
-        return _standard_count([self.root], self.top)
+            return ((e,) for e in range(self.root[0]))
+        return _standard_walk([self.root], self.top)
 
 
 def _has_divisor(node: dict, exps, p: int) -> bool:
@@ -61,21 +65,21 @@ def _has_divisor(node: dict, exps, p: int) -> bool:
     return False
 
 
-def _standard_count(nodes: list, p: int) -> int:
-    """Standard monomials in x_2..x_{p+2} over a fixed prefix of the later
-    exponents; `nodes` are the level-p subtries whose paths divide it.
+def _standard_walk(nodes: list, p: int):
+    """Yield the standard monomials in x_2..x_{p+2}, as tuples of length p+1,
+    over a fixed prefix of the later exponents; `nodes` are the level-p
+    subtries whose paths divide it.
 
-    The count under an exponent e of x_{p+2} changes only where e reaches a
-    key, so it is taken once per key and weighted by the gap to the next.
-    Standard monomials form an order ideal: once that count is 0 it stays 0,
-    and the staircase is finite, so it is 0 at the last key.
+    The monomials under an exponent e of x_{p+2} change only where e reaches
+    a key, so they are walked once per key and reused up to the next.
+    Standard monomials form an order ideal: once a key has none, no later
+    key has any, and the staircase is finite, so the last key has none.
     """
     by_key: dict = {}
     for node in nodes:
         for key, sub in node.items():
             by_key.setdefault(key, []).append(sub)
     keys = sorted(by_key)
-    total = 0
     below: list = []
     least = None
     for key, next_key in zip(keys, keys[1:]):
@@ -83,14 +87,15 @@ def _standard_count(nodes: list, p: int) -> int:
             # the least x_2 exponent among the monomials with x_3 exponent <= key
             low = min(by_key[key])
             least = low if least is None else min(least, low)
-            count = least
+            lower = [(e,) for e in range(least)]
         else:
             below += by_key[key]
-            count = _standard_count(below, p - 1)
-        if not count:
-            break
-        total += count * (next_key - key)
-    return total
+            lower = list(_standard_walk(below, p - 1))
+        if not lower:
+            return
+        for e in range(key, next_key):
+            for m in lower:
+                yield m + (e,)
 
 
 def minimal_generators(monomials) -> tuple:
@@ -213,28 +218,16 @@ class MonomialIdeal:
         """Number of monomials outside the ideal (the staircase length)."""
         if not self.is_artinian():
             raise ValueError("length of a non-Artinian quotient is infinite")
-        return (self._index or self._build_index()).standard_count()
+        return sum(1 for _ in (self._index or self._build_index()).standard_monomials())
 
 
 def monomials_between(inner: MonomialIdeal, outer: MonomialIdeal) -> list[tuple]:
-    """Monomials lying in `outer` but not in `inner`; `inner` must be Artinian.
+    """Monomials lying in `outer` but not in `inner`, by degree and then in
+    decreasing lex order; `inner` must be Artinian.
 
-    Enumerates degree by degree and stops at the first degree fully contained
-    in `inner`.
+    Filters the staircase of `inner` through `outer`.
     """
     if not inner.is_artinian():
         raise ValueError("difference against a non-Artinian ideal is infinite")
-    varcount = outer.varcount
-    out = []
-    degree = 0
-    while True:
-        full = True
-        for m in monomials_of_degree(varcount, degree):
-            if inner.contains(m):
-                continue
-            full = False
-            if outer.contains(m):
-                out.append(m)
-        if full:
-            return out
-        degree += 1
+    walk = (inner._index or inner._build_index()).standard_monomials()
+    return sorted(filter(outer.contains, walk), key=GREVELEX.key)

@@ -54,10 +54,6 @@ class Polynomial:
         c = active_field().coerce(c)
         return cls({(0,) * varcount: c}, varcount)
 
-    @classmethod
-    def variable(cls, index: int, varcount: int) -> "Polynomial":
-        return cls({pure_power(index, varcount): active_field().one}, varcount)
-
     def _check(self, other: "Polynomial") -> None:
         if self.varcount != other.varcount:
             raise ValueError("variable count mismatch: %d vs %d" % (self.varcount, other.varcount))
@@ -176,30 +172,32 @@ class PolyMatrix:
 
     def det(self) -> Polynomial:
         """Cofactor expansion memoized on column subsets (the row prefix is implied)."""
-        memo: dict = {}
-        n = self.size
+        return _minor(self.entries, tuple(range(self.size)), {}, self.varcount)
 
-        def minor(cols: tuple) -> Polynomial:
-            hit = memo.get(cols)
-            if hit is not None:
-                return hit
-            row = n - len(cols)
-            if len(cols) == 1:
-                out = self.entries[row][cols[0]]
-            else:
-                out = Polynomial.zero(self.varcount)
-                sign = 1
-                for k, c in enumerate(cols):
-                    entry = self.entries[row][c]
-                    if entry:
-                        rest = minor(cols[:k] + cols[k + 1 :])
-                        term = entry * rest
-                        out = out + term if sign > 0 else out - term
-                    sign = -sign
-            memo[cols] = out
-            return out
 
-        return minor(tuple(range(n)))
+def _minor(entries, cols: tuple, memo: dict, varcount: int) -> Polynomial:
+    """The minor on the last len(cols) rows and the columns `cols`, expanded
+    along its first row.  It recurses at module level: a nested recursive
+    closure is a reference cycle that keeps `memo` alive until the cyclic
+    collector runs.
+    """
+    hit = memo.get(cols)
+    if hit is not None:
+        return hit
+    row = len(entries) - len(cols)
+    if len(cols) == 1:
+        out = entries[row][cols[0]]
+    else:
+        out = Polynomial.zero(varcount)
+        sign = 1
+        for k, c in enumerate(cols):
+            entry = entries[row][c]
+            if entry:
+                term = entry * _minor(entries, cols[:k] + cols[k + 1 :], memo, varcount)
+                out = out + term if sign > 0 else out - term
+            sign = -sign
+    memo[cols] = out
+    return out
 
 
 def substitute_parametrization(f: Polynomial, d: int, m: int) -> Polynomial:

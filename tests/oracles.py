@@ -3,7 +3,8 @@
 Nothing here shares an algorithm with the package: determinants come from
 the permutation sum, minimal generators from the all-pairs definition,
 products and powers of monomial ideals from generator-by-generator
-products, staircase lengths from degree-capped enumeration, quotient lengths of
+products, staircase lengths from degree-capped enumeration, the monomials
+between two ideals from a walk over every monomial of each degree, quotient lengths of
 polynomial ideals from the rank of every generator times every monomial of
 each degree (the package shifts only its echelon rows), the
 order from a literal transcription of its definition, S-polynomials from
@@ -96,6 +97,30 @@ def staircase_count(gen_exps, varcount: int) -> int:
             if not any(divides_tuple(g, exps) for g in gen_exps):
                 count += 1
     return count
+
+
+def monomials_between_box(inner: MonomialIdeal, outer: MonomialIdeal) -> list[tuple]:
+    """Monomials lying in `outer` but not in `inner`; `inner` must be Artinian.
+
+    Enumerates degree by degree and stops at the first degree fully contained
+    in `inner`.
+    """
+    if not inner.is_artinian():
+        raise ValueError("difference against a non-Artinian ideal is infinite")
+    varcount = outer.varcount
+    out = []
+    degree = 0
+    while True:
+        full = True
+        for m in monomials_of_degree(varcount, degree):
+            if inner.contains(m):
+                continue
+            full = False
+            if outer.contains(m):
+                out.append(m)
+        if full:
+            return out
+        degree += 1
 
 
 def hilbert_oracle(ideal: PolyIdeal, order: MonomialOrder = GREVELEX) -> int:

@@ -59,6 +59,37 @@ def test_missing_required_flag_is_usage_error(capsys):
     assert "--i" in err
 
 
+@pytest.mark.parametrize("argv,missing", [
+    (["--d", "3", "--kind", "lambda", "--n", "2"], ["--j"]),
+    (["--d", "3", "--kind", "lambda"], ["--j", "--n"]),
+    (["--d", "3", "--kind", "S"], ["--a"]),
+    (["--d", "3", "--kind", "calI"], ["--n"]),
+])
+def test_ideal_missing_flags_are_named(capsys, argv, missing):
+    code, out, err = run_cli(capsys, "ideal", *argv)
+    assert (code, out) == (2, "")
+    assert "requires" in err and all(flag in err for flag in missing), err
+
+
+@pytest.mark.parametrize("argv,ignored", [
+    (["--d", "3", "--kind", "I", "--n", "2", "--i", "5", "--a", "1,1", "--m", "7"],
+     ["--i", "--a", "--m"]),
+    (["--d", "3", "--kind", "fi", "--i", "1", "--m", "2"], ["--m"]),
+    (["--d", "3", "--kind", "X", "--n", "1"], ["--n"]),
+    (["--d", "3", "--kind", "S", "--a", "1,1", "--j", "2"], ["--j"]),
+])
+def test_ideal_rejects_flags_the_kind_ignores(capsys, argv, ignored):
+    code, out, err = run_cli(capsys, "ideal", *argv)
+    assert (code, out) == (2, "")
+    assert "does not read" in err and all(flag in err for flag in ignored), err
+
+
+def test_ideal_matrix_curve_step(capsys):
+    code, out, _ = run_cli(capsys, "ideal", "--d", "3", "--kind", "X", "--m", "2")
+    assert code == 0
+    assert out == "[x1, x2, x3]\n[x2, x3, x1^3]\n[x3, x1^3, x1^2*x2]\n"
+
+
 def test_bad_d_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "ideal", "--d", "1", "--kind", "I", "--n", "1")
     assert code == 2

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -14,6 +14,7 @@ from monocurve.curve import (
     f_poly,
     full_minors,
     lambda_set,
+    minor_polynomials,
     mono_I,
     mono_J,
     pure_powers,
@@ -69,6 +70,20 @@ def test_matrix_wrap_entries_full_ring():
     assert X5.entries[4][3].terms == {(2, 0, 1, 0, 0): 1}  # x1^2 * x3
 
 
+def test_matrix_mod_x1_is_full_ring_at_x1_zero():
+    for d in range(2, 8):
+        for m in (1, 2, 3):
+            if gcd(d, m) != 1:
+                continue
+            full = build_matrix(CurveParams(d, m), mod_x1=False)
+            modded = build_matrix(CurveParams(d, m), mod_x1=True)
+            assert modded.varcount == d - 1
+            for i in range(d):
+                for j in range(d):
+                    at_zero = {e[1:]: c for e, c in full.entries[i][j].terms.items() if not e[0]}
+                    assert modded.entries[i][j].terms == at_zero
+
+
 # -- f polynomials ---------------------------------------------------------------
 
 def test_f1_d3():
@@ -93,11 +108,15 @@ def test_f_leading_monomials_are_pure_powers():
 
 
 def test_f_poly_cache_keeps_fields_apart():
+    def coefficients():
+        polys = [f_poly(3, 1)] + minor_polynomials(3, 1) + list(cal_I(3, 2).gens)
+        return [c for f in polys for c in f.terms.values()]
+
     with using_field(PrimeField(32003)):
-        modp = f_poly(3, 1)
-    rational = f_poly(3, 1)
-    assert all(isinstance(c, GFElement) and c.p == 32003 for c in modp.terms.values())
-    assert all(isinstance(c, Fraction) for c in rational.terms.values())
+        modp = coefficients()
+    rational = coefficients()
+    assert all(isinstance(c, GFElement) and c.p == 32003 for c in modp)
+    assert all(isinstance(c, Fraction) for c in rational)
 
 
 def test_f_poly_range_errors():

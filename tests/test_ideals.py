@@ -12,6 +12,7 @@ from oracles import (
     ideal_power,
     ideal_product,
     minimal_generators_naive,
+    monomials_between_box,
     scaled_ideal,
     staircase_count,
     terms_equal,
@@ -220,6 +221,22 @@ def test_monomials_between():
     inner = MonomialIdeal([(2, 0), (0, 2)], 2)
     outer = MonomialIdeal([(1, 0)], 2)
     assert set(monomials_between(inner, outer)) == {(1, 0), (1, 1)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(exponent_lists(max_exp=5, max_size=6), st.data())
+def test_monomials_between_against_box_walk(case, data):
+    # inner is drawn as in test_length_against_bruteforce; outer is any ideal
+    v, extra = case
+    top = (5, 5, 4, 3, 3)[v - 1]
+    powers = data.draw(st.lists(st.integers(1, top), min_size=v, max_size=v))
+    pure = [tuple(a if j == i else 0 for j in range(v)) for i, a in enumerate(powers)]
+    inner = MonomialIdeal(pure + extra, v)
+    outer_gens = data.draw(st.lists(st.tuples(*[st.integers(0, 3)] * v), max_size=4))
+    outer = MonomialIdeal(outer_gens, v)
+    assert monomials_between(inner, outer) == monomials_between_box(inner, outer)
+    walk = list(inner._build_index().standard_monomials())
+    assert len(walk) == len(set(walk)) == inner.length_quotient()
 
 
 def test_colon_identity_full_invariant_grid():

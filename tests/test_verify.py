@@ -196,6 +196,7 @@ def test_socle_d5_beyond_required_grid():
     report = check_socle(5)
     assert report.cases[0].actual == 1
     dims = report.cases[0].inputs["piece_dims"]
+    assert dims == [5, 15, 25, 30, 25, 15, 5, 0, 0, 0, 0]
     nonzero = [p for p in dims if p]
     assert nonzero == nonzero[::-1]  # symmetric, as a one-dimensional socle suggests
 
