@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations
 from math import gcd
 
 from .groebner import PolyIdeal
@@ -51,10 +51,10 @@ def build_matrix(params: CurveParams, mod_x1: bool = False) -> PolyMatrix:
 
     Entry (i, j) is x_{i+j-1} while j <= d-i+1 and x_1^m x_{i+j-d-1} after the
     wrap.  With mod_x1 every entry involving x_1 becomes zero and the matrix
-    lives in x_2, ..., x_d.
+    lives in x_2, ..., x_d.  Every entry is a monomial with the integer
+    coefficient 1, so every minor has integer coefficients in any field.
     """
     d, m = params.d, params.m
-    one = active_field().one
     drop = 1 if mod_x1 else 0  # leading exponents left out of each entry
     rows = []
     for i in range(1, d + 1):
@@ -66,20 +66,33 @@ def build_matrix(params: CurveParams, mod_x1: bool = False) -> PolyMatrix:
             else:
                 exps[0] = m
                 exps[i + j - d - 2] += 1
-            terms = {} if mod_x1 and exps[0] else {tuple(exps[drop:]): one}
+            terms = {} if mod_x1 and exps[0] else {tuple(exps[drop:]): 1}
             row.append(Polynomial(terms, d - drop))
         rows.append(row)
     return PolyMatrix(rows)
 
 
-# The minors hold coefficients, so their cache is keyed by the active
-# field's key: a run under GF(p) never sees Q coefficients.
+# The matrix has integer entries, so its minors are computed once over the
+# integers and cached for every field.  The field-coefficient copies are
+# keyed by the active field's key: a run under GF(p) never sees Q
+# coefficients.
+
+
+@lru_cache(maxsize=None)
+def _int_minors(d: int, i: int) -> tuple:
+    X = build_matrix(CurveParams(d), mod_x1=True)
+    return tuple(X.submatrix(range(i + 1), cols).det() for cols in combinations(range(d), i + 1))
+
+
+def _in_field(f: Polynomial, coerce) -> Polynomial:
+    """f with its integer coefficients mapped into a field by `coerce`."""
+    return Polynomial({m: coerce(c) for m, c in f.terms.items()}, f.varcount)
 
 
 @lru_cache(maxsize=None)
 def _minors(field_key, d: int, i: int) -> tuple:
-    X = build_matrix(CurveParams(d), mod_x1=True)
-    return tuple(X.submatrix(range(i + 1), cols).det() for cols in combinations(range(d), i + 1))
+    coerce = active_field().coerce
+    return tuple(_in_field(f, coerce) for f in _int_minors(d, i))
 
 
 def f_poly(d: int, i: int) -> Polynomial:
@@ -125,27 +138,49 @@ def compositions(d: int, n: int) -> tuple:
     return tuple(rec(d - 1, n))
 
 
+def _slot_products(slots: list, k: int, lo: int, prefix, coerce, out: list) -> None:
+    """Append to `out` every product that fills factor slots k, k+1, ... .
+
+    slots[k] is (minors, opens_block).  Inside a block the minor index never
+    decreases, so slot k starts at index `lo` unless it opens a block.  Each
+    product is its prefix times one minor, so a shared prefix is multiplied
+    once; the walk is the lexicographic order of the index tuples and the
+    products associate left to right.  Each full product is mapped into the
+    field once; `PolyIdeal` drops any that vanish there.  It recurses at
+    module level, like `_minor`.
+    """
+    minors, opens_block = slots[k]
+    last = k + 1 == len(slots)
+    for j in range(0 if opens_block else lo, len(minors)):
+        f = minors[j] if prefix is None else prefix * minors[j]
+        if last:
+            out.append(_in_field(f, coerce))
+        else:
+            _slot_products(slots, k + 1, j, f, coerce, out)
+
+
 def cal_I(d: int, n: int) -> PolyIdeal:
-    """Weighted sum of products of the minor ideals; n = 0 is the unit ideal."""
+    """Weighted sum of products of the minor ideals; n = 0 is the unit ideal.
+
+    For each composition a of n (colex order) the generators are the products
+    of a_1 minors of size 2, then a_2 of size 3, and so on, each block a
+    multiset of minors in lexicographic order.  The products are taken over
+    the integers, sharing prefixes, and mapped into the active field.
+    """
+    if d < 2:
+        raise ValueError("d must be at least 2")
     if n < 0:
         raise ValueError("n must be non-negative")
     v = d - 1
     if n == 0:
         return PolyIdeal([Polynomial.constant(1, v)], v)
     gens = []
-    minors = {i: minor_polynomials(d, i) for i in range(1, d)}
+    coerce = active_field().coerce
     for a in compositions(d, n):
-        block_choices = []
+        slots = []
         for i, ai in enumerate(a, start=1):
-            if ai:
-                block_choices.append(list(combinations_with_replacement(minors[i], ai)))
-        for combo in product(*block_choices):
-            f = None
-            for block in combo:
-                for g in block:
-                    f = g if f is None else f * g
-            if f:
-                gens.append(f)
+            slots += [(_int_minors(d, i), s == 0) for s in range(ai)]
+        _slot_products(slots, 0, 0, None, coerce, gens)
     return PolyIdeal(gens, v)
 
 

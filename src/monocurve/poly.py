@@ -1,7 +1,10 @@
 """Sparse multivariate polynomials over the active coefficient field.
 
 A monomial is a plain tuple of non-negative exponents, here and in every
-other module; a polynomial is a map monomial -> nonzero scalar.  Variable
+other module; a polynomial is a map monomial -> nonzero scalar.  The
+scalars are the active field's, except that the structured matrix, its
+minors and their products have Python int coefficients until `curve` maps
+them into the field; ints mix with either field's elements.  Variable
 names are contextual: position ``p`` means x_{p+2} when working modulo x_1
 (the usual case) and x_{p+1} for full-ring polynomials.
 """

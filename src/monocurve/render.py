@@ -26,7 +26,7 @@ def format_monomial(m: tuple, first_index: int = 2) -> str:
 
 
 def _sign_split(c):
-    if isinstance(c, Fraction) and c < 0:
+    if isinstance(c, (int, Fraction)) and c < 0:
         return "-", -c
     return "+", c
 

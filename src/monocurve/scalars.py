@@ -194,5 +194,9 @@ def field_from_spec(spec: str):
     if spec == "fp":
         return PrimeField()
     if spec.startswith("fp:"):
-        return PrimeField(int(spec.split(":", 1)[1]))
+        try:
+            p = int(spec[3:])
+        except ValueError:
+            raise ValueError("field spec %r: the prime must be an integer" % spec) from None
+        return PrimeField(p)
     raise ValueError("unknown field spec %r (expected rational|fp|fp:<p>)" % spec)

@@ -239,21 +239,37 @@ def _case_alternating(args) -> Case:
     return Case(inputs, {"alternating": alternating, "formula": formula}, actual, ok)
 
 
-def _leading_or_failure(ideal: PolyIdeal, inputs: dict, expected) -> MonomialIdeal | Case:
-    """The leading ideal, or, when `leading_ideal` refuses the ideal as not
-    homogeneous or not Artinian, a failed case that carries the refusal."""
+def _leading_or_refusal(ideal: PolyIdeal) -> MonomialIdeal | str:
+    """The leading ideal, or the message with which `leading_ideal` refuses
+    the ideal as not homogeneous or not Artinian."""
     try:
         return leading_ideal(ideal)
     except ValueError as exc:
-        return Case(dict(inputs, error=str(exc)), expected, False, False)
+        return str(exc)
+
+
+# LI(cal_I(d, n)) depends on the field, so the cache is keyed by the active
+# field's key.  The leading and sanity suites share it.
+
+
+@lru_cache(maxsize=None)
+def _cal_I_leading(field_key, d: int, n: int) -> MonomialIdeal | str:
+    return _leading_or_refusal(cal_I(d, n))
+
+
+def _refused(inputs: dict, expected, error: str) -> Case:
+    """The failed case of an ideal `leading_ideal` refused."""
+    return Case(dict(inputs, error=error), expected, False, False)
 
 
 def _case_leading(args) -> Case:
     d, n = args
     inputs = {"d": d, "n": n}
     expected = mono_I(d, n)
-    li = _leading_or_failure(cal_I(d, n), inputs, _ideal_value(expected))
-    return li if isinstance(li, Case) else _ideal_case(inputs, li, expected)
+    li = _cal_I_leading(active_field().key, d, n)
+    if isinstance(li, str):
+        return _refused(inputs, _ideal_value(expected), li)
+    return _ideal_case(inputs, li, expected)
 
 
 def _case_leading_with_f(args) -> Case:
@@ -262,9 +278,9 @@ def _case_leading_with_f(args) -> Case:
     mono = mono_I(d, n) + MonomialIdeal(pure_powers(d, k + 1), d - 1)
     inputs = {"d": d, "n": n, "k": k}
     expected = {"contained": True, "length": mono.length_quotient(), "equal": True}
-    li = _leading_or_failure(PolyIdeal(gens, d - 1), inputs, expected)
-    if isinstance(li, Case):
-        return li
+    li = _leading_or_refusal(PolyIdeal(gens, d - 1))
+    if isinstance(li, str):
+        return _refused(inputs, expected, li)
     contained = li.contains_ideal(mono)
     len_li = li.length_quotient()
     equal = li == mono
@@ -347,8 +363,8 @@ def _case_sanity_artinian(args) -> Case:
     d, n = args
     inputs = {"d": d, "n": n, "check": "artinian"}
     # leading_ideal returns only Artinian leading ideals and raises otherwise
-    li = _leading_or_failure(cal_I(d, n), inputs, True)
-    return li if isinstance(li, Case) else Case(inputs, True, True, True)
+    li = _cal_I_leading(active_field().key, d, n)
+    return _refused(inputs, True, li) if isinstance(li, str) else Case(inputs, True, True, True)
 
 
 def _case_sanity_substitution(args) -> Case:

@@ -13,16 +13,17 @@ minors from their anti-diagonals, membership in products of
 variable-range powers from Hall's condition, membership in I_n from suffix
 degree sums against each composition's demands, and the filtration sums from
 the package's ideal sums chained one summand at a time rather than from
-one generator list.
+one generator list, and the generators of cal_I from every product of
+field-coefficient minors multiplied out on its own.
 """
 
-from itertools import combinations, permutations
+from itertools import combinations, combinations_with_replacement, permutations, product
 
-from monocurve.curve import compositions, mono_I
+from monocurve.curve import compositions, minor_polynomials, mono_I
 from monocurve.groebner import PolyIdeal
 from monocurve.ideals import MonomialIdeal, monomials_of_degree
 from monocurve.order import GREVELEX, MonomialOrder
-from monocurve.poly import Polynomial, pure_power, times
+from monocurve.poly import Polynomial, PolyMatrix, pure_power, times
 from monocurve.scalars import active_field
 
 
@@ -30,6 +31,15 @@ def int_poly(int_terms: dict, varcount: int) -> Polynomial:
     """A polynomial from {exponent tuple: integer coefficient} over the active field."""
     field = active_field()
     return Polynomial({e: field.coerce(c) for e, c in int_terms.items()}, varcount)
+
+
+def field_matrix(matrix) -> PolyMatrix:
+    """The matrix with every coefficient mapped into the active field."""
+    coerce = active_field().coerce
+    return PolyMatrix(
+        [[Polynomial({e: coerce(c) for e, c in p.terms.items()}, p.varcount) for p in row]
+         for row in matrix.entries]
+    )
 
 
 def compare(a, b, order: MonomialOrder = GREVELEX) -> int:
@@ -303,3 +313,24 @@ def terms_equal(varcount: int, lhs_terms, rhs_terms) -> bool:
             if not term_member(g, lhs_terms):
                 return False
     return True
+
+
+def cal_I_products(d: int, n: int) -> list[Polynomial]:
+    """The generators of cal_I(d, n), n >= 1, in the package's order: per
+    composition, every choice of a multiset of minors per block, each
+    product multiplied out from scratch, left to right, over the field."""
+    gens = []
+    minors = {i: minor_polynomials(d, i) for i in range(1, d)}
+    for a in compositions(d, n):
+        block_choices = []
+        for i, ai in enumerate(a, start=1):
+            if ai:
+                block_choices.append(list(combinations_with_replacement(minors[i], ai)))
+        for combo in product(*block_choices):
+            f = None
+            for block in combo:
+                for g in block:
+                    f = g if f is None else f * g
+            if f:
+                gens.append(f)
+    return gens

@@ -204,3 +204,10 @@ def test_bad_field_spec(capsys):
     code, _, err = run_cli(capsys, "ideal", "--d", "3", "--kind", "I", "--n", "1",
                            "--field", "fp:32001")
     assert code == 2
+
+
+def test_non_integer_prime_names_the_spec(capsys):
+    code, _, err = run_cli(capsys, "ideal", "--d", "3", "--kind", "I", "--n", "1",
+                           "--field", "fp:x")
+    assert code == 2
+    assert err == "error: field spec 'fp:x': the prime must be an integer\n"

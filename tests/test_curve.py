@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import comb, gcd
 
 import pytest
@@ -24,9 +24,17 @@ from monocurve.curve import (
 from monocurve.ideals import MonomialIdeal
 from monocurve.order import leading_term
 from monocurve.poly import pure_power, times
-from monocurve.scalars import GFElement, PrimeField, using_field
+from monocurve.scalars import RATIONALS, GFElement, PrimeField, using_field
 
-from oracles import antidiagonal_product, ideal_power, ideal_product, in_ideal_family
+from oracles import (
+    antidiagonal_product,
+    cal_I_products,
+    field_matrix,
+    ideal_power,
+    ideal_product,
+    in_ideal_family,
+    leibniz_determinant,
+)
 
 
 # -- parameters and the matrix -------------------------------------------------
@@ -119,6 +127,23 @@ def test_f_poly_cache_keeps_fields_apart():
     assert all(isinstance(c, Fraction) for c in rational)
 
 
+@pytest.mark.parametrize("field", [RATIONALS, PrimeField(32003)], ids=["Q", "GF32003"])
+def test_minors_match_field_determinants(field):
+    # the integer minors mapped into the field against permutation sums
+    # over a field-coefficient copy of the matrix
+    with using_field(field):
+        one = type(field.one)
+        for d in range(2, 7):
+            X = field_matrix(build_matrix(CurveParams(d), mod_x1=True))
+            for i in range(1, d):
+                dets = [leibniz_determinant(X.submatrix(range(i + 1), cols))
+                        for cols in combinations(range(d), i + 1)]
+                minors = minor_polynomials(d, i)
+                assert minors == dets
+                assert f_poly(d, i) == dets[0]
+                assert all(type(c) is one for g in minors + [f_poly(d, i)] for c in g.terms.values())
+
+
 def test_f_poly_range_errors():
     with pytest.raises(ValueError):
         f_poly(3, 0)
@@ -139,6 +164,27 @@ def test_cal_I_small():
     assert [g for g in cal_I(3, 1).gens] == list(cal_J(3, 1).gens)
     unit = cal_I(3, 0)
     assert len(unit.gens) == 1 and unit.gens[0].degree() == 0
+
+
+def test_cal_I_rejects_small_d():
+    for d in (1, 0, -1):
+        with pytest.raises(ValueError):
+            cal_I(d, 2)
+
+
+@pytest.mark.parametrize("field", [RATIONALS, PrimeField(32003)], ids=["Q", "GF32003"])
+def test_cal_I_matches_product_oracle(field):
+    # every generator, in order, term for term (dict order included), with
+    # the field's coefficients
+    grid = [(d, n) for d in range(2, 6) for n in range(1, 5)] + [(6, 3)]
+    with using_field(field):
+        one = type(field.one)
+        for d, n in grid:
+            gens = list(cal_I(d, n).gens)
+            oracle = cal_I_products(d, n)
+            assert gens == oracle, (d, n)
+            assert [list(g.terms.items()) for g in gens] == [list(g.terms.items()) for g in oracle]
+            assert all(type(c) is one for g in gens for c in g.terms.values())
 
 
 def test_cal_I_generator_counts():
@@ -170,8 +216,6 @@ def test_mono_J_examples():
 
 
 def test_mono_J_equals_antidiagonal_shadow():
-    from itertools import combinations
-
     for d in range(2, 7):
         X = build_matrix(CurveParams(d), mod_x1=True)
         for i in range(1, d):

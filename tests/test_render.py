@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from monocurve.curve import CurveParams, build_matrix, f_poly, mono_I
+from monocurve.curve import CurveParams, build_matrix, f_poly, full_minors, mono_I
 from monocurve.ideals import MonomialIdeal
 from monocurve.poly import Polynomial
 from monocurve.render import format_ideal, format_matrix, format_monomial, format_polynomial
@@ -41,6 +41,12 @@ def test_ideal_rendering():
     assert format_ideal(MonomialIdeal.zero(2)) == "0"
     assert format_ideal(MonomialIdeal.unit(2)) == "1"
     assert format_ideal(mono_I(3, 2)) == "x3^3, x2^2*x3^2, x2^3*x3, x2^4"
+
+
+def test_integer_coefficients_render_their_signs():
+    # the full-ring minors keep the matrix's integer coefficients
+    (minor,) = full_minors(CurveParams(2), 1)
+    assert format_polynomial(minor, first_index=1) == "x1^3 - x2^2"
 
 
 def test_matrix_rendering():

@@ -135,12 +135,45 @@ def test_failures_carry_counterexample_payload():
     assert case.inputs["expected_gens"] == "x2^3"
 
 
+def _fresh_leading_cache(monkeypatch, compute=None):
+    """Give verify an empty leading-ideal cache for this test only, over
+    `compute` or the cached function itself."""
+    compute = compute or verify._cal_I_leading.__wrapped__
+    fresh = functools.lru_cache(maxsize=None)(compute)
+    monkeypatch.setattr(verify, "_cal_I_leading", fresh)
+    return fresh
+
+
 def _non_artinian_cal_I(monkeypatch):
-    # leading_ideal raises on (x2 x3): its quotient is not Artinian
+    # leading_ideal raises on (x2 x3): its quotient is not Artinian.  The
+    # empty cache makes the patched ideal reach leading_ideal whatever ran
+    # before, and drops what it computed when the test ends.
     from monocurve.groebner import PolyIdeal
 
     x2x3 = PolyIdeal([int_poly({(1, 1): 1}, 2)], 2)
     monkeypatch.setattr(verify, "cal_I", lambda d, n: x2x3)
+    _fresh_leading_cache(monkeypatch)
+
+
+def test_leading_cache_keeps_fields_apart(monkeypatch):
+    computed = []
+    compute = verify._cal_I_leading.__wrapped__
+
+    def record(field_key, d, n):
+        computed.append((field_key, d, n))
+        return compute(field_key, d, n)
+
+    cache = _fresh_leading_cache(monkeypatch, record)
+    with using_field(PrimeField(32003)):
+        modp = check_leading_ideal_equality(3, 2).to_json(include_timing=False)
+    rational = check_leading_ideal_equality(3, 2).to_json(include_timing=False)
+    assert computed == [(("fp", 32003), 3, 1), (("fp", 32003), 3, 2),
+                        (("rational",), 3, 1), (("rational",), 3, 2)]
+    assert cache.cache_info().currsize == 4
+    assert modp == rational
+    # the sanity suite reads the same entries instead of computing them again
+    assert check_construction_sanity(3, 1, 2).all_pass
+    assert len(computed) == 4
 
 
 def test_sanity_reports_a_non_artinian_case(monkeypatch):
