@@ -14,6 +14,7 @@ from .curve import (
     pure_powers,
     range_monomials,
     s_set,
+    substitute_parametrization,
 )
 from .groebner import (
     GroebnerBasis,
@@ -24,7 +25,7 @@ from .groebner import (
 )
 from .ideals import MonomialIdeal, minimal_generators, monomials_between, monomials_of_degree
 from .order import GREVELEX, GRLEX, MonomialOrder, leading_term
-from .poly import Polynomial, PolyMatrix, substitute_parametrization
+from .poly import Polynomial, PolyMatrix
 from .scalars import (
     GFElement,
     PrimeField,

@@ -1,9 +1,12 @@
 """Command-line front end.
 
-Two subcommands: `ideal` prints any of the curve's attached objects, and
-`verify` runs a verification suite over a parameter grid and emits a report
+Two subcommands: `ideal` prints any of the curve's attached objects, one
+row of `IDEAL_KINDS` per kind, and `verify` runs a suite of
+`verify.SUITES`, or all of them, over a parameter grid and emits a report
 as text, JSON, or CSV.  Exit codes: 0 all cases pass, 1 at least one case
-failed, 2 usage or configuration error, including a grid with no cases.
+failed, 2 usage or configuration error, including a grid with no cases and
+an unwritable --out.  `main` prints every usage error, and every
+`ValueError` the library raises on its inputs, as one `error:` line.
 """
 
 from __future__ import annotations
@@ -24,19 +27,42 @@ from .curve import (
     mono_J,
     s_set,
 )
-from .order import GREVELEX
 from .poly import sort_key
 from .render import format_ideal, format_matrix, format_monomial, format_polynomial
 from .scalars import field_from_spec, set_active_field
 
-# The flags each ideal kind reads.  All are required except --m, which only
-# X reads and which defaults to 1.
-IDEAL_KINDS = {"X": ("m",), "fi": ("i",), "calJ": ("i",), "calI": ("n",),
-               "J": ("i",), "I": ("n",), "lambda": ("j", "n"), "S": ("a",)}
 
-
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
+
+
+def _composition(text: str) -> tuple:
+    """The --a composition: comma-separated integers."""
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise UsageError("--a %r: the entries must be integers" % text) from None
+
+
+def _polys(gens) -> str:
+    return ", ".join(map(format_polynomial, gens))
+
+
+# Each ideal kind: the flags it reads and its printer of (d, args).  All
+# flags are required except --m, which only X reads and which defaults to 1.
+IDEAL_KINDS = {
+    "X": (("m",), lambda d, a: format_matrix(
+        build_matrix(CurveParams(d, 1 if a.m is None else a.m)))),
+    "fi": (("i",), lambda d, a: format_polynomial(f_poly(d, a.i))),
+    "calJ": (("i",), lambda d, a: _polys(cal_J(d, a.i).gens)),
+    "calI": (("n",), lambda d, a: _polys(cal_I(d, a.n).gens)),
+    "J": (("i",), lambda d, a: format_ideal(mono_J(d, a.i))),
+    "I": (("n",), lambda d, a: format_ideal(mono_I(d, a.n))),
+    "lambda": (("j", "n"), lambda d, a: ", ".join(
+        "(%s)" % ",".join(map(str, c)) for c in lambda_set(d, a.j, a.n))),
+    "S": (("a",), lambda d, a: ", ".join(
+        map(format_monomial, sorted(s_set(d, _composition(a.a)), key=sort_key)))),
+}
 
 
 def positive_int(text: str) -> int:
@@ -77,11 +103,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_ideal(args) -> int:
-    d = args.d
-    if d < 2:
-        raise UsageError("--d must be at least 2")
     kind = args.kind
-    reads = IDEAL_KINDS[kind]
+    reads, printer = IDEAL_KINDS[kind]
     given = [f for f in ("i", "n", "j", "a", "m") if getattr(args, f) is not None]
     ignored = ["--" + f for f in given if f not in reads]
     if ignored:
@@ -89,25 +112,7 @@ def _cmd_ideal(args) -> int:
     missing = ["--" + f for f in reads if f != "m" and f not in given]
     if missing:
         raise UsageError("--kind %s requires %s" % (kind, ", ".join(missing)))
-    if kind == "X":
-        m = 1 if args.m is None else args.m
-        print(format_matrix(build_matrix(CurveParams(d, m)), GREVELEX, first_index=1))
-    elif kind == "fi":
-        print(format_polynomial(f_poly(d, args.i)))
-    elif kind == "calJ":
-        print(", ".join(format_polynomial(g) for g in cal_J(d, args.i).gens))
-    elif kind == "calI":
-        print(", ".join(format_polynomial(g) for g in cal_I(d, args.n).gens))
-    elif kind == "J":
-        print(format_ideal(mono_J(d, args.i)))
-    elif kind == "I":
-        print(format_ideal(mono_I(d, args.n)))
-    elif kind == "lambda":
-        print(", ".join("(%s)" % ",".join(map(str, a)) for a in lambda_set(d, args.j, args.n)))
-    elif kind == "S":
-        a = tuple(int(x) for x in args.a.split(","))
-        mons = sorted(s_set(d, a), key=sort_key)
-        print(", ".join(format_monomial(m) for m in mons))
+    print(printer(args.d, args))
     return 0
 
 
@@ -118,12 +123,10 @@ def _render_reports(reports, fmt: str) -> str:
         if len(reports) == 1:
             return reports[0].to_json()
         return json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True) + "\n"
-    if fmt == "csv":
-        chunks = [reports[0].to_csv()]
-        for r in reports[1:]:
-            chunks.append("".join(r.to_csv().splitlines(keepends=True)[1:]))  # drop header
-        return "".join(chunks)
-    raise UsageError("unknown format %r" % fmt)
+    chunks = [reports[0].to_csv()]  # csv, the last choice of --format
+    for r in reports[1:]:
+        chunks.append("".join(r.to_csv().splitlines(keepends=True)[1:]))  # drop header
+    return "".join(chunks)
 
 
 def _cmd_verify(args) -> int:
@@ -136,22 +139,17 @@ def _cmd_verify(args) -> int:
     else:
         if args.d is None:
             raise UsageError("--d is required for a single suite")
-        if args.d < 2:
-            raise UsageError("--d must be at least 2")
-        try:
-            reports = [
-                verify.run_suite(
-                    args.suite, args.d, n_max=args.n_max, k=args.k, m=args.m, jobs=args.jobs
-                )
-            ]
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        reports = [verify.run_suite(
+            args.suite, args.d, n_max=args.n_max, k=args.k, m=args.m, jobs=args.jobs)]
     if not any(r.total for r in reports):
         raise UsageError("the grid holds no cases; nothing was verified")
     text = _render_reports(reports, args.format)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError("cannot write --out %s: %s" % (args.out, exc.strerror)) from None
         summary = "; ".join(
             "%s %d/%d" % (r.suite, r.passed, r.total) for r in reports
         )
@@ -162,16 +160,12 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
+        if args.d is not None and args.d < 2:
+            raise UsageError("--d must be at least 2")
         set_active_field(field_from_spec(args.field))
-        if args.command == "ideal":
-            return _cmd_ideal(args)
-        return _cmd_verify(args)
-    except UsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+        return _cmd_ideal(args) if args.command == "ideal" else _cmd_verify(args)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

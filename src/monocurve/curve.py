@@ -3,8 +3,8 @@
 Everything ideal-theoretic lives modulo x_1, in T' = k[x_2, ..., x_d]:
 the structured matrix and its minors, the determinantal ideals and their
 weighted-composition sums, their monomial counterparts, and the S sets.
-The parameter m only enters through the full-ring matrix used in
-parametrization sanity checks.
+The parameter m only enters through the full-ring matrix and the curve's
+parametrization, which the sanity checks use.
 """
 
 from __future__ import annotations
@@ -40,6 +40,27 @@ class CurveParams:
     @property
     def exponents(self) -> tuple[int, ...]:
         return tuple(self.d + i * self.m for i in range(self.d))
+
+
+def substitute_parametrization(f: Polynomial, d: int, m: int) -> Polynomial:
+    """Evaluate a full-ring polynomial on the curve x_i = t^(d + (i-1)m).
+
+    The result is collected as a univariate polynomial in t; callers test it
+    against zero for membership sanity checks.
+    """
+    weights = CurveParams(d, m).exponents
+    if f.varcount != d:
+        raise ValueError("expected a polynomial in the full set of %d variables" % d)
+    out: dict = {}
+    for mono, c in f.terms.items():
+        key = (sum(e * w for e, w in zip(mono, weights)),)
+        s = out.get(key)
+        s = c if s is None else s + c
+        if s:
+            out[key] = s
+        elif key in out:
+            del out[key]
+    return Polynomial(out, 1)
 
 
 # -- the structured matrix and its minors --------------------------------
@@ -204,7 +225,6 @@ def range_monomials(d: int, lo: int, hi: int, degree: int) -> list[tuple]:
     return out
 
 
-@lru_cache(maxsize=None)
 def mono_J(d: int, i: int) -> MonomialIdeal:
     """The (i+1)-st power of (x_{i+1}, ..., x_d) as a monomial ideal."""
     if not 1 <= i <= d - 1:
@@ -212,7 +232,6 @@ def mono_J(d: int, i: int) -> MonomialIdeal:
     return MonomialIdeal(range_monomials(d, i + 1, d, i + 1), d - 1)
 
 
-@lru_cache(maxsize=None)
 def _composition_demands(d: int, n: int) -> tuple:
     """Per composition, the suffix demand vector: entry j-1 holds the degree
     the product forces into variables x_{j+1}, ..., x_d."""
@@ -288,6 +307,8 @@ def s_set(d: int, a) -> frozenset:
     j = len(a)
     if not 1 <= j <= d - 1:
         raise ValueError("composition length out of range")
+    if min(a) < 0:
+        raise ValueError("composition entries must be non-negative, got %r" % (a,))
     if a[-1] == 0:
         raise ValueError("the last entry of the composition must be nonzero")
     v = d - 1

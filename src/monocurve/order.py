@@ -3,46 +3,34 @@
 One order ships by default: a graded order in which, at equal degree, the
 monomial whose exponent-difference vector has a negative left-most nonzero
 entry is the larger one.  This makes x_2 < x_3 < ... < x_d.  An order is a
-sort key on exponent tuples, so tests can plug in an alternative for
+named sort key on exponent tuples, so tests can plug in an alternative for
 differential checks.
 """
 
 from __future__ import annotations
 
 from operator import neg
+from typing import Callable, NamedTuple
 
-from .poly import Polynomial
+from .poly import Polynomial, sort_key
 
 
-class MonomialOrder:
+class MonomialOrder(NamedTuple):
     """Total, graded, multiplicative order given by a sort key."""
 
-    name = "abstract"
-
-    def key(self, m: tuple):
-        raise NotImplementedError
+    name: str
+    key: Callable[[tuple], tuple]
 
 
-class GrevelexOrder(MonomialOrder):
-    """The shipped order: degree first, then left-most negative difference wins."""
-
-    name = "grevelex"
-
-    def key(self, m: tuple):
-        return (sum(m), tuple(map(neg, m)))
+def _grevelex_key(m: tuple) -> tuple:
+    """Degree first, then the left-most negative difference wins."""
+    return (sum(m), tuple(map(neg, m)))
 
 
-class GradedLexOrder(MonomialOrder):
-    """Plain graded lex with x_2 > x_3 > ... > x_d; used for differential testing."""
-
-    name = "grlex"
-
-    def key(self, m: tuple):
-        return (sum(m), m)
-
-
-GREVELEX = GrevelexOrder()
-GRLEX = GradedLexOrder()
+GREVELEX = MonomialOrder("grevelex", _grevelex_key)
+# Plain graded lex with x_2 > x_3 > ... > x_d, the listing key of `poly`;
+# used for differential testing.
+GRLEX = MonomialOrder("grlex", sort_key)
 
 
 def leading_term(f: Polynomial, order: MonomialOrder = GREVELEX):

@@ -11,7 +11,6 @@ names are contextual: position ``p`` means x_{p+2} when working modulo x_1
 
 from __future__ import annotations
 
-from math import gcd
 from operator import add, le
 
 from .scalars import active_field
@@ -201,26 +200,3 @@ def _minor(entries, cols: tuple, memo: dict, varcount: int) -> Polynomial:
             sign = -sign
     memo[cols] = out
     return out
-
-
-def substitute_parametrization(f: Polynomial, d: int, m: int) -> Polynomial:
-    """Evaluate a full-ring polynomial on the curve x_i = t^(d + (i-1)m).
-
-    The result is collected as a univariate polynomial in t; callers test it
-    against zero for membership sanity checks.
-    """
-    if gcd(d, m) != 1:
-        raise ValueError("d and m must be coprime, got d=%d m=%d" % (d, m))
-    if f.varcount != d:
-        raise ValueError("expected a polynomial in the full set of %d variables" % d)
-    weights = [d + i * m for i in range(d)]
-    out: dict = {}
-    for mono, c in f.terms.items():
-        key = (sum(e * w for e, w in zip(mono, weights)),)
-        s = out.get(key)
-        s = c if s is None else s + c
-        if s:
-            out[key] = s
-        elif key in out:
-            del out[key]
-    return Polynomial(out, 1)

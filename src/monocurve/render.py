@@ -1,8 +1,8 @@
 """Text rendering shared by the CLI and the verification reports.
 
-Polynomial terms print in descending order; ideal generators print sorted by
-(degree, exponents) ascending.  Variables are x2..xd by default; full-ring
-values pass first_index=1.
+Polynomial terms print in descending GREVELEX order; ideal generators
+print sorted by (degree, exponents) ascending.  Variables are x2..xd by
+default; full-ring values pass first_index=1.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .ideals import MonomialIdeal
-from .order import GREVELEX, MonomialOrder
+from .order import GREVELEX
 from .poly import Polynomial, PolyMatrix, sort_key
 
 
@@ -31,12 +31,11 @@ def _sign_split(c):
     return "+", c
 
 
-def format_polynomial(f: Polynomial, order: MonomialOrder = GREVELEX, first_index: int = 2) -> str:
+def format_polynomial(f: Polynomial, first_index: int = 2) -> str:
     if f.is_zero():
         return "0"
-    key = order.key
     out = []
-    for m in sorted(f.terms, key=key, reverse=True):
+    for m in sorted(f.terms, key=GREVELEX.key, reverse=True):
         sign, mag = _sign_split(f.terms[m])
         if not any(m):
             body = str(mag)
@@ -57,8 +56,8 @@ def format_ideal(ideal: MonomialIdeal, first_index: int = 2) -> str:
     return ", ".join(format_monomial(g, first_index) for g in sorted(ideal.gens, key=sort_key))
 
 
-def format_matrix(matrix: PolyMatrix, order: MonomialOrder = GREVELEX, first_index: int = 1) -> str:
+def format_matrix(matrix: PolyMatrix, first_index: int = 1) -> str:
     rows = []
     for row in matrix.entries:
-        rows.append("[" + ", ".join(format_polynomial(p, order, first_index) for p in row) + "]")
+        rows.append("[" + ", ".join(format_polynomial(p, first_index) for p in row) + "]")
     return "\n".join(rows)

@@ -117,14 +117,6 @@ class RationalField:
     def coerce(self, n) -> Fraction:
         return Fraction(n)
 
-    @property
-    def one(self):
-        return Fraction(1)
-
-    @property
-    def zero(self):
-        return Fraction(0)
-
     def __repr__(self):
         return "RationalField()"
 
@@ -148,14 +140,6 @@ class PrimeField:
                 raise ZeroDivisionError("denominator vanishes mod %d" % self.p)
             return GFElement(n.numerator, self.p) / GFElement(n.denominator, self.p)
         return GFElement(n, self.p)
-
-    @property
-    def one(self):
-        return GFElement(1, self.p)
-
-    @property
-    def zero(self):
-        return GFElement(0, self.p)
 
     def __repr__(self):
         return "PrimeField(%d)" % self.p

@@ -34,10 +34,11 @@ from .curve import (
     pure_powers,
     range_monomials,
     s_set,
+    substitute_parametrization,
 )
 from .groebner import PolyIdeal, leading_ideal
 from .ideals import MonomialIdeal, monomials_between
-from .poly import pure_power, substitute_parametrization, times
+from .poly import pure_power, times
 from .render import format_ideal, format_monomial
 from .scalars import active_field, using_field
 
@@ -608,16 +609,13 @@ def run_suite(
 
 def run_all(jobs: int = 1) -> list[VerificationReport]:
     """The default desk-scale grid over every suite."""
-    reports = []
-    monomial = [s.check for s in SUITES.values() if not s.groebner and "n_max" in s.flags]
-    for d in (2, 3, 4, 5, 6):
-        nm = default_n_max(d, groebner=False)
-        reports += [check(d, nm, jobs=jobs) for check in monomial]
+    monomial = [name for name, s in SUITES.items() if not s.groebner and "n_max" in s.flags]
+    reports = [run_suite(name, d, jobs=jobs) for d in (2, 3, 4, 5, 6) for name in monomial]
     for d in (2, 3, 4, 5):
-        nm = default_n_max(d, groebner=True)
-        reports.append(check_leading_ideal_equality(d, nm, jobs=jobs))
-        reports.append(check_leading_ideal_equality(d, min(nm, 4), with_f=True, jobs=jobs))
-        reports.append(check_construction_sanity(d, 1, nm, jobs=jobs))
-    for d in (2, 3, 4):
-        reports.append(check_socle(d))
-    return reports
+        with_f_n_max = min(default_n_max(d, groebner=True), 4)
+        reports += [
+            run_suite("leading", d, jobs=jobs),
+            check_leading_ideal_equality(d, with_f_n_max, with_f=True, jobs=jobs),
+            run_suite("sanity", d, jobs=jobs),
+        ]
+    return reports + [run_suite("socle", d, jobs=jobs) for d in (2, 3, 4)]

@@ -211,3 +211,70 @@ def test_non_integer_prime_names_the_spec(capsys):
                            "--field", "fp:x")
     assert code == 2
     assert err == "error: field spec 'fp:x': the prime must be an integer\n"
+
+
+def test_ideal_rejects_negative_composition(capsys):
+    code, out, err = run_cli(capsys, "ideal", "--d", "4", "--kind", "S", "--a", "2,-1,1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "non-negative" in err, err
+
+
+def test_ideal_unparseable_composition_names_the_flag(capsys):
+    code, out, err = run_cli(capsys, "ideal", "--d", "3", "--kind", "S", "--a", "1,x")
+    assert (code, out) == (2, "")
+    assert err == "error: --a '1,x': the entries must be integers\n"
+
+
+def test_verify_unwritable_out_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "r.json"
+    code, out, err = run_cli(capsys, "verify", "--suite", "length", "--d", "3", "--out", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "Traceback" not in err, err
+    assert not path.exists()
+
+
+# The stdout of `monocurve ideal` for every kind: the kinds with coefficients
+# per field (GF(p) prints -1 as p - 1), the others the same under every field.
+IDEAL_ARGS = {
+    "X": ["--d", "3", "--m", "2"],
+    "fi": ["--d", "4", "--i", "2"],
+    "calJ": ["--d", "4", "--i", "2"],
+    "calI": ["--d", "3", "--n", "2"],
+    "J": ["--d", "4", "--i", "2"],
+    "I": ["--d", "4", "--n", "2"],
+    "lambda": ["--d", "4", "--j", "3", "--n", "5"],
+    "S": ["--d", "4", "--a", "1,0,2"],
+}
+IDEAL_OUTPUT = {
+    "X": "[x1, x2, x3]\n[x2, x3, x1^3]\n[x3, x1^3, x1^2*x2]\n",
+    "J": "x4^3, x3*x4^2, x3^2*x4, x3^3\n",
+    "I": "x4^3, x3*x4^2, x3^2*x4, x3^3, x2^2*x4^2, x2^2*x3*x4, x2^2*x3^2, x2^3*x4, x2^3*x3,"
+         " x2^4\n",
+    "lambda": "(2,0,1), (0,1,1)\n",
+    "S": "x2*x4^6, x2*x3*x4^5, x2^2*x4^5\n",
+}
+IDEAL_OUTPUT_BY_FIELD = {
+    "rational": {
+        "fi": "-x3^3 + 2*x2*x3*x4\n",
+        "calJ": "-x3^3 + 2*x2*x3*x4, -x3^2*x4 + x2*x4^2, -x3*x4^2, -x4^3\n",
+        "calI": "x2^4, x2^3*x3, x2^2*x3^2, x2^2*x3^2, x2*x3^3, x3^4, -x3^3\n",
+    },
+    "fp": {
+        "fi": "32002*x3^3 + 2*x2*x3*x4\n",
+        "calJ": "32002*x3^3 + 2*x2*x3*x4, 32002*x3^2*x4 + x2*x4^2, 32002*x3*x4^2, 32002*x4^3\n",
+        "calI": "x2^4, x2^3*x3, x2^2*x3^2, x2^2*x3^2, x2*x3^3, x3^4, 32002*x3^3\n",
+    },
+    "fp:7": {
+        "fi": "6*x3^3 + 2*x2*x3*x4\n",
+        "calJ": "6*x3^3 + 2*x2*x3*x4, 6*x3^2*x4 + x2*x4^2, 6*x3*x4^2, 6*x4^3\n",
+        "calI": "x2^4, x2^3*x3, x2^2*x3^2, x2^2*x3^2, x2*x3^3, x3^4, 6*x3^3\n",
+    },
+}
+
+
+@pytest.mark.parametrize("field", sorted(IDEAL_OUTPUT_BY_FIELD))
+@pytest.mark.parametrize("kind", list(IDEAL_ARGS))
+def test_ideal_output_is_pinned(capsys, field, kind):
+    expected = {**IDEAL_OUTPUT, **IDEAL_OUTPUT_BY_FIELD[field]}[kind]
+    code, out, err = run_cli(capsys, "ideal", "--kind", kind, *IDEAL_ARGS[kind], "--field", field)
+    assert (code, out, err) == (0, expected, "")

@@ -20,6 +20,7 @@ from monocurve.curve import (
     pure_powers,
     range_monomials,
     s_set,
+    substitute_parametrization,
 )
 from monocurve.ideals import MonomialIdeal
 from monocurve.order import leading_term
@@ -132,7 +133,7 @@ def test_minors_match_field_determinants(field):
     # the integer minors mapped into the field against permutation sums
     # over a field-coefficient copy of the matrix
     with using_field(field):
-        one = type(field.one)
+        one = type(field.coerce(1))
         for d in range(2, 7):
             X = field_matrix(build_matrix(CurveParams(d), mod_x1=True))
             for i in range(1, d):
@@ -178,7 +179,7 @@ def test_cal_I_matches_product_oracle(field):
     # the field's coefficients
     grid = [(d, n) for d in range(2, 6) for n in range(1, 5)] + [(6, 3)]
     with using_field(field):
-        one = type(field.one)
+        one = type(field.coerce(1))
         for d, n in grid:
             gens = list(cal_I(d, n).gens)
             oracle = cal_I_products(d, n)
@@ -199,8 +200,6 @@ def test_cal_I_generator_counts():
 
 
 def test_full_minors_vanish_under_substitution():
-    from monocurve.poly import substitute_parametrization
-
     for d, m in ((3, 1), (4, 3)):
         for i in range(1, d):
             for g in full_minors(CurveParams(d, m), i):
@@ -300,6 +299,13 @@ def test_s_set_examples():
 def test_s_set_rejects_zero_tail():
     with pytest.raises(ValueError):
         s_set(3, (1, 0))
+
+
+def test_s_set_rejects_negative_entries():
+    # these once built monomials with negative exponents
+    for d, a in ((4, (2, -1, 1)), (3, (-1, 1)), (3, (1, -1))):
+        with pytest.raises(ValueError, match="non-negative"):
+            s_set(d, a)
 
 
 def test_s_degree_law_and_membership():

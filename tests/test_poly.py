@@ -4,16 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from monocurve.curve import CurveParams, build_matrix
+from monocurve.curve import CurveParams, build_matrix, substitute_parametrization
 from monocurve.order import leading_term
-from monocurve.poly import (
-    Polynomial,
-    PolyMatrix,
-    divides,
-    pure_power,
-    substitute_parametrization,
-    times,
-)
+from monocurve.poly import Polynomial, PolyMatrix, divides, pure_power, times
 from monocurve.scalars import PrimeField, using_field
 
 from oracles import divides_tuple, field_matrix, int_poly as P, leibniz_determinant
@@ -182,8 +175,10 @@ def test_substitution_single_variables():
 
 
 def test_substitution_requires_coprime():
-    with pytest.raises(ValueError):
-        substitute_parametrization(P({(1, 0, 0, 0): 1}, 4), 4, 2)
+    # and, as everywhere else, d >= 2 and m >= 1
+    for d, m in ((4, 2), (4, 0), (4, -1), (1, 1)):
+        with pytest.raises(ValueError):
+            substitute_parametrization(P({(1,) + (0,) * (d - 1): 1}, d), d, m)
 
 
 def test_substitution_requires_full_ring():
