@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import verify
@@ -112,6 +113,8 @@ def _cmd_ideal(args) -> int:
     missing = ["--" + f for f in reads if f != "m" and f not in given]
     if missing:
         raise UsageError("--kind %s requires %s" % (kind, ", ".join(missing)))
+    if args.n is not None and args.n < 0:
+        raise UsageError("--n must be non-negative")
     print(printer(args.d, args))
     return 0
 
@@ -129,27 +132,40 @@ def _render_reports(reports, fmt: str) -> str:
     return "".join(chunks)
 
 
+def _write_out(path: str, text: str, mode: str = "w") -> None:
+    try:
+        with open(path, mode) as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError("cannot write --out %s: %s" % (path, exc.strerror)) from None
+
+
 def _cmd_verify(args) -> int:
     if args.suite == "all":
         given = [f for f in ("d", "n_max", "k", "m") if getattr(args, f) is not None]
         if given:
             raise UsageError("--suite all runs its own grid; it does not read %s"
                              % ", ".join("--" + f.replace("_", "-") for f in given))
+    elif args.d is None:
+        raise UsageError("--d is required for a single suite")
+    if args.out:
+        # an unwritable --out fails before the grid runs; appending nothing
+        # leaves an existing file as it was, and a file made for the check
+        # is removed, so a run that fails changes no file
+        existed = os.path.lexists(args.out)
+        _write_out(args.out, "", "a")
+        if not existed:
+            os.remove(args.out)
+    if args.suite == "all":
         reports = verify.run_all(jobs=args.jobs)
     else:
-        if args.d is None:
-            raise UsageError("--d is required for a single suite")
         reports = [verify.run_suite(
             args.suite, args.d, n_max=args.n_max, k=args.k, m=args.m, jobs=args.jobs)]
     if not any(r.total for r in reports):
         raise UsageError("the grid holds no cases; nothing was verified")
     text = _render_reports(reports, args.format)
     if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise UsageError("cannot write --out %s: %s" % (args.out, exc.strerror)) from None
+        _write_out(args.out, text)
         summary = "; ".join(
             "%s %d/%d" % (r.suite, r.passed, r.total) for r in reports
         )

@@ -232,41 +232,71 @@ def mono_J(d: int, i: int) -> MonomialIdeal:
     return MonomialIdeal(range_monomials(d, i + 1, d, i + 1), d - 1)
 
 
-def _composition_demands(d: int, n: int) -> tuple:
-    """Per composition, the suffix demand vector: entry j-1 holds the degree
-    the product forces into variables x_{j+1}, ..., x_d."""
-    out = []
-    for a in compositions(d, n):
-        dem = [0] * (d - 1)
-        acc = 0
-        for j in range(d - 1, 0, -1):
-            acc += (j + 1) * a[j - 1]
-            dem[j - 1] = acc
-        out.append(tuple(dem))
-    return tuple(out)
+def nu(u) -> int:
+    """The order of a monomial of T' in the filtration: the largest n with u in I_n.
+
+    u is an exponent tuple over x_2, ..., x_d; u_i below is the exponent of
+    x_i.  A product J_1^{a_1} ... J_{d-1}^{a_{d-1}} contains u iff every
+    suffix sum S_j(u) = u_{j+1} + ... + u_d is at least the sum over i >= j of
+    (i+1) a_i (the variable sets are nested suffixes, so Hall's condition
+    reduces to these), so nu(u) is the largest sum of i a_i under those
+    constraints.  Greedy from x_d down takes a_j = (S_j - used) // (j+1) and
+    adds (j+1) a_j to `used`; the leftover passes down with x_j's exponent.
+
+    Greedy is optimal, by an exchange argument and induction on d.  Fixing
+    a_L at the top level L = d-1 leaves the same problem one level lower,
+    with x_L's exponent raised by the leftover u_d - (L+1) a_L.  So lowering
+    a_L by one gives up L and hands L+1 units of x_L down, which buy at most L
+    there: one extra unit on any variable raises the order by at most 1
+    (shrinking the highest block by one unit undoes it), and with L+1 extra
+    units on x_L the lower greedy optimum (induction) holds a block of index
+    L-1; removing it returns L of the units at a loss of L-1, and the last
+    unit adds at most 1.  So a_L as large as possible is optimal, and the
+    levels below are greedy by induction.
+    """
+    slack = order = 0
+    for j in range(len(u), 0, -1):
+        a, slack = divmod(slack + u[j - 1], j + 1)
+        order += j * a
+    return order
 
 
-def _emit_block_product_gens(dem: tuple, exps: list, p: int, s: int, out: set) -> None:
-    """Generators of one product of variable-power ideals: monomials of exact
-    degree dem[0] whose suffix sums dominate the demand vector.
+def _emit_generators(n: int, exps: list, p: int, slack: int, order: int, budget: int,
+                     out: list) -> bool:
+    """Append the minimal generators of I_n whose exponents above position p
+    are those of `exps`, and return whether that prefix with zeros at
+    positions p, ..., 0 already lies in I_n.
 
-    Fills positions p, ..., 0 of `exps`, whose later positions sum to s.  It
-    recurses at module level: a nested recursive closure is a reference
-    cycle that keeps `out` alive until the cyclic collector runs.
+    `slack` and `order` are nu's greedy state after the levels above p, and
+    `budget` is what is left of the degree bound 2n: nu(u) >= deg(u) // 2
+    (blocks of size 2 alone), so u of degree above 2n keeps order n without
+    any one unit and is not minimal.  Once a prefix lies in I_n, raising its
+    last exponent gives no new generator.  It recurses at module level: a
+    nested recursive closure is a reference cycle that keeps `out` alive
+    until the cyclic collector runs.
     """
     if p == 0:
-        exps[0] = dem[0] - s
-        out.add(tuple(exps))
-        return
-    for e in range(max(0, dem[p] - s), dem[0] - s + 1):
+        low = max(2 * (n - order) - slack, 0)  # the least x_2 exponent reaching n
+        u = (low,) + tuple(exps[1:])
+        # minimal in x_2 by the choice of low; test the other variables
+        if all(nu(u[:q] + (u[q] - 1,) + u[q + 1:]) < n for q in range(1, len(u)) if u[q]):
+            out.append(u)
+        return low == 0
+    for e in range(budget + 1):
         exps[p] = e
-        _emit_block_product_gens(dem, exps, p - 1, s + e, out)
+        a, rest = divmod(slack + e, p + 2)
+        if _emit_generators(n, exps, p - 1, rest, order + (p + 1) * a, budget - e, out):
+            exps[p] = 0
+            return e == 0
     exps[p] = 0
+    return False
 
 
 @lru_cache(maxsize=None)
 def mono_I(d: int, n: int) -> MonomialIdeal:
-    """The weighted-composition sum of powers of the mono_J ideals.
+    """The weighted-composition sum of powers of the mono_J ideals: the
+    monomials u with nu(u) >= n.  Its minimal generators are the u with
+    nu(u) >= n and nu(u - e_p) < n for every p in the support of u.
 
     By convention I_n is the unit ideal for n <= 0 (needed so the alternating
     length sums telescope at the boundary).
@@ -274,10 +304,9 @@ def mono_I(d: int, n: int) -> MonomialIdeal:
     v = d - 1
     if n <= 0:
         return MonomialIdeal.unit(v)
-    candidates: set = set()
-    for dem in set(_composition_demands(d, n)):
-        _emit_block_product_gens(dem, [0] * v, v - 1, 0, candidates)
-    return MonomialIdeal(candidates, v)
+    gens: list = []
+    _emit_generators(n, [0] * v, v - 1, 0, 0, 2 * n, gens)
+    return MonomialIdeal(gens, v)
 
 
 def pure_powers(d: int, k: int) -> list[tuple]:

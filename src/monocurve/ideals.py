@@ -11,6 +11,8 @@ every report is deterministic.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 from .order import GREVELEX
 from .poly import sort_key
 
@@ -114,6 +116,11 @@ def minimal_generators(monomials) -> tuple:
     return tuple(out)
 
 
+def colon_exps(g: tuple, m: tuple) -> tuple:
+    """g / gcd(g, m): the generator of (g) : m."""
+    return tuple(max(a - b, 0) for a, b in zip(g, m))
+
+
 def monomials_of_degree(varcount: int, degree: int):
     """All exponent tuples of the given total degree, lexicographically."""
     if varcount == 0:
@@ -201,9 +208,7 @@ class MonomialIdeal:
         """(I : m), generated by g / gcd(g, m)."""
         if len(m) != self.varcount:
             raise ValueError("variable count mismatch")
-        return MonomialIdeal(
-            [tuple(max(a - b, 0) for a, b in zip(g, m)) for g in self.gens], self.varcount
-        )
+        return MonomialIdeal([colon_exps(g, m) for g in self.gens], self.varcount)
 
     # -- Artinian structure ----------------------------------------------
 
@@ -221,13 +226,14 @@ class MonomialIdeal:
         return sum(1 for _ in (self._index or self._build_index()).standard_monomials())
 
 
-def monomials_between(inner: MonomialIdeal, outer: MonomialIdeal) -> list[tuple]:
-    """Monomials lying in `outer` but not in `inner`, by degree and then in
-    decreasing lex order; `inner` must be Artinian.
+def monomials_between(inner: MonomialIdeal, in_outer: Callable[[tuple], bool]) -> list[tuple]:
+    """Monomials passing the membership test `in_outer` (such as an outer
+    ideal's `contains`) but not in `inner`, by degree and then in decreasing
+    lex order; `inner` must be Artinian.
 
-    Filters the staircase of `inner` through `outer`.
+    Filters the staircase of `inner` through `in_outer`.
     """
     if not inner.is_artinian():
         raise ValueError("difference against a non-Artinian ideal is infinite")
     walk = (inner._index or inner._build_index()).standard_monomials()
-    return sorted(filter(outer.contains, walk), key=GREVELEX.key)
+    return sorted(filter(in_outer, walk), key=GREVELEX.key)

@@ -31,13 +31,14 @@ from .curve import (
     lambda_set,
     mono_I,
     mono_J,
+    nu,
     pure_powers,
     range_monomials,
     s_set,
     substitute_parametrization,
 )
 from .groebner import PolyIdeal, leading_ideal
-from .ideals import MonomialIdeal, monomials_between
+from .ideals import MonomialIdeal, colon_exps, monomials_between
 from .poly import pure_power, times
 from .render import format_ideal, format_monomial
 from .scalars import active_field, using_field
@@ -203,9 +204,7 @@ def _case_regseq(args) -> Case:
     # (A + B) : m = (A : m) + (B : m), so the sum is coloned generator by
     # generator and minimalized once
     xi = pure_power(i - 2, v, i)
-    actual = MonomialIdeal(
-        [tuple(max(a - b, 0) for a, b in zip(g, xi)) for g in _filtration_sum(d, n + i, i)], v
-    )
+    actual = MonomialIdeal([colon_exps(g, xi) for g in _filtration_sum(d, n + i, i)], v)
     expected = MonomialIdeal(_filtration_sum(d, n + 1, i), v)
     return _ideal_case({"d": d, "n": n, "i": i}, actual, expected)
 
@@ -313,7 +312,7 @@ def _case_spanning(args) -> Case:
                     listed.add(times(s, mu))
     spanning = True
     witness_missing = None
-    for m in monomials_between(col, prev):
+    for m in monomials_between(col, prev.contains):
         if m not in listed:
             spanning = False
             witness_missing = m
@@ -507,6 +506,19 @@ def _reduction_denominator(d: int, n: int) -> MonomialIdeal:
     return MonomialIdeal(_filtration_sum(d, n + 1, d + 1), d - 1)
 
 
+def _in_denominator(d: int, n: int, u: tuple) -> bool:
+    """Membership in _reduction_denominator(d, n) by the order function:
+    nu(u) >= n+1, or some x_{j+1}^{j+1} divides u with nu(u / x_{j+1}^{j+1})
+    >= n-j (always true for n <= j, as I_{n-j} is then the unit ideal)."""
+    if nu(u) > n:
+        return True
+    for j in range(1, d):
+        e = u[j - 1]
+        if e > j and nu(u[:j - 1] + (e - j - 1,) + u[j:]) >= n - j:
+            return True
+    return False
+
+
 def _reduction_pieces(d: int) -> list[list[tuple]]:
     cap = d * (d - 1) // 2 + d
     pieces = []
@@ -518,7 +530,7 @@ def _reduction_pieces(d: int) -> list[list[tuple]]:
             raise InvariantViolation(
                 "Artinian reduction still has nonzero pieces past level %d" % cap
             )
-        basis = monomials_between(_reduction_denominator(d, n), mono_I(d, n))
+        basis = monomials_between(_reduction_denominator(d, n), lambda u: nu(u) >= n)
         pieces.append(basis)
         zeros = zeros + 1 if not basis else 0
         n += 1
@@ -534,10 +546,7 @@ def _case_socle(d: int) -> Case:
     socle_elements = []
     for level, basis in enumerate(pieces):
         for u in basis:
-            if all(
-                _reduction_denominator(d, level + j).contains(times(u, w))
-                for j, w in multipliers
-            ):
+            if all(_in_denominator(d, level + j, times(u, w)) for j, w in multipliers):
                 socle_elements.append((level, u))
     dim = len(socle_elements)
     return Case(

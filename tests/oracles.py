@@ -11,7 +11,9 @@ order from a literal transcription of its definition, S-polynomials from
 theirs with leading terms picked by that order, leading monomials of
 minors from their anti-diagonals, membership in products of
 variable-range powers from Hall's condition, membership in I_n from suffix
-degree sums against each composition's demands, and the filtration sums from
+degree sums against each composition's demands, the order function nu by
+maximising over every composition, the generators of I_n from each
+composition's block products minimalized together, and the filtration sums from
 the package's ideal sums chained one summand at a time rather than from
 one generator list, and the generators of cal_I from every product of
 field-coefficient minors multiplied out on its own.
@@ -228,6 +230,51 @@ def in_ideal_family(d: int, n: int, m) -> bool:
         if all(dm <= s for dm, s in zip(demand, suffix)):
             return True
     return False
+
+
+def nu_bruteforce(d: int, m) -> int:
+    """The largest n with m in I_n, over every composition of weight up to
+    deg(m) (at least 0, where the unit ideal contains m)."""
+    return max(n for n in range(sum(m) + 1) if in_ideal_family(d, n, m))
+
+
+def _composition_demands(d: int, n: int) -> tuple:
+    """Per composition, the suffix demand vector: entry j-1 holds the degree
+    the product forces into variables x_{j+1}, ..., x_d."""
+    out = []
+    for a in compositions(d, n):
+        dem = [0] * (d - 1)
+        acc = 0
+        for j in range(d - 1, 0, -1):
+            acc += (j + 1) * a[j - 1]
+            dem[j - 1] = acc
+        out.append(tuple(dem))
+    return tuple(out)
+
+
+def _emit_block_product_gens(dem: tuple, exps: list, p: int, s: int, out: set) -> None:
+    """Generators of one product of variable-power ideals: monomials of exact
+    degree dem[0] whose suffix sums dominate the demand vector.
+
+    Fills positions p, ..., 0 of `exps`, whose later positions sum to s.
+    """
+    if p == 0:
+        exps[0] = dem[0] - s
+        out.add(tuple(exps))
+        return
+    for e in range(max(0, dem[p] - s), dem[0] - s + 1):
+        exps[p] = e
+        _emit_block_product_gens(dem, exps, p - 1, s + e, out)
+    exps[p] = 0
+
+
+def block_product_generators(d: int, n: int) -> tuple:
+    """The minimal generators of I_n (n >= 1): every composition's block
+    product generators, minimalized together."""
+    candidates: set = set()
+    for dem in set(_composition_demands(d, n)):
+        _emit_block_product_gens(dem, [0] * (d - 1), d - 2, 0, candidates)
+    return MonomialIdeal(candidates, d - 1).gens
 
 
 def grevelex_greater(a, b) -> bool:

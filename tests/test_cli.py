@@ -225,6 +225,44 @@ def test_ideal_unparseable_composition_names_the_flag(capsys):
     assert err == "error: --a '1,x': the entries must be integers\n"
 
 
+@pytest.mark.parametrize("argv, runner", [
+    (["--suite", "all"], "run_all"),
+    (["--suite", "length", "--d", "3"], "run_suite"),
+])
+def test_verify_checks_out_before_the_grid(tmp_path, capsys, monkeypatch, argv, runner):
+    def never(*args, **kwargs):
+        raise AssertionError("the grid ran before --out was checked")
+
+    monkeypatch.setattr(verify, runner, never)
+    path = tmp_path / "missing" / "r.json"
+    code, out, err = run_cli(capsys, "verify", *argv, "--out", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write --out %s: " % path), err
+
+
+@pytest.mark.parametrize("earlier", ["earlier report\n", None])
+def test_verify_usage_error_leaves_out_as_it_was(tmp_path, capsys, earlier):
+    path = tmp_path / "r.json"
+    if earlier is not None:
+        path.write_text(earlier)
+    code, _, err = run_cli(
+        capsys, "verify", "--suite", "length", "--d", "3", "--n-max", "0", "--out", str(path))
+    assert code == 2 and "no cases" in err
+    assert (path.read_text() if path.exists() else None) == earlier
+
+
+@pytest.mark.parametrize("kind, argv", [
+    ("I", ["--n"]),
+    ("lambda", ["--j", "2", "--n"]),
+    ("calI", ["--n"]),
+])
+def test_ideal_rejects_negative_n(capsys, kind, argv):
+    code, out, err = run_cli(capsys, "ideal", "--d", "3", "--kind", kind, *argv, "-3")
+    assert (code, out, err) == (2, "", "error: --n must be non-negative\n")
+    code, out, err = run_cli(capsys, "ideal", "--d", "3", "--kind", kind, *argv, "0")
+    assert (code, out, err) == (0, {"I": "1\n", "lambda": "\n", "calI": "1\n"}[kind], "")
+
+
 def test_verify_unwritable_out_is_usage_error(tmp_path, capsys):
     path = tmp_path / "missing" / "r.json"
     code, out, err = run_cli(capsys, "verify", "--suite", "length", "--d", "3", "--out", str(path))

@@ -17,24 +17,27 @@ from monocurve.curve import (
     minor_polynomials,
     mono_I,
     mono_J,
+    nu,
     pure_powers,
     range_monomials,
     s_set,
     substitute_parametrization,
 )
-from monocurve.ideals import MonomialIdeal
+from monocurve.ideals import MonomialIdeal, monomials_of_degree
 from monocurve.order import leading_term
 from monocurve.poly import pure_power, times
 from monocurve.scalars import RATIONALS, GFElement, PrimeField, using_field
 
 from oracles import (
     antidiagonal_product,
+    block_product_generators,
     cal_I_products,
     field_matrix,
     ideal_power,
     ideal_product,
     in_ideal_family,
     leibniz_determinant,
+    nu_bruteforce,
 )
 
 
@@ -253,6 +256,32 @@ def test_in_ideal_family_matches_generator_divisibility():
         v = d - 1
         m = tuple(rng.randint(0, 4) for _ in range(v))
         assert in_ideal_family(d, n, m) == mono_I(d, n).contains(m)
+
+
+@pytest.mark.parametrize("d, max_degree", [(2, 10), (3, 10), (4, 10), (5, 10), (6, 8)])
+def test_nu_greedy_equals_bruteforce(d, max_degree):
+    for degree in range(max_degree + 1):
+        for u in monomials_of_degree(d - 1, degree):
+            assert nu(u) == nu_bruteforce(d, u), u
+
+
+@pytest.mark.parametrize("d, n_max", [(2, 8), (3, 8), (4, 6), (5, 5), (6, 4)])
+def test_nu_decides_membership_in_I_n(d, n_max):
+    # every monomial up to one degree past the largest generator, 2 n_max
+    for degree in range(2 * n_max + 2):
+        for u in monomials_of_degree(d - 1, degree):
+            order = nu(u)
+            for n in range(n_max + 1):
+                assert (order >= n) == mono_I(d, n).contains(u) == in_ideal_family(d, n, u), (u, n)
+
+
+@pytest.mark.parametrize("d, n_max", [(2, 6), (3, 6), (4, 6), (5, 8), (6, 6)])
+def test_mono_I_matches_block_product_emitter(d, n_max):
+    # the default monomial grids; no generator lies above degree 2n
+    for n in range(1, n_max + 1):
+        gens = mono_I(d, n).gens
+        assert gens == block_product_generators(d, n), (d, n)
+        assert max(map(sum, gens)) <= 2 * n
 
 
 def test_pure_powers_list():

@@ -8,7 +8,8 @@ import pytest
 
 from monocurve import verify
 from monocurve.cli import main
-from monocurve.ideals import MonomialIdeal
+from monocurve.curve import mono_I
+from monocurve.ideals import MonomialIdeal, monomials_between
 from monocurve.poly import pure_power
 from monocurve.scalars import PrimeField, active_field, using_field
 from monocurve.verify import (
@@ -216,6 +217,16 @@ def test_filtration_sum_matches_chained_sums():
                     coloned = [tuple(max(a - b, 0) for a, b in zip(g, xi)) for g in gens]
                     assert MonomialIdeal(coloned, v) == oracle.colon_mon(xi), (d, N, i)
             assert verify._reduction_denominator(d, N) == filtration_sum_chained(d, N + 1, d + 1)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_denominator_membership_by_order_function(d):
+    # every monomial outside I_{n+1}, which lies inside the denominator:
+    # the denominator's whole staircase and its members below I_{n+1}
+    for n in range(d * (d - 1) // 2 + d + 1):
+        denominator = verify._reduction_denominator(d, n)
+        for u in monomials_between(mono_I(d, n + 1), lambda u: True):
+            assert verify._in_denominator(d, n, u) == denominator.contains(u), (n, u)
 
 
 def test_socle_dimensions():
