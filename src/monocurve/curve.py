@@ -213,7 +213,7 @@ def range_monomials(d: int, lo: int, hi: int, degree: int) -> list[tuple]:
     if not 2 <= lo or not hi <= d:
         raise ValueError("variable range out of bounds")
     if lo > hi:
-        return [] if degree > 0 else [(0,) * (d - 1)]
+        return [(0,) * (d - 1)] if degree == 0 else []
     width = hi - lo + 1
     offset = lo - 2
     v = d - 1

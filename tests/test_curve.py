@@ -284,6 +284,14 @@ def test_mono_I_matches_block_product_emitter(d, n_max):
         assert max(map(sum, gens)) <= 2 * n
 
 
+def test_range_monomials_negative_degree():
+    assert range_monomials(4, 3, 3, -2) == []
+    assert range_monomials(4, 2, 4, -1) == []
+    assert range_monomials(4, 4, 3, -1) == []  # empty variable range
+    assert range_monomials(4, 4, 3, 0) == [(0, 0, 0)]
+    assert range_monomials(4, 3, 3, 2) == [(0, 2, 0)]
+
+
 def test_pure_powers_list():
     assert pure_powers(4, 3) == [(2, 0, 0), (0, 3, 0)]
     assert pure_powers(4, 1) == []

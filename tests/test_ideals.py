@@ -3,9 +3,16 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from monocurve.curve import mono_I, range_monomials
-from monocurve.ideals import MonomialIdeal, minimal_generators, monomials_between
+from monocurve.curve import mono_I, pure_powers, range_monomials
+from monocurve.ideals import (
+    MonomialIdeal,
+    colon_exps,
+    minimal_generators,
+    monomials_between,
+    monomials_of_degree,
+)
 from monocurve.poly import pure_power, times
+from monocurve.verify import _filtration_sum
 
 from oracles import (
     divides_tuple,
@@ -69,6 +76,30 @@ def test_minimal_generators_match_all_pairs_definition(case):
 ])
 def test_minimal_generators_edge_cases(exps_list, want):
     assert list(minimal_generators(exps_list)) == want == minimal_generators_naive(exps_list)
+
+
+@pytest.mark.parametrize("d,n_max", [(4, 6), (5, 4)])
+def test_minimal_generators_on_regseq_inputs(d, n_max):
+    # the sums the regseq suite minimalizes: I_{n+1} + sum of x_j^j I_{n+1-j},
+    # and the same sum at n+i coloned by x_i^i, generator by generator
+    for n in range(1, n_max + 1):
+        for i in range(2, d + 1):
+            xi = pure_power(i - 2, d - 1, i)
+            for gens in ([colon_exps(g, xi) for g in _filtration_sum(d, n + i, i)],
+                         _filtration_sum(d, n + 1, i)):
+                assert list(minimal_generators(gens)) == minimal_generators_naive(gens), (d, n, i)
+
+
+def test_minimal_generators_rejects_mixed_lengths():
+    for gens in ([(1, 2), (3,)], [(0, 0), (1,)], [(1, 2), (3, 0, 0)]):
+        with pytest.raises(ValueError, match="different lengths"):
+            minimal_generators(gens)
+
+
+def test_minimal_generators_rejects_negative_exponents():
+    for gens in ([(2, 0), (1, -1)], [(0, 0), (1, -1)], [(-1,)]):
+        with pytest.raises(ValueError, match="negative exponent"):
+            minimal_generators(gens)
 
 
 def test_ideal_needs_a_variable():
@@ -165,6 +196,55 @@ def test_contains_edge_cases():
     assert MonomialIdeal([(1, 0, 2), (1, 0, 2)], 3).contains((1, 1, 2))
 
 
+@settings(max_examples=150, deadline=None)
+@given(exponent_lists(max_size=8), st.data())
+def test_contains_beyond_the_stored_exponents(case, data):
+    # probes reach past every stored exponent and below zero
+    v, exps_list = case
+    ideal = MonomialIdeal(exps_list, v)
+    probes = data.draw(st.lists(st.tuples(*[st.integers(-2, 12)] * v), min_size=1, max_size=10))
+    for p in probes:
+        expected = min(p) >= 0 and any(divides_tuple(g, p) for g in exps_list)
+        assert ideal.contains(p) == expected
+
+
+def test_contains_index_edge_cases():
+    ideal = MonomialIdeal([(2, 3), (5, 0)], 2)
+    assert ideal.contains((10**6, 10**6))
+    assert ideal.contains((5, 10**6))
+    assert not ideal.contains((1, 10**6))
+    assert not ideal.contains((4, 2))
+    # a negative exponent is never divisible, even by the unit
+    assert not ideal.contains((10**6, -1))
+    assert not MonomialIdeal.unit(2).contains((-1, 0))
+    assert MonomialIdeal.unit(2).contains((10**6, 0))
+    one_var = MonomialIdeal([(3,)], 1)
+    assert one_var.contains((10**6,))
+    assert not one_var.contains((2,))
+    assert not one_var.contains((-3,))
+    assert not MonomialIdeal.zero(1).contains((10**6,))
+    assert not MonomialIdeal.zero(3).contains((-1, 0, 0))
+
+
+@pytest.mark.parametrize("ideal", [
+    MonomialIdeal([(2, 0), (0, 3)], 2),
+    MonomialIdeal.unit(2),
+    MonomialIdeal.zero(2),
+])
+def test_contains_rejects_wrong_length(ideal):
+    for m in ((5, 5, 5), (1,), ()):
+        with pytest.raises(ValueError, match="variable count mismatch"):
+            ideal.contains(m)
+
+
+def test_negative_degree_has_no_monomials():
+    for varcount in range(4):
+        assert list(monomials_of_degree(varcount, -1)) == []
+        assert list(monomials_of_degree(varcount, -3)) == []
+    assert list(monomials_of_degree(1, 2)) == [(2,)]
+    assert list(monomials_of_degree(0, 0)) == [()]
+
+
 def test_equality_ignores_presentation_order():
     gens = [(2, 0), (1, 1), (0, 3)]
     shuffled = list(gens)
@@ -235,8 +315,18 @@ def test_monomials_between_against_box_walk(case, data):
     outer_gens = data.draw(st.lists(st.tuples(*[st.integers(0, 3)] * v), max_size=4))
     outer = MonomialIdeal(outer_gens, v)
     assert monomials_between(inner, outer.contains) == monomials_between_box(inner, outer)
-    walk = list(inner._build_index().standard_monomials())
+    walk = list(inner._staircase().standard_monomials())
     assert len(walk) == len(set(walk)) == inner.length_quotient()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_length_count_equals_walk(d):
+    # the staircase counted per key range against the walk listing it, on
+    # the ideals of the alternating suite: I_n + (x_2^2, ..., x_k^k)
+    for n in range(0, 7):
+        for k in range(1, d + 1):
+            ideal = mono_I(d, n) + MonomialIdeal(pure_powers(d, k), d - 1)
+            assert ideal.length_quotient() == len(monomials_between(ideal, lambda u: True))
 
 
 def test_colon_identity_full_invariant_grid():
