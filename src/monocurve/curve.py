@@ -96,7 +96,8 @@ def build_matrix(params: CurveParams, mod_x1: bool = False) -> PolyMatrix:
 # The matrix has integer entries, so its minors are computed once over the
 # integers and cached for every field.  The field-coefficient copies are
 # keyed by the active field's key: a run under GF(p) never sees Q
-# coefficients.
+# coefficients.  The products that generate cal_I are taken over the
+# integers too.
 
 
 @lru_cache(maxsize=None)
@@ -159,34 +160,34 @@ def compositions(d: int, n: int) -> tuple:
     return tuple(rec(d - 1, n))
 
 
-def _slot_products(slots: list, k: int, lo: int, prefix, coerce, out: list) -> None:
+def _slot_products(slots: list, k: int, lo: int, prefix, out: list) -> None:
     """Append to `out` every product that fills factor slots k, k+1, ... .
 
     slots[k] is (minors, opens_block).  Inside a block the minor index never
     decreases, so slot k starts at index `lo` unless it opens a block.  Each
     product is its prefix times one minor, so a shared prefix is multiplied
     once; the walk is the lexicographic order of the index tuples and the
-    products associate left to right.  Each full product is mapped into the
-    field once; `PolyIdeal` drops any that vanish there.  It recurses at
-    module level, like `_minor`.
+    products associate left to right.  It recurses at module level, like
+    `_minor`.
     """
     minors, opens_block = slots[k]
     last = k + 1 == len(slots)
     for j in range(0 if opens_block else lo, len(minors)):
         f = minors[j] if prefix is None else prefix * minors[j]
         if last:
-            out.append(_in_field(f, coerce))
+            out.append(f)
         else:
-            _slot_products(slots, k + 1, j, f, coerce, out)
+            _slot_products(slots, k + 1, j, f, out)
 
 
-def cal_I(d: int, n: int) -> PolyIdeal:
-    """Weighted sum of products of the minor ideals; n = 0 is the unit ideal.
+def integer_cal_I(d: int, n: int) -> list[Polynomial]:
+    """The generators of cal_I(d, n) with their integer coefficients, before
+    any field sees them; n = 0 gives the constant 1.
 
     For each composition a of n (colex order) the generators are the products
     of a_1 minors of size 2, then a_2 of size 3, and so on, each block a
     multiset of minors in lexicographic order.  The products are taken over
-    the integers, sharing prefixes, and mapped into the active field.
+    the integers, sharing prefixes.
     """
     if d < 2:
         raise ValueError("d must be at least 2")
@@ -194,15 +195,22 @@ def cal_I(d: int, n: int) -> PolyIdeal:
         raise ValueError("n must be non-negative")
     v = d - 1
     if n == 0:
-        return PolyIdeal([Polynomial.constant(1, v)], v)
-    gens = []
-    coerce = active_field().coerce
+        return [Polynomial({(0,) * v: 1}, v)]
+    gens: list = []
     for a in compositions(d, n):
         slots = []
         for i, ai in enumerate(a, start=1):
             slots += [(_int_minors(d, i), s == 0) for s in range(ai)]
-        _slot_products(slots, 0, 0, None, coerce, gens)
-    return PolyIdeal(gens, v)
+        _slot_products(slots, 0, 0, None, gens)
+    return gens
+
+
+def cal_I(d: int, n: int) -> PolyIdeal:
+    """Weighted sum of products of the minor ideals; n = 0 is the unit ideal.
+    Its generators are `integer_cal_I`'s, each mapped into the active field
+    once; `PolyIdeal` drops any that vanish there."""
+    coerce = active_field().coerce
+    return PolyIdeal([_in_field(f, coerce) for f in integer_cal_I(d, n)], d - 1)
 
 
 # -- the monomial side -----------------------------------------------------

@@ -2,20 +2,23 @@
 
 `leading_ideal`, which the suites call, reads the leading ideal off one
 degree-by-degree echelon form of the Macaulay matrices (Lazard, EUROCAL
-1983).  `buchberger` is the general reduced-basis routine and the tests'
+1983), eliminating over Python ints: fraction-free over Q, residues over
+GF(p).  `buchberger` is the general reduced-basis routine and the tests'
 independent route: Gebauer-Moeller pair update, pairs by increasing lcm
-degree with ties broken by the order, so output is deterministic.
+degree with ties broken by the order, so output is deterministic; it
+reduces through `normal_form`.
 """
 
 from __future__ import annotations
 
 import heapq
-from math import comb
+from math import gcd, lcm
 from operator import sub
 
-from .ideals import MonomialIdeal
+from .ideals import MonomialIdeal, monomials_of_degree
 from .order import GREVELEX, MonomialOrder, leading_term
 from .poly import Polynomial, divides, pure_power, times
+from .scalars import active_field
 
 
 class PolyIdeal:
@@ -61,23 +64,17 @@ def normal_form(f: Polynomial, basis, order: MonomialOrder = GREVELEX) -> Polyno
 
     No monomial of the result is divisible by any leading monomial of the
     basis, and f minus the result lies in the ideal the basis generates.
-    `basis` holds polynomials; or is the `_Divisors` list `buchberger`
-    keeps, whose leading terms are not computed again; or is a dict from
-    leading monomial to such a triple, as `leading_ideal` keeps, with every
-    lead of the degree of a homogeneous f: a lead then divides a monomial
-    of f only by being it, so the divisor is looked up, not searched for.
+    `basis` holds polynomials, or is the `_Divisors` list `buchberger`
+    keeps, whose leading terms are not computed again.
     """
-    if isinstance(basis, dict):
-        find = basis.get
-    else:
-        if not isinstance(basis, _Divisors):
-            basis = [leading_term(g, order) + (g,) for g in basis if g]
+    if not isinstance(basis, _Divisors):
+        basis = [leading_term(g, order) + (g,) for g in basis if g]
 
-        def find(m):
-            for t in basis:
-                if divides(t[0], m):
-                    return t
-            return None
+    def find(m):
+        for t in basis:
+            if divides(t[0], m):
+                return t
+        return None
 
     key = order.key
     work = dict(f.terms)
@@ -196,49 +193,132 @@ def buchberger(ideal: PolyIdeal, order: MonomialOrder = GREVELEX) -> GroebnerBas
     return GroebnerBasis(reduced, order)
 
 
+def _integer_terms(terms: dict, p: int) -> dict:
+    """A generator's terms as nonzero ints: over Q (p = 0) times the least
+    common denominator of its coefficients, over GF(p) as residues mod p.
+    Coefficients are ints, or elements of the active field."""
+    if not p:
+        if all(type(c) is int for c in terms.values()):
+            return terms
+        den = lcm(*(c.denominator for c in terms.values()))
+        return {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
+    coerce = active_field().coerce
+    residues = {m: c % p if type(c) is int else coerce(c).val for m, c in terms.items()}
+    return {m: c for m, c in residues.items() if c}
+
+
+def _top_reduce(row: dict, pivots: dict, p: int) -> int | None:
+    """Cancel the row's leading column against the pivot there until no
+    pivot leads where the row does.  The row is updated in place; returns
+    its leading column, or None when it reduced to zero.
+
+    Over GF(p) pivots are monic.  Over Q, with lc the pivot's leading
+    coefficient and c the row's, r <- (lc/g) r - (c/g) pivot, g = gcd(c, lc),
+    stays in the integers (Bareiss, Math. Comp. 22, 1968).
+    """
+    while row:
+        lead = max(row)
+        pivot = pivots.get(lead)
+        if pivot is None:
+            return lead
+        c = row[lead]
+        if p:
+            for k, x in pivot.items():
+                s = (row.get(k, 0) - c * x) % p
+                if s:
+                    row[k] = s
+                else:
+                    del row[k]
+            continue
+        lc = pivot[lead]
+        g = gcd(c, lc)
+        if g != lc:
+            a = lc // g
+            for k in row:
+                row[k] *= a
+        b = c // g
+        for k, x in pivot.items():
+            s = row.get(k, 0) - b * x
+            if s:
+                row[k] = s
+            else:
+                del row[k]
+    return None
+
+
+def _pivot(row: dict, lead: int, p: int) -> dict:
+    """The row made monic over GF(p), and over Q divided by its content with
+    the leading coefficient positive."""
+    if p:
+        inv = pow(row[lead], -1, p)
+        return {k: x * inv % p for k, x in row.items()}
+    g = gcd(*row.values())
+    if row[lead] < 0:
+        g = -g
+    return {k: x // g for k, x in row.items()} if g != 1 else row
+
+
 def leading_ideal(ideal: PolyIdeal, order: MonomialOrder = GREVELEX) -> MonomialIdeal:
     """The leading ideal of a homogeneous ideal, degree by degree; the zero
-    ideal maps to the zero ideal.
+    ideal maps to the zero ideal.  Coefficients are elements of the active
+    field, or ints, which are read in it.
 
     Degree e of the ideal is spanned by its degree-e generators and x_k times
-    the echelon rows of degree e-1, for every k.  Each row's `normal_form`
-    against the pivots so far is zero or a new pivot; the pivots' leading
-    monomials are the leading ideal in degree e.  The walk stops at the first
-    degree where every monomial is a pivot.  Raises ValueError on
-    inhomogeneous generators, or past degree v(D-1)+1, D the largest
-    generator degree, where only a non-Artinian quotient has standard
-    monomials left.
+    the echelon rows of degree e-1, for every k.  A row is a map from column
+    to int coefficient, the column of a monomial its rank under the order
+    among the monomials of degree e.  Each row, top-reduced against the
+    pivots so far, is zero or a new pivot; the leading monomials of any row
+    echelon form of a span are the same set, and the pivots' are the leading
+    ideal in degree e.  Over Q the rows stay integral, over GF(p) they hold
+    residues.  The walk stops at the first degree where every monomial
+    leads a pivot.  Raises ValueError on inhomogeneous generators, or past
+    degree v(D-1)+1, D the largest generator degree, where only a
+    non-Artinian quotient has standard monomials left.
     """
     v = ideal.varcount
-    if not ideal.gens:
-        return MonomialIdeal.zero(v)
+    p = active_field().characteristic
     by_degree: dict[int, list] = {}
     for g in ideal.gens:
-        if not g.is_homogeneous():
+        terms = _integer_terms(g.terms, p)
+        degrees = set(map(sum, terms))
+        if len(degrees) > 1:
             raise ValueError("leading_ideal requires homogeneous generators")
-        by_degree.setdefault(g.degree(), []).append(g)
+        if degrees:
+            by_degree.setdefault(degrees.pop(), []).append(terms)
+    if not by_degree:
+        return MonomialIdeal.zero(v)
     cap = max(v * (max(by_degree) - 1) + 1, 0)
 
     xs = [pure_power(k, v) for k in range(v)]
     leads: list[tuple] = []
-    prev: list[Polynomial] = []  # the echelon rows of degree e-1
+    below: list[tuple] = []  # the monomials of degree e-1, ranked
+    prev: list[dict] = []  # the echelon rows of degree e-1
     for e in range(cap + 1):
-        size = comb(e + v - 1, v - 1)  # the monomials of degree e
-        rows = list(by_degree.get(e, ()))
-        below = {m for row in prev for m in row.terms}
-        for x in xs:
-            up = {m: times(m, x) for m in below}
-            rows += [Polynomial({up[m]: c for m, c in row.terms.items()}, v) for row in prev]
-        pivots: dict = {}  # leading monomial -> (lm, lc, row), as normal_form takes
-        for row in rows:
-            if len(pivots) == size:
-                break
-            r = normal_form(row, pivots, order)
-            if r:
-                lm, lc = leading_term(r, order)
-                pivots[lm] = (lm, lc, r)
-        leads += pivots
+        monomials = sorted(monomials_of_degree(v, e), key=order.key)
+        column = {m: i for i, m in enumerate(monomials)}
+        size = len(monomials)
+        pivots: dict = {}  # leading column -> row
+        for row in _degree_rows(by_degree.pop(e, ()), column, xs, below, prev):
+            lead = _top_reduce(row, pivots, p)
+            if lead is not None:
+                pivots[lead] = _pivot(row, lead, p)
+                if len(pivots) == size:
+                    break
+        leads += [monomials[i] for i in pivots]
         if len(pivots) == size:
             return MonomialIdeal(leads, v)
-        prev = [r for _, _, r in pivots.values()]
+        below = monomials
+        prev = list(pivots.values())
     raise ValueError("quotient is not Artinian")
+
+
+def _degree_rows(gens: list, column: dict, xs: list, below: list, prev: list):
+    """The rows spanning one degree, made one at a time: each generator's,
+    then x times each row of `prev`, which are over the ranked monomials
+    `below` of one degree less, for each x in `xs`."""
+    for g in gens:
+        yield {column[m]: c for m, c in g.items()}
+    for x in xs:
+        up = [column[times(m, x)] for m in below]
+        for row in prev:
+            yield {up[i]: c for i, c in row.items()}

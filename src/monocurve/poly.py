@@ -3,8 +3,10 @@
 A monomial is a plain tuple of non-negative exponents, here and in every
 other module; a polynomial is a map monomial -> nonzero scalar.  The
 scalars are the active field's, except that the structured matrix, its
-minors and their products have Python int coefficients until `curve` maps
-them into the field; ints mix with either field's elements.  Variable
+minors and the products that generate cal_I have Python int coefficients.
+`curve` maps them into the field for its public results, and the suites
+hand the integer products to the echelon kernel in `groebner`, which reads
+them in the field itself; ints mix with either field's elements.  Variable
 names are contextual: position ``p`` means x_{p+2} when working modulo x_1
 (the usual case) and x_{p+1} for full-ring polynomials.
 """
@@ -12,8 +14,6 @@ names are contextual: position ``p`` means x_{p+2} when working modulo x_1
 from __future__ import annotations
 
 from operator import add, le
-
-from .scalars import active_field
 
 
 def times(a: tuple, b: tuple) -> tuple:
@@ -50,11 +50,6 @@ class Polynomial:
     @classmethod
     def zero(cls, varcount: int) -> "Polynomial":
         return cls({}, varcount)
-
-    @classmethod
-    def constant(cls, c, varcount: int) -> "Polynomial":
-        c = active_field().coerce(c)
-        return cls({(0,) * varcount: c}, varcount)
 
     def _check(self, other: "Polynomial") -> None:
         if self.varcount != other.varcount:

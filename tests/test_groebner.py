@@ -13,8 +13,8 @@ from monocurve.groebner import (
 )
 from monocurve.ideals import MonomialIdeal, monomials_of_degree
 from monocurve.order import GREVELEX, GRLEX, leading_term
-from monocurve.poly import divides
-from monocurve.scalars import PrimeField, using_field
+from monocurve.poly import Polynomial, divides
+from monocurve.scalars import RATIONALS, PrimeField, using_field
 from oracles import hilbert_oracle, int_poly as P, s_polynomial
 
 
@@ -187,6 +187,36 @@ def test_echelon_matches_buchberger_random(ideal, order):
     li = leading_ideal(ideal, order)
     assert li == _basis_leading_ideal(ideal, order)
     assert li.length_quotient() == hilbert_oracle(ideal)
+
+
+@st.composite
+def _scaled_homogeneous(draw):
+    """Integer coefficient maps of random homogeneous polynomials in 2-3
+    variables plus one pure power of each variable, each with a nonzero
+    Fraction to scale it by, some negative and some with denominators."""
+    v = draw(st.integers(2, 3))
+    gens = []
+    for _ in range(draw(st.integers(0, 3))):
+        monomials = list(monomials_of_degree(v, draw(st.integers(1, 3))))
+        gens.append(draw(st.dictionaries(st.sampled_from(monomials), _coeffs, min_size=1, max_size=4)))
+    for i in range(v):
+        gens.append({tuple(draw(st.integers(1, 4)) if j == i else 0 for j in range(v)): 1})
+    scales = st.fractions(min_value=-4, max_value=4, max_denominator=7).filter(bool)
+    return v, [(terms, draw(scales)) for terms in draw(st.permutations(gens))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_scaled_homogeneous())
+def test_echelon_matches_buchberger_on_scaled_generators(drawn):
+    # over Q the kernel clears each generator's denominators, over GF(p) it
+    # reads residues; integer generators are read in the active field
+    v, gens = drawn
+    for field in (RATIONALS, PrimeField(32003)):
+        with using_field(field):
+            scaled = PolyIdeal([P(t, v).scale(field.coerce(s)) for t, s in gens], v)
+            oracle = _basis_leading_ideal(scaled, GREVELEX)
+            assert leading_ideal(scaled) == oracle
+            assert leading_ideal(PolyIdeal([Polynomial(t, v) for t, _ in gens], v)) == oracle
 
 
 def test_echelon_stops_at_the_cap():

@@ -8,10 +8,10 @@ import pytest
 
 from monocurve import verify
 from monocurve.cli import main
-from monocurve.curve import mono_I
+from monocurve.curve import cal_I, mono_I
 from monocurve.ideals import MonomialIdeal, monomials_between
-from monocurve.poly import pure_power
-from monocurve.scalars import PrimeField, active_field, using_field
+from monocurve.poly import Polynomial, pure_power
+from monocurve.scalars import RATIONALS, PrimeField, active_field, using_field
 from monocurve.verify import (
     _ideal_case,
     check_alternating_lengths,
@@ -29,7 +29,7 @@ from monocurve.verify import (
     worker_count,
 )
 
-from oracles import filtration_sum_chained, int_poly
+from oracles import filtration_sum_chained
 
 
 def test_expected_length_conventions():
@@ -137,44 +137,78 @@ def test_failures_carry_counterexample_payload():
 
 
 def _fresh_leading_cache(monkeypatch, compute=None):
-    """Give verify an empty leading-ideal cache for this test only, over
+    """Give verify an empty cache of cal_I facts for this test only, over
     `compute` or the cached function itself."""
-    compute = compute or verify._cal_I_leading.__wrapped__
+    compute = compute or verify._cal_I_facts.__wrapped__
     fresh = functools.lru_cache(maxsize=None)(compute)
-    monkeypatch.setattr(verify, "_cal_I_leading", fresh)
+    monkeypatch.setattr(verify, "_cal_I_facts", fresh)
     return fresh
 
 
 def _non_artinian_cal_I(monkeypatch):
     # leading_ideal raises on (x2 x3): its quotient is not Artinian.  The
-    # empty cache makes the patched ideal reach leading_ideal whatever ran
+    # empty cache makes the patched build reach leading_ideal whatever ran
     # before, and drops what it computed when the test ends.
-    from monocurve.groebner import PolyIdeal
-
-    x2x3 = PolyIdeal([int_poly({(1, 1): 1}, 2)], 2)
-    monkeypatch.setattr(verify, "cal_I", lambda d, n: x2x3)
+    monkeypatch.setattr(verify, "integer_cal_I", lambda d, n: [Polynomial({(1, 1): 1}, 2)])
     _fresh_leading_cache(monkeypatch)
 
 
 def test_leading_cache_keeps_fields_apart(monkeypatch):
-    computed = []
-    compute = verify._cal_I_leading.__wrapped__
+    computed, builds = [], []
+    compute, build = verify._cal_I_facts.__wrapped__, verify.integer_cal_I
 
     def record(field_key, d, n):
         computed.append((field_key, d, n))
         return compute(field_key, d, n)
 
+    def record_build(d, n):
+        builds.append((d, n))
+        return build(d, n)
+
     cache = _fresh_leading_cache(monkeypatch, record)
+    monkeypatch.setattr(verify, "integer_cal_I", record_build)
     with using_field(PrimeField(32003)):
         modp = check_leading_ideal_equality(3, 2).to_json(include_timing=False)
     rational = check_leading_ideal_equality(3, 2).to_json(include_timing=False)
     assert computed == [(("fp", 32003), 3, 1), (("fp", 32003), 3, 2),
                         (("rational",), 3, 1), (("rational",), 3, 2)]
+    assert builds == [(3, 1), (3, 2)] * 2
     assert cache.cache_info().currsize == 4
     assert modp == rational
-    # the sanity suite reads the same entries instead of computing them again
-    assert check_construction_sanity(3, 1, 2).all_pass
+    # the sanity suite, its homogeneity cases included, reads the same
+    # entries instead of computing or building them again
+    sanity = check_construction_sanity(3, 1, 2)
+    assert sanity.all_pass
+    assert [c.inputs["generators"] for c in sanity.cases if c.inputs["check"] == "homogeneous"] == [3, 7]
     assert len(computed) == 4
+    assert len(builds) == 4
+
+
+@pytest.mark.parametrize("field", [RATIONALS, PrimeField(32003), PrimeField(3)],
+                         ids=["Q", "GF32003", "GF3"])
+@pytest.mark.parametrize("d", [4, 5])
+def test_sanity_counts_the_generators_of_cal_I(field, d):
+    with using_field(field):
+        report = check_construction_sanity(d, 1, 3)
+        counts = [(c.inputs["n"], c.inputs["generators"], c.actual)
+                  for c in report.cases if c.inputs["check"] == "homogeneous"]
+        built = [cal_I(d, n).gens for n in (1, 2, 3)]
+    assert counts == [(n, len(gens), sum(not g.is_homogeneous() for g in gens))
+                      for n, gens in zip((1, 2, 3), built)]
+
+
+def test_sanity_counts_generators_as_the_field_sees_them(monkeypatch):
+    # 3 x2^2 vanishes in GF(3) and x2^2 + 3 x2 is homogeneous there
+    gens = [Polynomial({(2, 0): 3}, 2), Polynomial({(2, 0): 1, (1, 0): 3}, 2),
+            Polynomial({(1, 1): 1}, 2)]
+    monkeypatch.setattr(verify, "integer_cal_I", lambda d, n: gens)
+    _fresh_leading_cache(monkeypatch)
+    counts = {}
+    for field in (RATIONALS, PrimeField(3)):
+        with using_field(field):
+            case = check_construction_sanity(3, 1, 1).cases[0]
+        counts[field.name] = (case.inputs["generators"], case.actual)
+    assert counts == {"rational": (3, 1), "fp": (2, 0)}
 
 
 def test_sanity_reports_a_non_artinian_case(monkeypatch):
