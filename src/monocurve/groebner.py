@@ -193,10 +193,12 @@ def buchberger(ideal: PolyIdeal, order: MonomialOrder = GREVELEX) -> GroebnerBas
     return GroebnerBasis(reduced, order)
 
 
-def _integer_terms(terms: dict, p: int) -> dict:
-    """A generator's terms as nonzero ints: over Q (p = 0) times the least
-    common denominator of its coefficients, over GF(p) as residues mod p.
-    Coefficients are ints, or elements of the active field."""
+def integer_terms(terms: dict, p: int) -> dict:
+    """A generator's terms as nonzero ints, which is how an int enters the
+    field of characteristic p: over Q (p = 0) times the least common
+    denominator of its coefficients, over GF(p) as residues mod p, the
+    terms that vanish there dropped.  Coefficients are ints, or elements of
+    the active field."""
     if not p:
         if all(type(c) is int for c in terms.values()):
             return terms
@@ -279,7 +281,7 @@ def leading_ideal(ideal: PolyIdeal, order: MonomialOrder = GREVELEX) -> Monomial
     p = active_field().characteristic
     by_degree: dict[int, list] = {}
     for g in ideal.gens:
-        terms = _integer_terms(g.terms, p)
+        terms = integer_terms(g.terms, p)
         degrees = set(map(sum, terms))
         if len(degrees) > 1:
             raise ValueError("leading_ideal requires homogeneous generators")

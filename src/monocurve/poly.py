@@ -6,7 +6,8 @@ scalars are the active field's, except that the structured matrix, its
 minors and the products that generate cal_I have Python int coefficients.
 `curve` maps them into the field for its public results, and the suites
 hand the integer products to the echelon kernel in `groebner`, which reads
-them in the field itself; ints mix with either field's elements.  Variable
+them in the field through `groebner.integer_terms`; ints mix with either
+field's elements.  Variable
 names are contextual: position ``p`` means x_{p+2} when working modulo x_1
 (the usual case) and x_{p+1} for full-ring polynomials.
 """

@@ -38,9 +38,9 @@ from .curve import (
     s_set,
     substitute_parametrization,
 )
-from .groebner import PolyIdeal, leading_ideal
+from .groebner import PolyIdeal, integer_terms, leading_ideal
 from .ideals import MonomialIdeal, colon_exps, monomials_between
-from .poly import Polynomial, pure_power, times
+from .poly import pure_power, times
 from .render import format_ideal, format_monomial
 from .scalars import active_field, using_field
 
@@ -257,18 +257,15 @@ def _leading_or_refusal(ideal: PolyIdeal) -> MonomialIdeal | str:
 @lru_cache(maxsize=None)
 def _cal_I_facts(field_key, d: int, n: int) -> tuple:
     """LI(cal_I(d, n)) or the refusal, the number of generators and the
-    number of inhomogeneous ones, all as in the active field.  They are read
-    off the integer products, which `leading_ideal` takes as they are; over
-    GF(p) the coefficients become residues, so that `PolyIdeal` drops the
-    products that vanish there, as cal_I(d, n) does."""
-    v = d - 1
+    number of inhomogeneous ones, all as in the active field.  The integer
+    products go to `leading_ideal` as they are; they are counted as
+    `integer_terms` reads them in the field, where cal_I(d, n) drops those
+    that vanish."""
     gens = integer_cal_I(d, n)
     p = active_field().characteristic
-    if p:
-        gens = [Polynomial({m: c % p for m, c in f.terms.items()}, v) for f in gens]
-    ideal = PolyIdeal(gens, v)
-    bad = sum(1 for g in ideal.gens if not g.is_homogeneous())
-    return _leading_or_refusal(ideal), len(ideal.gens), bad
+    read = [t for t in (integer_terms(g.terms, p) for g in gens) if t]
+    bad = sum(1 for t in read if len(set(map(sum, t))) > 1)
+    return _leading_or_refusal(PolyIdeal(gens, d - 1)), len(read), bad
 
 
 def _refused(inputs: dict, expected, error: str) -> Case:
