@@ -1,11 +1,13 @@
 """Monomial ideals in T': minimal generators, sums, colons by a monomial,
-membership, the Artinian test, and the staircase of an Artinian ideal.
+membership, the Artinian test, the staircase length of an Artinian ideal,
+and the monomials between two ideals.
 
 Divisibility masks answer "does a stored generator divide m", for
 minimalization and membership alike (after Bachmann & Schoenemann, ISSAC
-1998).  An exponent trie only walks or counts the staircase, per range of
-exponent keys (after Bigatti, JPAA 1997): lengths count it without listing
-it, and `monomials_between` filters the walk.
+1998).  An exponent trie counts the staircase per range of exponent keys
+without listing it (after Bigatti, JPAA 1997).  The monomials between two
+ideals are listed by one upward walk from the outer ideal's generators,
+which prunes every monomial the inner membership test accepts.
 
 Generators are exponent tuples, always stored minimal and sorted by
 (degree, exponents), so two equal ideals are structurally identical and
@@ -61,100 +63,83 @@ class _DivisorMasks:
         return reduce(and_, map(getitem, self.below, map(min, m, self.tops))) != 0
 
 
-class _Staircase:
-    """Exponent trie over minimal monomials that walks or counts the monomials
-    none of them divides; needs a pure power of every variable among them (a
-    finite staircase).
+def _staircase_count(gens: tuple) -> int:
+    """How many monomials none of the minimal `gens` divides; needs a pure
+    power of every variable among them (a finite staircase).
 
-    Levels are keyed by the exponent of x_d, then x_{d-1}, down to x_3; the
-    deepest level maps the x_3 exponent to the x_2 exponent of the one
-    monomial stored under that path.  (With one variable the deepest level
-    has the single key 0.)  The curve ideals are sums of powers of
-    (x_{i+1}, ..., x_d), so the last variables split the stored monomials
-    best, which is why the trie starts there.
+    The gens go into an exponent trie keyed by the exponent of x_d, then
+    x_{d-1}, down to x_3; the deepest level maps the x_3 exponent to the x_2
+    exponent of the one monomial stored under that path.  The curve ideals
+    are sums of powers of (x_{i+1}, ..., x_d), so the last variables split
+    the stored monomials best, which is why the trie starts there.
     """
-
-    __slots__ = ("root", "top")
-
-    def __init__(self, gens):
-        self.root: dict = {}
-        self.top = len(gens[0]) - 1  # position of the variable keyed at the root
-        for g in gens:
-            node = self.root
-            for p in range(self.top, 1, -1):
-                node = node.setdefault(g[p], {})
-            node[g[1] if self.top else 0] = g[0]
-
-    def standard_monomials(self):
-        """Each monomial divisible by no stored monomial, once."""
-        if self.top == 0:
-            return ((e,) for e in range(self.root[0]))
-        return _walk(self._top_level(), self.top)
-
-    def count(self) -> int:
-        """How many monomials no stored monomial divides."""
-        if self.top == 0:
-            return self.root[0]
-        return _count(self._top_level(), self.top)
-
-    def _top_level(self) -> dict:
-        return {key: [child] for key, child in self.root.items()}
+    top = len(gens[0]) - 1  # position of the variable keyed at the root
+    if top == 0:
+        return gens[0][0]  # one variable: the one minimal generator is a pure power
+    root: dict = {}
+    for g in gens:
+        node = root
+        for p in range(top, 1, -1):
+            node = node.setdefault(g[p], {})
+        node[g[1]] = g[0]
+    return _count({key: [child] for key, child in root.items()}, top)
 
 
-def _key_ranges(level: dict, p: int):
-    """Merge one trie level by key, for the walk and the count alike.
+def _count(level: dict, p: int) -> int:
+    """How many standard monomials in x_2..x_{p+2} there are over a fixed
+    prefix of the later exponents; `level` maps each x_{p+2} exponent key
+    to the list of level-(p-1) subtries (x_2 exponents if p == 1) stored
+    under it whose paths divide the prefix.
 
-    `level` maps each x_{p+2} exponent key to the list of level-(p-1)
-    subtries stored under it.  For each range [key, next_key) between
-    consecutive keys, in order, yield it with what lies under it: if p == 1,
-    the least x_2 exponent among the monomials whose x_3 exponent is at most
-    key; else the level-(p-1) subtries under keys at most key, merged by
-    their own keys (one dict, extended from range to range).  The standard
-    monomials over a fixed prefix of the later exponents change only where
-    the x_{p+2} exponent reaches a key.
+    The standard monomials change only where the x_{p+2} exponent reaches
+    a key (after Bigatti, JPAA 1997), so each range [key, next_key) between
+    consecutive keys adds its width times the count under the keys at most
+    key: if p == 1, the least x_2 exponent among them; else the count of
+    their subtries, merged by their own keys (one dict, extended from range
+    to range).  Standard monomials form an order ideal: once a range counts
+    none, no later one counts any, and the staircase is finite, so the last
+    key counts none.
     """
     keys = sorted(level)
     merged: dict = {}
     least = None
+    total = 0
     for key, next_key in zip(keys, keys[1:]):
         if p == 1:
             low = min(level[key])
-            least = low if least is None else min(least, low)
-            yield key, next_key, least
-            continue
-        for node in level[key]:
-            for k, child in node.items():
-                merged.setdefault(k, []).append(child)
-        yield key, next_key, merged
-
-
-def _walk(level: dict, p: int):
-    """Yield the standard monomials in x_2..x_{p+2}, as tuples of length p+1,
-    over a fixed prefix of the later exponents; `level` holds the level-p
-    subtries whose paths divide it, merged by key.
-
-    Those under a key range are walked once and reused across it.  Standard
-    monomials form an order ideal: once a key has none, no later key has
-    any, and the staircase is finite, so the last key has none.
-    """
-    for key, next_key, under in _key_ranges(level, p):
-        lower = [(e,) for e in range(under)] if p == 1 else list(_walk(under, p - 1))
-        if not lower:
-            return
-        for e in range(key, next_key):
-            for m in lower:
-                yield m + (e,)
-
-
-def _count(level: dict, p: int) -> int:
-    """How many monomials `_walk(level, p)` yields, one product per key range."""
-    total = 0
-    for key, next_key, under in _key_ranges(level, p):
-        lower = under if p == 1 else _count(under, p - 1)
+            lower = least = low if least is None else min(least, low)
+        else:
+            for node in level[key]:
+                for k, child in node.items():
+                    merged.setdefault(k, []).append(child)
+            lower = _count(merged, p - 1)
         if not lower:
             break
         total += (next_key - key) * lower
     return total
+
+
+def multiples_outside(gens, varcount: int, in_ideal: Callable[[tuple], bool]) -> list[tuple]:
+    """The multiples of `gens` that the membership test `in_ideal` rejects,
+    by degree and then in decreasing lex order; there must be finitely many.
+
+    Walks up from the gens one variable at a time, pruning every monomial
+    `in_ideal` accepts.  That reaches each multiple outside the ideal, since
+    every divisor of a monomial outside an ideal is outside it too.
+    """
+    seen = set(gens)
+    stack = [g for g in seen if not in_ideal(g)]
+    found = list(stack)
+    while stack:
+        m = stack.pop()
+        for p in range(varcount):
+            up = m[:p] + (m[p] + 1,) + m[p + 1:]
+            if up not in seen:
+                seen.add(up)
+                if not in_ideal(up):
+                    stack.append(up)
+                    found.append(up)
+    return sorted(found, key=GREVELEX.key)
 
 
 def minimal_generators(monomials) -> tuple:
@@ -216,7 +201,7 @@ class MonomialIdeal:
     the constant monomial.
     """
 
-    __slots__ = ("gens", "varcount", "_masks", "_trie")
+    __slots__ = ("gens", "varcount", "_masks")
 
     def __init__(self, monomials, varcount: int):
         if varcount < 1:
@@ -228,9 +213,7 @@ class MonomialIdeal:
                              % (m, len(m), varcount))
         self.gens = minimal_generators(monomials)
         self.varcount = varcount
-        # built on the first membership test and the first staircase query
-        self._masks = None
-        self._trie = None
+        self._masks = None  # built on the first membership test
 
     @classmethod
     def zero(cls, varcount: int) -> "MonomialIdeal":
@@ -283,6 +266,8 @@ class MonomialIdeal:
         """(I : m), generated by g / gcd(g, m)."""
         if len(m) != self.varcount:
             raise ValueError("variable count mismatch")
+        if min(m) < 0:
+            raise ValueError("negative exponent in %r" % (m,))
         return MonomialIdeal([colon_exps(g, m) for g in self.gens], self.varcount)
 
     # -- Artinian structure ----------------------------------------------
@@ -298,23 +283,12 @@ class MonomialIdeal:
         """Number of monomials outside the ideal (the staircase length)."""
         if not self.is_artinian():
             raise ValueError("length of a non-Artinian quotient is infinite")
-        return self._staircase().count()
-
-    def _staircase(self) -> _Staircase:
-        """The staircase trie over the generators; the ideal must be Artinian."""
-        if self._trie is None:
-            self._trie = _Staircase(self.gens)
-        return self._trie
+        return _staircase_count(self.gens)
 
 
-def monomials_between(inner: MonomialIdeal, in_outer: Callable[[tuple], bool]) -> list[tuple]:
-    """Monomials passing the membership test `in_outer` (such as an outer
-    ideal's `contains`) but not in `inner`, by degree and then in decreasing
-    lex order; `inner` must be Artinian.
-
-    Filters the staircase of `inner` through `in_outer`.
-    """
+def monomials_between(outer: MonomialIdeal, inner: MonomialIdeal) -> list[tuple]:
+    """Monomials in `outer` but not in `inner`, by degree and then in
+    decreasing lex order; `inner` must be Artinian."""
     if not inner.is_artinian():
         raise ValueError("difference against a non-Artinian ideal is infinite")
-    walk = inner._staircase().standard_monomials()
-    return sorted(filter(in_outer, walk), key=GREVELEX.key)
+    return multiples_outside(outer.gens, inner.varcount, inner.contains)

@@ -18,7 +18,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 from typing import Callable, NamedTuple
 
@@ -39,7 +39,7 @@ from .curve import (
     substitute_parametrization,
 )
 from .groebner import PolyIdeal, integer_terms, leading_ideal
-from .ideals import MonomialIdeal, colon_exps, monomials_between
+from .ideals import MonomialIdeal, colon_exps, monomials_between, multiples_outside
 from .poly import pure_power, times
 from .render import format_ideal, format_monomial
 from .scalars import active_field, using_field
@@ -323,7 +323,7 @@ def _case_spanning(args) -> Case:
                     listed.add(times(s, mu))
     spanning = True
     witness_missing = None
-    for m in monomials_between(col, prev.contains):
+    for m in monomials_between(prev, col):
         if m not in listed:
             spanning = False
             witness_missing = m
@@ -505,16 +505,11 @@ def check_construction_sanity(d: int, m: int, n_max: int, jobs: int = 1) -> Veri
 # -- the Artinian reduction and its socle ------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _reduction_denominator(d: int, n: int) -> MonomialIdeal:
-    """I_{n+1} + sum_j x_{j+1}^{j+1} I_{n-j}: what the class of I_n is cut by."""
-    return MonomialIdeal(_filtration_sum(d, n + 1, d + 1), d - 1)
-
-
 def _in_denominator(d: int, n: int, u: tuple) -> bool:
-    """Membership in _reduction_denominator(d, n) by the order function:
-    nu(u) >= n+1, or some x_{j+1}^{j+1} divides u with nu(u / x_{j+1}^{j+1})
-    >= n-j (always true for n <= j, as I_{n-j} is then the unit ideal)."""
+    """Membership in the denominator I_{n+1} + sum_j x_{j+1}^{j+1} I_{n-j},
+    which cuts the class of I_n, by the order function: nu(u) >= n+1, or
+    some x_{j+1}^{j+1} divides u with nu(u / x_{j+1}^{j+1}) >= n-j (always
+    true for n <= j, as I_{n-j} is then the unit ideal)."""
     if nu(u) > n:
         return True
     for j in range(1, d):
@@ -525,6 +520,9 @@ def _in_denominator(d: int, n: int, u: tuple) -> bool:
 
 
 def _reduction_pieces(d: int) -> list[list[tuple]]:
+    """The monomial bases of the reduction's pieces, level by level: those
+    of I_n outside its denominator, walked up from the generators of I_n.
+    The walk is finite, as the denominator holds the Artinian I_{n+1}."""
     cap = d * (d - 1) // 2 + d
     pieces = []
     zeros = 0
@@ -535,7 +533,7 @@ def _reduction_pieces(d: int) -> list[list[tuple]]:
             raise InvariantViolation(
                 "Artinian reduction still has nonzero pieces past level %d" % cap
             )
-        basis = monomials_between(_reduction_denominator(d, n), lambda u: nu(u) >= n)
+        basis = multiples_outside(mono_I(d, n).gens, d - 1, partial(_in_denominator, d, n))
         pieces.append(basis)
         zeros = zeros + 1 if not basis else 0
         n += 1
@@ -609,6 +607,7 @@ def run_suite(
     suite = SUITES.get(name)
     if suite is None:
         raise ValueError("unknown suite %r" % name)
+    CurveParams(d)  # validates d >= 2
     given = {"n_max": n_max, "k": k, "m": m}
     ignored = ["%s=%s" % (f, v) for f, v in given.items() if v is not None and f not in suite.flags]
     if ignored:

@@ -111,7 +111,7 @@ def staircase_count(gen_exps, varcount: int) -> int:
     return count
 
 
-def monomials_between_box(inner: MonomialIdeal, outer: MonomialIdeal) -> list[tuple]:
+def monomials_between_box(outer: MonomialIdeal, inner: MonomialIdeal) -> list[tuple]:
     """Monomials lying in `outer` but not in `inner`; `inner` must be Artinian.
 
     Enumerates degree by degree and stops at the first degree fully contained

@@ -152,6 +152,14 @@ def test_colon_by_unit_monomial():
     assert J.colon_mon((0, 0)) == J
 
 
+def test_colon_rejects_negative_exponents():
+    # (x2) : x2^-1 would read as (x2^2); a colon is by a monomial, as for
+    # the generators minimal_generators accepts
+    for ideal in (MonomialIdeal([(1, 0)], 2), MonomialIdeal.unit(2), MonomialIdeal.zero(2)):
+        with pytest.raises(ValueError, match="negative exponent"):
+            ideal.colon_mon((-1, 0))
+
+
 def test_colon_examples_from_family():
     I2 = mono_I(3, 2)
     assert I2.colon_mon((0, 3)) == MonomialIdeal.unit(2)     # n=2 < i=3
@@ -300,7 +308,15 @@ def test_length_edge_cases():
 def test_monomials_between():
     inner = MonomialIdeal([(2, 0), (0, 2)], 2)
     outer = MonomialIdeal([(1, 0)], 2)
-    assert set(monomials_between(inner, outer.contains)) == {(1, 0), (1, 1)}
+    assert set(monomials_between(outer, inner)) == {(1, 0), (1, 1)}
+
+
+def test_monomials_between_needs_an_artinian_inner_ideal():
+    # (x2) leaves every power of x3 outside it
+    with pytest.raises(ValueError):
+        monomials_between(MonomialIdeal.unit(2), MonomialIdeal([(1, 0)], 2))
+    with pytest.raises(ValueError):
+        monomials_between(MonomialIdeal.unit(2), MonomialIdeal.zero(2))
 
 
 @settings(max_examples=100, deadline=None)
@@ -314,8 +330,8 @@ def test_monomials_between_against_box_walk(case, data):
     inner = MonomialIdeal(pure + extra, v)
     outer_gens = data.draw(st.lists(st.tuples(*[st.integers(0, 3)] * v), max_size=4))
     outer = MonomialIdeal(outer_gens, v)
-    assert monomials_between(inner, outer.contains) == monomials_between_box(inner, outer)
-    walk = list(inner._staircase().standard_monomials())
+    assert monomials_between(outer, inner) == monomials_between_box(outer, inner)
+    walk = monomials_between(MonomialIdeal.unit(v), inner)
     assert len(walk) == len(set(walk)) == inner.length_quotient()
 
 
@@ -323,10 +339,11 @@ def test_monomials_between_against_box_walk(case, data):
 def test_length_count_equals_walk(d):
     # the staircase counted per key range against the walk listing it, on
     # the ideals of the alternating suite: I_n + (x_2^2, ..., x_k^k)
+    unit = MonomialIdeal.unit(d - 1)
     for n in range(0, 7):
         for k in range(1, d + 1):
             ideal = mono_I(d, n) + MonomialIdeal(pure_powers(d, k), d - 1)
-            assert ideal.length_quotient() == len(monomials_between(ideal, lambda u: True))
+            assert ideal.length_quotient() == len(monomials_between(unit, ideal))
 
 
 def test_colon_identity_full_invariant_grid():

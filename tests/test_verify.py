@@ -8,7 +8,7 @@ import pytest
 
 from monocurve import verify
 from monocurve.cli import main
-from monocurve.curve import cal_I, mono_I
+from monocurve.curve import cal_I, mono_I, nu
 from monocurve.ideals import MonomialIdeal, monomials_between
 from monocurve.poly import Polynomial, pure_power
 from monocurve.scalars import RATIONALS, PrimeField, active_field, using_field
@@ -29,7 +29,7 @@ from monocurve.verify import (
     worker_count,
 )
 
-from oracles import filtration_sum_chained
+from oracles import filtration_sum_chained, monomials_between_box
 
 
 def test_expected_length_conventions():
@@ -241,7 +241,7 @@ def test_filtration_sum_matches_chained_sums():
     # denominator against ideal sums built one summand at a time
     for d in range(2, 6):
         v = d - 1
-        for N in range(0, 6):
+        for N in range(0, 7):  # i = d + 1 covers the socle's denominators
             for i in range(2, d + 2):
                 oracle = filtration_sum_chained(d, N, i)
                 gens = verify._filtration_sum(d, N, i)
@@ -250,17 +250,31 @@ def test_filtration_sum_matches_chained_sums():
                     xi = pure_power(i - 2, v, i)
                     coloned = [tuple(max(a - b, 0) for a, b in zip(g, xi)) for g in gens]
                     assert MonomialIdeal(coloned, v) == oracle.colon_mon(xi), (d, N, i)
-            assert verify._reduction_denominator(d, N) == filtration_sum_chained(d, N + 1, d + 1)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_denominator_membership_by_order_function(d):
     # every monomial outside I_{n+1}, which lies inside the denominator:
     # the denominator's whole staircase and its members below I_{n+1}
+    unit = MonomialIdeal.unit(d - 1)
     for n in range(d * (d - 1) // 2 + d + 1):
-        denominator = verify._reduction_denominator(d, n)
-        for u in monomials_between(mono_I(d, n + 1), lambda u: True):
+        denominator = filtration_sum_chained(d, n + 1, d + 1)
+        for u in monomials_between(unit, mono_I(d, n + 1)):
             assert verify._in_denominator(d, n, u) == denominator.contains(u), (n, u)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_reduction_pieces_against_the_denominator_staircase(d):
+    # the upward walk under the closed-form membership test against the
+    # denominator built as an ideal, its staircase listed degree by degree
+    # and kept where nu(u) >= n, that is, inside I_n
+    pieces = verify._reduction_pieces(d)
+    unit = MonomialIdeal.unit(d - 1)
+    for n, piece in enumerate(pieces):
+        denominator = MonomialIdeal(verify._filtration_sum(d, n + 1, d + 1), d - 1)
+        staircase = monomials_between_box(unit, denominator)
+        assert piece == [u for u in staircase if nu(u) >= n], (d, n)
+    assert not any(pieces[-max(d - 1, 1):])
 
 
 def test_socle_dimensions():
@@ -325,6 +339,14 @@ def test_worker_count_clamps(monkeypatch):
     assert worker_count(8, 0) == 1            # an empty grid runs serially
     monkeypatch.setattr("os.cpu_count", lambda: None)
     assert worker_count(10**6, 100) == 1      # CPU count unknown
+
+
+@pytest.mark.parametrize("name", sorted(verify.SUITES))
+@pytest.mark.parametrize("d", [1, 0])
+def test_run_suite_rejects_d_below_two(name, d):
+    # no suite may answer with an empty report or an IndexError
+    with pytest.raises(ValueError, match="d must be at least 2"):
+        run_suite(name, d)
 
 
 @pytest.mark.parametrize("jobs", [0, -1])
