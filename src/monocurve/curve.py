@@ -279,16 +279,23 @@ def _emit_generators(n: int, exps: list, p: int, slack: int, order: int, budget:
     `budget` is what is left of the degree bound 2n: nu(u) >= deg(u) // 2
     (blocks of size 2 alone), so u of degree above 2n keeps order n without
     any one unit and is not minimal.  Once a prefix lies in I_n, raising its
-    last exponent gives no new generator.  It recurses at module level: a
-    nested recursive closure is a reference cycle that keeps `out` alive
-    until the cyclic collector runs.
+    last exponent gives no new generator, so each level stops there.
+
+    Every u appended is minimal without a test of its own.  Moving a unit
+    from one variable to a later one lowers no suffix sum S_j (see nu), so
+    it keeps a monomial in I_n.  Suppose u - e_q lies in I_n for some q >= 1
+    in the support of u, and let s <= q be the first position where u is
+    nonzero.  Moving a unit of u - e_q from s to q puts u - e_s in I_n.  If
+    s = 0, that contradicts the least x_2 exponent.  Otherwise u - e_s is
+    the prefix of u with u_s - 1 at s and zeros below, which level s tried
+    before u_s and found outside I_n, else it would have stopped there.
+
+    It recurses at module level: a nested recursive closure is a reference
+    cycle that keeps `out` alive until the cyclic collector runs.
     """
     if p == 0:
         low = max(2 * (n - order) - slack, 0)  # the least x_2 exponent reaching n
-        u = (low,) + tuple(exps[1:])
-        # minimal in x_2 by the choice of low; test the other variables
-        if all(nu(u[:q] + (u[q] - 1,) + u[q + 1:]) < n for q in range(1, len(u)) if u[q]):
-            out.append(u)
+        out.append((low,) + tuple(exps[1:]))
         return low == 0
     for e in range(budget + 1):
         exps[p] = e

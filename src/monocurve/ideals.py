@@ -173,11 +173,6 @@ def minimal_generators(monomials) -> tuple:
     return tuple(out)
 
 
-def colon_exps(g: tuple, m: tuple) -> tuple:
-    """g / gcd(g, m): the generator of (g) : m."""
-    return tuple(map(sub, map(max, g, m), m))
-
-
 def monomials_of_degree(varcount: int, degree: int):
     """All exponent tuples of the given total degree, lexicographically."""
     if degree < 0:
@@ -268,7 +263,8 @@ class MonomialIdeal:
             raise ValueError("variable count mismatch")
         if min(m) < 0:
             raise ValueError("negative exponent in %r" % (m,))
-        return MonomialIdeal([colon_exps(g, m) for g in self.gens], self.varcount)
+        return MonomialIdeal([tuple(map(sub, map(max, g, m), m)) for g in self.gens],
+                             self.varcount)
 
     # -- Artinian structure ----------------------------------------------
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .ideals import MonomialIdeal
 from .order import GREVELEX
-from .poly import Polynomial, PolyMatrix, sort_key
+from .poly import Polynomial, PolyMatrix
 
 
 def format_monomial(m: tuple, first_index: int = 2) -> str:
@@ -53,7 +53,8 @@ def format_polynomial(f: Polynomial, first_index: int = 2) -> str:
 def format_ideal(ideal: MonomialIdeal, first_index: int = 2) -> str:
     if ideal.is_zero():
         return "0"
-    return ", ".join(format_monomial(g, first_index) for g in sorted(ideal.gens, key=sort_key))
+    # MonomialIdeal stores its generators sorted by (degree, exponents)
+    return ", ".join(format_monomial(g, first_index) for g in ideal.gens)
 
 
 def format_matrix(matrix: PolyMatrix, first_index: int = 1) -> str:

@@ -13,9 +13,10 @@ minors from their anti-diagonals, membership in products of
 variable-range powers from Hall's condition, membership in I_n from suffix
 degree sums against each composition's demands, the order function nu by
 maximising over every composition, the generators of I_n from each
-composition's block products minimalized together, and the filtration sums from
-the package's ideal sums chained one summand at a time rather than from
-one generator list, and the generators of cal_I from every product of
+composition's block products minimalized together, the filtration sums from
+one generator list minimalized once and from the package's ideal sums
+chained one summand at a time (the package adds each summand to the cached
+sum before it), and the generators of cal_I from every product of
 field-coefficient minors multiplied out on its own.
 """
 
@@ -206,6 +207,17 @@ def ideal_power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
 def scaled_ideal(ideal: MonomialIdeal, m) -> MonomialIdeal:
     """The ideal m * I."""
     return MonomialIdeal([times(g, m) for g in ideal.gens], ideal.varcount)
+
+
+def filtration_sum(d: int, N: int, i: int) -> list[tuple]:
+    """Generators, not minimalized, of I_N + sum over 2 <= j < i of x_j^j I_{N-j},
+    in one pass over the summands."""
+    v = d - 1
+    gens = list(mono_I(d, N).gens)
+    for j in range(2, i):
+        pw = pure_power(j - 2, v, j)
+        gens += [times(g, pw) for g in mono_I(d, N - j).gens]
+    return gens
 
 
 def filtration_sum_chained(d: int, N: int, i: int) -> MonomialIdeal:

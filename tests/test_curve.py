@@ -7,6 +7,7 @@ import pytest
 
 from monocurve.curve import (
     CurveParams,
+    _emit_generators,
     build_matrix,
     cal_I,
     cal_J,
@@ -25,7 +26,7 @@ from monocurve.curve import (
 )
 from monocurve.ideals import MonomialIdeal, monomials_of_degree
 from monocurve.order import leading_term
-from monocurve.poly import pure_power, times
+from monocurve.poly import pure_power, sort_key, times
 from monocurve.scalars import RATIONALS, GFElement, PrimeField, using_field
 
 from oracles import (
@@ -282,6 +283,18 @@ def test_mono_I_matches_block_product_emitter(d, n_max):
         gens = mono_I(d, n).gens
         assert gens == block_product_generators(d, n), (d, n)
         assert max(map(sum, gens)) <= 2 * n
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_emitted_generators_are_minimal_and_distinct(d):
+    # the emitter's own list, before MonomialIdeal minimalizes it: its
+    # early stop at each level alone admits no duplicate and no
+    # non-minimal monomial
+    v = d - 1
+    for n in range(1, 9):
+        raw: list = []
+        _emit_generators(n, [0] * v, v - 1, 0, 0, 2 * n, raw)
+        assert sorted(raw, key=sort_key) == list(mono_I(d, n).gens), (d, n)
 
 
 def test_range_monomials_negative_degree():

@@ -1,8 +1,8 @@
 from fractions import Fraction
 
-from monocurve.curve import CurveParams, build_matrix, f_poly, full_minors, mono_I
+from monocurve.curve import CurveParams, build_matrix, f_poly, full_minors, mono_I, pure_powers
 from monocurve.ideals import MonomialIdeal
-from monocurve.poly import Polynomial
+from monocurve.poly import Polynomial, pure_power, sort_key
 from monocurve.render import format_ideal, format_matrix, format_monomial, format_polynomial
 from monocurve.scalars import PrimeField, using_field
 
@@ -41,6 +41,22 @@ def test_ideal_rendering():
     assert format_ideal(MonomialIdeal.zero(2)) == "0"
     assert format_ideal(MonomialIdeal.unit(2)) == "1"
     assert format_ideal(mono_I(3, 2)) == "x3^3, x2^2*x3^2, x2^3*x3, x2^4"
+
+
+def test_stored_generators_are_in_rendering_order():
+    # format_ideal prints the generators as stored: sums and colons keep
+    # them sorted by (degree, exponents)
+    ideals = [MonomialIdeal([(3, 0, 1), (0, 2, 0), (1, 1, 0), (0, 0, 5)], 3)]
+    for d in (3, 4, 5):
+        v = d - 1
+        powers = MonomialIdeal(pure_powers(d, d), v)
+        In = mono_I(d, 4)
+        ideals += [In + powers, powers + mono_I(d, 2), In.colon_mon(pure_power(v - 1, v, 2)),
+                   (In + powers).colon_mon(pure_power(0, v, 3))]
+    for ideal in ideals:
+        assert list(ideal.gens) == sorted(ideal.gens, key=sort_key)
+        assert format_ideal(ideal) == ", ".join(
+            map(format_monomial, sorted(ideal.gens, key=sort_key)))
 
 
 def test_integer_coefficients_render_their_signs():

@@ -8,9 +8,10 @@ import pytest
 
 from monocurve import verify
 from monocurve.cli import main
-from monocurve.curve import cal_I, mono_I, nu
+from monocurve.curve import cal_I, mono_I, nu, pure_powers
 from monocurve.ideals import MonomialIdeal, monomials_between
 from monocurve.poly import Polynomial, pure_power
+from monocurve.render import format_ideal
 from monocurve.scalars import RATIONALS, PrimeField, active_field, using_field
 from monocurve.verify import (
     _ideal_case,
@@ -29,7 +30,7 @@ from monocurve.verify import (
     worker_count,
 )
 
-from oracles import filtration_sum_chained, monomials_between_box
+from oracles import filtration_sum, filtration_sum_chained, monomials_between_box, staircase_count
 
 
 def test_expected_length_conventions():
@@ -244,12 +245,79 @@ def test_filtration_sum_matches_chained_sums():
         for N in range(0, 7):  # i = d + 1 covers the socle's denominators
             for i in range(2, d + 2):
                 oracle = filtration_sum_chained(d, N, i)
-                gens = verify._filtration_sum(d, N, i)
+                gens = filtration_sum(d, N, i)
                 assert MonomialIdeal(gens, v) == oracle, (d, N, i)
                 if i <= d:
                     xi = pure_power(i - 2, v, i)
                     coloned = [tuple(max(a - b, 0) for a, b in zip(g, xi)) for g in gens]
                     assert MonomialIdeal(coloned, v) == oracle.colon_mon(xi), (d, N, i)
+
+
+def test_filtration_ideal_matches_one_pass_and_chained_sums():
+    # the cached sum, built from the sum at i - 1, against the one-pass
+    # generator list minimalized once and the sums chained one at a time
+    for d in range(2, 7):
+        for N in range(0, 9):
+            for i in range(2, d + 1):
+                built = verify._filtration_ideal(d, N, i)
+                assert built == MonomialIdeal(filtration_sum(d, N, i), d - 1), (d, N, i)
+                assert built == filtration_sum_chained(d, N, i), (d, N, i)
+
+
+def test_pure_power_colon_matches_colon_mon():
+    # lowering one exponent is the general colon by x_i^i
+    for d in range(2, 7):
+        for N in range(0, 9):
+            for i in range(2, d + 1):
+                ideal = verify._filtration_ideal(d, N, i)
+                xi = pure_power(i - 2, d - 1, i)
+                assert verify._colon_pure_power(ideal, i) == ideal.colon_mon(xi), (d, N, i)
+
+
+def test_length_with_powers_counts_the_staircase():
+    # k = 1 adjoins no power and is the closed-form length, N <= 0 gives 0
+    for d in range(2, 6):
+        v = d - 1
+        for N in range(-2, 6):
+            assert verify._length_with_powers(d, N, 1) == expected_length(d, N), (d, N)
+            for k in range(1, d + 1):
+                ideal = mono_I(d, N) + MonomialIdeal(pure_powers(d, k), v)
+                want = staircase_count(ideal.gens, v)
+                assert verify._length_with_powers(d, N, k) == want, (d, N, k)
+
+
+def test_regseq_fails_on_a_wrong_filtration_sum(monkeypatch):
+    # the expected side of the n = 0 cases, F(1, i), replaced by the unit
+    # ideal; the chain from i - 1 keeps N, so no wrong ideal is cached
+    real = verify._filtration_ideal
+    monkeypatch.setattr(
+        verify, "_filtration_ideal",
+        lambda d, N, i: MonomialIdeal.unit(d - 1) if N == 1 else real(d, N, i))
+    report = check_assoc_graded_regseq(3, 2)
+    failed = [c for c in report.cases if not c.ok]
+    assert [c.inputs["n"] for c in failed] == [0, 0]
+    for case in failed:
+        i = case.inputs["i"]
+        actual = format_ideal(verify._colon_pure_power(real(3, i, i), i))
+        assert case.expected == case.inputs["expected_gens"] == "1"
+        assert case.actual == case.inputs["actual_gens"] == actual != "1"
+    assert all(c.inputs["n"] > 0 and "actual_gens" not in c.inputs for c in report.cases if c.ok)
+
+
+def test_length_suites_fail_on_a_wrong_length(monkeypatch):
+    # one unit too many for every length with x_2^2 adjoined alone
+    real = verify._length_with_powers
+    monkeypatch.setattr(verify, "_length_with_powers",
+                        lambda d, N, k: real(d, N, k) + (k == 2))
+    gscolon = check_gs_colon_chain(3, 3)
+    assert [c.inputs["k"] for c in gscolon.cases if not c.ok] == [1] * 4
+    assert all(c.actual == c.expected - 1 for c in gscolon.cases if not c.ok)
+    alternating = check_alternating_lengths(3, 3, k=2)
+    assert not any(c.ok for c in alternating.cases)
+    for case in alternating.cases:
+        assert case.actual == case.expected["formula"] + 1
+        ideal = mono_I(3, case.inputs["n"]) + MonomialIdeal(pure_powers(3, 2), 2)
+        assert case.inputs["ideal_gens"] == format_ideal(ideal)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -271,7 +339,7 @@ def test_reduction_pieces_against_the_denominator_staircase(d):
     pieces = verify._reduction_pieces(d)
     unit = MonomialIdeal.unit(d - 1)
     for n, piece in enumerate(pieces):
-        denominator = MonomialIdeal(verify._filtration_sum(d, n + 1, d + 1), d - 1)
+        denominator = MonomialIdeal(filtration_sum(d, n + 1, d + 1), d - 1)
         staircase = monomials_between_box(unit, denominator)
         assert piece == [u for u in staircase if nu(u) >= n], (d, n)
     assert not any(pieces[-max(d - 1, 1):])
@@ -356,9 +424,12 @@ def test_worker_count_rejects_below_one(jobs):
 
 
 def test_worker_pool_matches_serial():
-    serial = check_colon_identity(4, 4, jobs=1).to_dict(include_timing=False)
-    pooled = check_colon_identity(4, 4, jobs=2).to_dict(include_timing=False)
-    assert serial == pooled
+    # the suites that read the cached filtration sums and lengths among them
+    for check in (check_colon_identity, check_assoc_graded_regseq,
+                  check_alternating_lengths, check_gs_colon_chain):
+        pooled = check(4, 4, jobs=2).to_dict(include_timing=False)
+        serial = check(4, 4, jobs=1).to_dict(include_timing=False)
+        assert serial == pooled, check.__name__
 
 
 def test_worker_pool_on_groebner_suite():
