@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from functools import reduce
 from itertools import groupby
-from operator import and_, getitem, sub
+from operator import and_, getitem
 
 from .order import GREVELEX
 
@@ -258,13 +258,17 @@ class MonomialIdeal:
         return MonomialIdeal(self.gens + other.gens, self.varcount)
 
     def colon_mon(self, m: tuple) -> "MonomialIdeal":
-        """(I : m), generated by g / gcd(g, m)."""
+        """(I : m), generated by g / gcd(g, m), lowered one variable of m's
+        support at a time (the colons in this package are by pure powers)."""
         if len(m) != self.varcount:
             raise ValueError("variable count mismatch")
         if min(m) < 0:
             raise ValueError("negative exponent in %r" % (m,))
-        return MonomialIdeal([tuple(map(sub, map(max, g, m), m)) for g in self.gens],
-                             self.varcount)
+        gens = self.gens
+        for v, e in enumerate(m):
+            if e:
+                gens = [g[:v] + (max(g[v] - e, 0),) + g[v + 1:] for g in gens]
+        return MonomialIdeal(gens, self.varcount)
 
     # -- Artinian structure ----------------------------------------------
 

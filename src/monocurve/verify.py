@@ -205,18 +205,9 @@ def _filtration_ideal(d: int, N: int, i: int) -> MonomialIdeal:
     return MonomialIdeal(_filtration_ideal(d, N, j).gens + scaled, d - 1)
 
 
-def _colon_pure_power(ideal: MonomialIdeal, i: int) -> MonomialIdeal:
-    """(ideal : x_i^i), generated by the generators with the exponent of x_i
-    lowered by i (down to 0); the other exponents stay."""
-    p = i - 2
-    return MonomialIdeal(
-        [g[:p] + (max(g[p] - i, 0),) + g[p + 1:] for g in ideal.gens], ideal.varcount
-    )
-
-
 def _case_regseq(args) -> Case:
     d, n, i = args
-    actual = _colon_pure_power(_filtration_ideal(d, n + i, i), i)
+    actual = _filtration_ideal(d, n + i, i).colon_mon(pure_power(i - 2, d - 1, i))
     expected = _filtration_ideal(d, n + 1, i)
     return _ideal_case({"d": d, "n": n, "i": i}, actual, expected)
 

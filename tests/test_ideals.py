@@ -168,6 +168,14 @@ def test_colon_examples_from_family():
 
 
 @settings(max_examples=120)
+@given(ideals2, mons2)
+def test_colon_is_generated_by_quotients_of_generators(J, m):
+    # g / gcd(g, m) over all variables at once, whatever the support of m
+    quotients = [tuple(max(a - b, 0) for a, b in zip(g, m)) for g in J.gens]
+    assert J.colon_mon(m) == MonomialIdeal(quotients, 2)
+
+
+@settings(max_examples=120)
 @given(ideals2, mons2, mons2)
 def test_colon_composition_law(J, m1, m2):
     assert J.colon_mon(m1).colon_mon(m2) == J.colon_mon(times(m1, m2))

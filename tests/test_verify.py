@@ -238,40 +238,21 @@ def test_spanning_bound_is_attained():
 
 
 def test_filtration_sum_matches_chained_sums():
-    # the one-pass generator list, its per-generator colon and the socle
-    # denominator against ideal sums built one summand at a time
-    for d in range(2, 6):
+    # the one-pass generator list, its per-generator colon, the cached sum
+    # built from the sum at i - 1 and the socle denominator against ideal
+    # sums built one summand at a time
+    for d in range(2, 7):
         v = d - 1
-        for N in range(0, 7):  # i = d + 1 covers the socle's denominators
+        for N in range(0, 9):  # i = d + 1 covers the socle's denominators
             for i in range(2, d + 2):
                 oracle = filtration_sum_chained(d, N, i)
                 gens = filtration_sum(d, N, i)
                 assert MonomialIdeal(gens, v) == oracle, (d, N, i)
                 if i <= d:
+                    assert verify._filtration_ideal(d, N, i) == oracle, (d, N, i)
                     xi = pure_power(i - 2, v, i)
                     coloned = [tuple(max(a - b, 0) for a, b in zip(g, xi)) for g in gens]
                     assert MonomialIdeal(coloned, v) == oracle.colon_mon(xi), (d, N, i)
-
-
-def test_filtration_ideal_matches_one_pass_and_chained_sums():
-    # the cached sum, built from the sum at i - 1, against the one-pass
-    # generator list minimalized once and the sums chained one at a time
-    for d in range(2, 7):
-        for N in range(0, 9):
-            for i in range(2, d + 1):
-                built = verify._filtration_ideal(d, N, i)
-                assert built == MonomialIdeal(filtration_sum(d, N, i), d - 1), (d, N, i)
-                assert built == filtration_sum_chained(d, N, i), (d, N, i)
-
-
-def test_pure_power_colon_matches_colon_mon():
-    # lowering one exponent is the general colon by x_i^i
-    for d in range(2, 7):
-        for N in range(0, 9):
-            for i in range(2, d + 1):
-                ideal = verify._filtration_ideal(d, N, i)
-                xi = pure_power(i - 2, d - 1, i)
-                assert verify._colon_pure_power(ideal, i) == ideal.colon_mon(xi), (d, N, i)
 
 
 def test_length_with_powers_counts_the_staircase():
@@ -298,7 +279,7 @@ def test_regseq_fails_on_a_wrong_filtration_sum(monkeypatch):
     assert [c.inputs["n"] for c in failed] == [0, 0]
     for case in failed:
         i = case.inputs["i"]
-        actual = format_ideal(verify._colon_pure_power(real(3, i, i), i))
+        actual = format_ideal(real(3, i, i).colon_mon(pure_power(i - 2, 2, i)))
         assert case.expected == case.inputs["expected_gens"] == "1"
         assert case.actual == case.inputs["actual_gens"] == actual != "1"
     assert all(c.inputs["n"] > 0 and "actual_gens" not in c.inputs for c in report.cases if c.ok)
