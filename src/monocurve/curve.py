@@ -94,10 +94,9 @@ def build_matrix(params: CurveParams, mod_x1: bool = False) -> PolyMatrix:
 
 
 # The matrix has integer entries, so its minors are computed once over the
-# integers and cached for every field.  The field-coefficient copies are
-# keyed by the active field's key: a run under GF(p) never sees Q
-# coefficients.  The products that generate cal_I are taken over the
-# integers too.
+# integers and cached for every field.  Each call maps them into the active
+# field afresh, so no field-coefficient copy outlives a change of field.
+# The products that generate cal_I are taken over the integers too.
 
 
 @lru_cache(maxsize=None)
@@ -111,17 +110,11 @@ def _in_field(f: Polynomial, coerce) -> Polynomial:
     return Polynomial({m: coerce(c) for m, c in f.terms.items()}, f.varcount)
 
 
-@lru_cache(maxsize=None)
-def _minors(field_key, d: int, i: int) -> tuple:
-    coerce = active_field().coerce
-    return tuple(_in_field(f, coerce) for f in _int_minors(d, i))
-
-
 def f_poly(d: int, i: int) -> Polynomial:
     """Determinant of the leading principal (i+1) x (i+1) block, mod x_1."""
     if not 1 <= i <= d - 1:
         raise ValueError("need 1 <= i <= d-1, got i=%d d=%d" % (i, d))
-    return _minors(active_field().key, d, i)[0]
+    return _in_field(_int_minors(d, i)[0], active_field().coerce)
 
 
 def minor_polynomials(d: int, i: int) -> list[Polynomial]:
@@ -129,7 +122,8 @@ def minor_polynomials(d: int, i: int) -> list[Polynomial]:
     column selections in lexicographic order."""
     if not 1 <= i <= d - 1:
         raise ValueError("need 1 <= i <= d-1, got i=%d d=%d" % (i, d))
-    return list(_minors(active_field().key, d, i))
+    coerce = active_field().coerce
+    return [_in_field(f, coerce) for f in _int_minors(d, i)]
 
 
 def cal_J(d: int, i: int) -> PolyIdeal:

@@ -64,24 +64,14 @@ def _length_with_powers(d: int, N: int, k: int) -> int:
     return ideal.length_quotient()
 
 
-def default_n_max(d: int, groebner: bool) -> int:
-    """Desk-scale grid defaults, overridable through the environment by an
-    integer of at least 1; any other set value is a ValueError."""
-    env_var = "MONOCURVE_NMAX_GROEBNER" if groebner else "MONOCURVE_NMAX_MONOMIAL"
-    env = os.environ.get(env_var)
-    if env:
-        try:
-            n_max = int(env)
-        except ValueError:
-            n_max = 0
-        if n_max < 1:
-            raise ValueError("%s must be an integer of at least 1, got %r" % (env_var, env))
-        return n_max
-    if d <= 4:
-        return 6
-    if groebner:
-        return 4 if d == 5 else 3
+def _monomial_n_max(d: int) -> int:
+    """The monomial suites' desk-scale default n_max at d."""
     return 8 if d == 5 else 6
+
+
+def _groebner_n_max(d: int) -> int:
+    """The Groebner suites' (leading, sanity) desk-scale default n_max at d."""
+    return 6 if d <= 4 else 4 if d == 5 else 3
 
 
 # -- report structure --------------------------------------------------------
@@ -574,20 +564,19 @@ def check_socle(d: int, jobs: int = 1) -> VerificationReport:
 
 class Suite(NamedTuple):
     check: Callable[..., VerificationReport]
-    groebner: bool
-    flags: frozenset  # the optional run_suite flags the check reads
+    defaults: dict  # each optional run_suite flag the check reads -> its default at d
 
 
 SUITES = {
-    "colon": Suite(check_colon_identity, False, frozenset({"n_max"})),
-    "regseq": Suite(check_assoc_graded_regseq, False, frozenset({"n_max"})),
-    "length": Suite(check_length_formula, False, frozenset({"n_max"})),
-    "alternating": Suite(check_alternating_lengths, False, frozenset({"n_max", "k"})),
-    "leading": Suite(check_leading_ideal_equality, True, frozenset({"n_max", "k"})),
-    "scounts": Suite(check_s_counts_and_spanning, False, frozenset({"n_max"})),
-    "gscolon": Suite(check_gs_colon_chain, False, frozenset({"n_max", "k"})),
-    "socle": Suite(check_socle, False, frozenset()),
-    "sanity": Suite(check_construction_sanity, True, frozenset({"n_max", "m"})),
+    "colon": Suite(check_colon_identity, {"n_max": _monomial_n_max}),
+    "regseq": Suite(check_assoc_graded_regseq, {"n_max": _monomial_n_max}),
+    "length": Suite(check_length_formula, {"n_max": _monomial_n_max}),
+    "alternating": Suite(check_alternating_lengths, {"n_max": _monomial_n_max, "k": lambda d: None}),
+    "leading": Suite(check_leading_ideal_equality, {"n_max": _groebner_n_max, "k": lambda d: None}),
+    "scounts": Suite(check_s_counts_and_spanning, {"n_max": _monomial_n_max}),
+    "gscolon": Suite(check_gs_colon_chain, {"n_max": _monomial_n_max, "k": lambda d: None}),
+    "socle": Suite(check_socle, {}),
+    "sanity": Suite(check_construction_sanity, {"n_max": _groebner_n_max, "m": lambda d: 1}),
 }
 
 
@@ -599,33 +588,30 @@ def run_suite(
     m: int | None = None,
     jobs: int = 1,
 ) -> VerificationReport:
-    """Run one suite of SUITES; a flag the suite does not read is a ValueError.
-    n_max defaults to default_n_max and the sanity suite's curve step m to 1."""
+    """Run one suite of SUITES; a flag its row does not list, or a negative
+    n_max, is a ValueError, and each unset flag takes the row's default at d."""
     suite = SUITES.get(name)
     if suite is None:
         raise ValueError("unknown suite %r" % name)
     CurveParams(d)  # validates d >= 2
     given = {"n_max": n_max, "k": k, "m": m}
-    ignored = ["%s=%s" % (f, v) for f, v in given.items() if v is not None and f not in suite.flags]
+    ignored = ["%s=%s" % (f, v) for f, v in given.items() if v is not None and f not in suite.defaults]
     if ignored:
         raise ValueError("suite %s does not read %s" % (name, ", ".join(ignored)))
-    kwargs = {f: given[f] for f in suite.flags}
-    if "n_max" in kwargs and n_max is None:
-        kwargs["n_max"] = default_n_max(d, suite.groebner)
-    if "m" in kwargs and m is None:
-        kwargs["m"] = 1
+    if n_max is not None and n_max < 0:
+        raise ValueError("n_max must be non-negative, got %d" % n_max)
+    kwargs = {f: default(d) if given[f] is None else given[f] for f, default in suite.defaults.items()}
     return suite.check(d, jobs=jobs, **kwargs)
 
 
 def run_all(jobs: int = 1) -> list[VerificationReport]:
     """The default desk-scale grid over every suite."""
-    monomial = [name for name, s in SUITES.items() if not s.groebner and "n_max" in s.flags]
+    monomial = [name for name, s in SUITES.items() if s.defaults.get("n_max") is _monomial_n_max]
     reports = [run_suite(name, d, jobs=jobs) for d in (2, 3, 4, 5, 6) for name in monomial]
     for d in (2, 3, 4, 5):
-        with_f_n_max = min(default_n_max(d, groebner=True), 4)
         reports += [
             run_suite("leading", d, jobs=jobs),
-            check_leading_ideal_equality(d, with_f_n_max, with_f=True, jobs=jobs),
+            check_leading_ideal_equality(d, 4, with_f=True, jobs=jobs),
             run_suite("sanity", d, jobs=jobs),
         ]
     return reports + [run_suite("socle", d, jobs=jobs) for d in (2, 3, 4)]

@@ -108,7 +108,7 @@ def test_verify_all_pass_exit_zero(capsys):
 
 
 def test_verify_empty_grid_is_usage_error(capsys):
-    code, out, err = run_cli(capsys, "verify", "--suite", "length", "--d", "3", "--n-max", "-2")
+    code, out, err = run_cli(capsys, "verify", "--suite", "length", "--d", "3", "--n-max", "0")
     assert code == 2
     assert out == ""
     assert "no cases" in err
@@ -144,6 +144,13 @@ def test_verify_rejects_flags_the_suite_ignores(capsys, argv, ignored):
     assert code == 2
     assert out == ""
     assert all(flag in err for flag in ignored), err
+
+
+def test_verify_rejects_negative_n_max(capsys):
+    # sanity's substitution cases do not depend on n, so the grid is not empty
+    code, out, err = run_cli(capsys, "verify", "--suite", "sanity", "--d", "3", "--n-max", "-5")
+    assert (code, out) == (2, "")
+    assert err == "error: n_max must be non-negative, got -5\n"
 
 
 @pytest.mark.parametrize("argv,param", [

@@ -120,7 +120,7 @@ def test_f_leading_monomials_are_pure_powers():
             assert leading_term(f_poly(d, i))[0] == pure_power(i - 1, d - 1, i + 1)
 
 
-def test_f_poly_cache_keeps_fields_apart():
+def test_f_poly_minors_and_cal_I_follow_the_active_field():
     def coefficients():
         polys = [f_poly(3, 1)] + minor_polynomials(3, 1) + list(cal_I(3, 2).gens)
         return [c for f in polys for c in f.terms.values()]

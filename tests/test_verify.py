@@ -7,7 +7,6 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 from monocurve import verify
-from monocurve.cli import main
 from monocurve.curve import cal_I, mono_I, nu, pure_powers
 from monocurve.ideals import MonomialIdeal, monomials_between
 from monocurve.poly import Polynomial, pure_power
@@ -24,7 +23,6 @@ from monocurve.verify import (
     check_length_formula,
     check_s_counts_and_spanning,
     check_socle,
-    default_n_max,
     expected_length,
     run_suite,
     worker_count,
@@ -85,17 +83,25 @@ def test_suites_pass_on_small_grids(fn, kwargs):
     assert report.total == report.passed > 0
 
 
-def test_report_bytes_are_pinned(monkeypatch):
+def test_report_bytes_are_pinned():
     # every suite at its default grid for d = 3, 4 plus one with-f leading
     # grid: a refactor that moves any report byte moves this digest
-    monkeypatch.delenv("MONOCURVE_NMAX_MONOMIAL", raising=False)
-    monkeypatch.delenv("MONOCURVE_NMAX_GROEBNER", raising=False)
     reports = [run_suite(name, d) for d in (3, 4) for name in verify.SUITES]
     reports.append(check_leading_ideal_equality(4, 3, k=2))
     text = "".join(r.to_json(include_timing=False) for r in reports)
     assert (len(reports), sum(r.total for r in reports)) == (19, 223)
     assert (hashlib.sha256(text.encode()).hexdigest()
             == "a24384f10486ec0e8139004129ae43916ccb13f998832dd1bc3dd296a1c590a0")
+
+
+def test_run_all_reports_are_pinned():
+    # the full default grid, the record of what `verify --suite all` checks
+    reports = verify.run_all()
+    text = "".join(r.to_json(include_timing=False) for r in reports)
+    assert (len(reports), sum(r.total for r in reports)) == (45, 683)
+    assert all(r.all_pass for r in reports)
+    assert (hashlib.sha256(text.encode()).hexdigest()
+            == "422588d18c09886ffac07b2cd8d8354748ea80f2b007846f411417ad908d28c0")
 
 
 def test_report_schema_and_counts():
@@ -357,26 +363,34 @@ def test_socle_never_contains_the_unit_class():
             assert not (entry["level"] == 0 and entry["monomial"] == "1")
 
 
-def test_default_grids_and_env_overrides(monkeypatch):
-    assert default_n_max(3, groebner=False) == 6
-    assert default_n_max(5, groebner=False) == 8
-    assert default_n_max(6, groebner=False) == 6
-    assert default_n_max(5, groebner=True) == 4
-    assert default_n_max(6, groebner=True) == 3
-    monkeypatch.setenv("MONOCURVE_NMAX_MONOMIAL", "3")
-    monkeypatch.setenv("MONOCURVE_NMAX_GROEBNER", "2")
-    assert default_n_max(6, groebner=False) == 3
-    assert default_n_max(4, groebner=True) == 2
-    # a value that would empty or garble the grid names its variable, and the
-    # command exits 2 instead of passing vacuously
-    for bad in ("0", "-1", "x"):
-        monkeypatch.setenv("MONOCURVE_NMAX_MONOMIAL", bad)
-        monkeypatch.setenv("MONOCURVE_NMAX_GROEBNER", bad)
-        for groebner in (False, True):
-            with pytest.raises(ValueError, match="MONOCURVE_NMAX_"):
-                default_n_max(3, groebner)
-        assert main(["verify", "--suite", "all"]) == 2
-        assert main(["verify", "--suite", "length", "--d", "3"]) == 2
+def test_default_grids_come_from_the_suite_rows():
+    def defaults(name, d):
+        return {f: default(d) for f, default in verify.SUITES[name].defaults.items()}
+
+    assert defaults("colon", 3) == {"n_max": 6}
+    assert defaults("regseq", 5) == {"n_max": 8}
+    assert defaults("alternating", 6) == {"n_max": 6, "k": None}
+    assert defaults("leading", 4) == {"n_max": 6, "k": None}
+    assert defaults("leading", 5) == {"n_max": 4, "k": None}
+    assert defaults("sanity", 6) == {"n_max": 3, "m": 1}
+    assert defaults("socle", 4) == {}
+    assert run_suite("length", 5).params == {"d": 5, "n_max": 8}
+    assert run_suite("sanity", 2).params == {"d": 2, "m": 1, "n_max": 6}
+
+
+@pytest.mark.parametrize("name", [n for n, s in verify.SUITES.items() if "n_max" in s.defaults])
+def test_run_suite_rejects_negative_n_max(name):
+    with pytest.raises(ValueError, match="n_max must be non-negative, got -1"):
+        run_suite(name, 3, n_max=-1)
+
+
+@pytest.mark.parametrize("name, cases", [
+    ("length", 0), ("regseq", 2), ("gscolon", 2), ("sanity", 2),
+])
+def test_n_max_zero_grids(name, cases):
+    # regseq and gscolon start at n = 0; sanity's substitution cases, one per
+    # minor size, do not depend on n; length starts at n = 1
+    assert run_suite(name, 3, n_max=0).total == cases
 
 
 def test_worker_count_clamps(monkeypatch):
