@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from math import gcd
 
 from .groebner import PolyIdeal
@@ -96,7 +96,10 @@ def build_matrix(params: CurveParams, mod_x1: bool = False) -> PolyMatrix:
 # The matrix has integer entries, so its minors are computed once over the
 # integers and cached for every field.  Each call maps them into the active
 # field afresh, so no field-coefficient copy outlives a change of field.
-# The products that generate cal_I are taken over the integers too.
+# The products that generate cal_I are taken over the integers too, one
+# lazy generator per composition: `cal_I` lists them all, and the suites
+# read them degree by degree through `integer_cal_I`, building only those
+# the echelon kernel pulls.
 
 
 @lru_cache(maxsize=None)
@@ -154,57 +157,80 @@ def compositions(d: int, n: int) -> tuple:
     return tuple(rec(d - 1, n))
 
 
-def _slot_products(slots: list, k: int, lo: int, prefix, out: list) -> None:
-    """Append to `out` every product that fills factor slots k, k+1, ... .
+def _slot_products(slots: list, k: int, lo: int, prefix):
+    """Yield every product that fills factor slots k, k+1, ... .
 
     slots[k] is (minors, opens_block).  Inside a block the minor index never
     decreases, so slot k starts at index `lo` unless it opens a block.  Each
     product is its prefix times one minor, so a shared prefix is multiplied
-    once; the walk is the lexicographic order of the index tuples and the
-    products associate left to right.  It recurses at module level, like
-    `_minor`.
+    once, when the first product under it is pulled; the walk is the
+    lexicographic order of the index tuples and the products associate left
+    to right.  It recurses at module level, like `_minor`.
     """
     minors, opens_block = slots[k]
     last = k + 1 == len(slots)
     for j in range(0 if opens_block else lo, len(minors)):
         f = minors[j] if prefix is None else prefix * minors[j]
         if last:
-            out.append(f)
+            yield f
         else:
-            _slot_products(slots, k + 1, j, f, out)
+            yield from _slot_products(slots, k + 1, j, f)
 
 
-def integer_cal_I(d: int, n: int) -> list[Polynomial]:
-    """The generators of cal_I(d, n) with their integer coefficients, before
-    any field sees them; n = 0 gives the constant 1.
+def _composition_products(d: int, a: tuple):
+    """Yield the integer products of one composition a, lazily: a_1 minors
+    of size 2, then a_2 of size 3, and so on, each block a multiset of
+    minors in lexicographic order; the empty composition yields 1."""
+    slots = []
+    for i, ai in enumerate(a, start=1):
+        slots += [(_int_minors(d, i), s == 0) for s in range(ai)]
+    if slots:
+        yield from _slot_products(slots, 0, 0, None)
+    else:
+        yield Polynomial({(0,) * (d - 1): 1}, d - 1)
 
-    For each composition a of n (colex order) the generators are the products
-    of a_1 minors of size 2, then a_2 of size 3, and so on, each block a
-    multiset of minors in lexicographic order.  The products are taken over
-    the integers, sharing prefixes.
-    """
+
+def _cal_I_compositions(d: int, n: int) -> tuple:
+    """The compositions of n that index the products of cal_I(d, n)."""
     if d < 2:
         raise ValueError("d must be at least 2")
     if n < 0:
         raise ValueError("n must be non-negative")
-    v = d - 1
-    if n == 0:
-        return [Polynomial({(0,) * v: 1}, v)]
-    gens: list = []
-    for a in compositions(d, n):
-        slots = []
-        for i, ai in enumerate(a, start=1):
-            slots += [(_int_minors(d, i), s == 0) for s in range(ai)]
-        _slot_products(slots, 0, 0, None, gens)
-    return gens
+    return compositions(d, n)
+
+
+def integer_cal_I(d: int, n: int) -> dict:
+    """The generators of cal_I(d, n) with their integer coefficients, before
+    any field sees them, as a map from degree to a lazy iterator; n = 0 gives
+    the constant 1.
+
+    A composition a of n contributes `_composition_products(d, a)`, each of
+    degree n + sum(a), as a minor of size i+1 has degree i+1.  The iterator of
+    a degree walks its compositions in colex order and multiplies a product
+    out, over the integers and sharing prefixes, only when it is pulled, so
+    a reader that stops early builds none of the rest.
+    """
+    by_degree: dict = {}
+    for a in _cal_I_compositions(d, n):
+        by_degree.setdefault(n + sum(a), []).append(a)
+    return {
+        e: chain.from_iterable(_composition_products(d, a) for a in comps)
+        for e, comps in by_degree.items()
+    }
 
 
 def cal_I(d: int, n: int) -> PolyIdeal:
     """Weighted sum of products of the minor ideals; n = 0 is the unit ideal.
-    Its generators are `integer_cal_I`'s, each mapped into the active field
-    once; `PolyIdeal` drops any that vanish there."""
+    Its generators are the products of `integer_cal_I`, all of them, one
+    composition after another in colex order, each mapped into the active
+    field once; `PolyIdeal` drops any that vanish there."""
     coerce = active_field().coerce
-    return PolyIdeal([_in_field(f, coerce) for f in integer_cal_I(d, n)], d - 1)
+    gens = [
+        _in_field(f, coerce)
+        for a in _cal_I_compositions(d, n)
+        for f in _composition_products(d, a)
+    ]
+    return PolyIdeal(gens, d - 1)
 
 
 # -- the monomial side -----------------------------------------------------

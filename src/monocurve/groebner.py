@@ -1,9 +1,11 @@
 """Leading ideals of homogeneous ideals, and reduced Groebner bases.
 
-`leading_ideal`, which the suites call, reads the leading ideal off one
-degree-by-degree echelon form of the Macaulay matrices (Lazard, EUROCAL
-1983), eliminating over Python ints: fraction-free over Q, residues over
-GF(p).  `buchberger` is the general reduced-basis routine and the tests'
+`leading_ideal_by_degree`, which the suites call, reads the leading ideal
+off one degree-by-degree echelon form of the Macaulay matrices (Lazard,
+EUROCAL 1983), eliminating over Python ints: fraction-free over Q, residues
+over GF(p).  It pulls each degree's generators lazily and stops at the
+first full degree; `leading_ideal` groups a `PolyIdeal` for it.
+`buchberger` is the general reduced-basis routine and the tests'
 independent route: Gebauer-Moeller pair update, pairs by increasing lcm
 degree with ties broken by the order, so output is deterministic; it
 reduces through `normal_form`.
@@ -261,46 +263,66 @@ def _pivot(row: dict, lead: int, p: int) -> dict:
 
 
 def leading_ideal(ideal: PolyIdeal, order: MonomialOrder = GREVELEX) -> MonomialIdeal:
-    """The leading ideal of a homogeneous ideal, degree by degree; the zero
-    ideal maps to the zero ideal.  Coefficients are elements of the active
-    field, or ints, which are read in it.
-
-    Degree e of the ideal is spanned by its degree-e generators and x_k times
-    the echelon rows of degree e-1, for every k.  A row is a map from column
-    to int coefficient, the column of a monomial its rank under the order
-    among the monomials of degree e.  Each row, top-reduced against the
-    pivots so far, is zero or a new pivot; the leading monomials of any row
-    echelon form of a span are the same set, and the pivots' are the leading
-    ideal in degree e.  Over Q the rows stay integral, over GF(p) they hold
-    residues.  The walk stops at the first degree where every monomial
-    leads a pivot.  Raises ValueError on inhomogeneous generators, or past
-    degree v(D-1)+1, D the largest generator degree, where only a
-    non-Artinian quotient has standard monomials left.
+    """The leading ideal of a homogeneous ideal; the zero ideal maps to the
+    zero ideal.  Coefficients are elements of the active field, or ints,
+    which are read in it.  Every generator is read and grouped by degree
+    first, so an inhomogeneous one raises ValueError before any elimination;
+    the groups go to `leading_ideal_by_degree`.
     """
-    v = ideal.varcount
     p = active_field().characteristic
     by_degree: dict[int, list] = {}
     for g in ideal.gens:
-        terms = integer_terms(g.terms, p)
-        degrees = set(map(sum, terms))
+        degrees = set(map(sum, integer_terms(g.terms, p)))
         if len(degrees) > 1:
             raise ValueError("leading_ideal requires homogeneous generators")
         if degrees:
-            by_degree.setdefault(degrees.pop(), []).append(terms)
-    if not by_degree:
+            by_degree.setdefault(degrees.pop(), []).append(g)
+    return leading_ideal_by_degree(by_degree, ideal.varcount, order)
+
+
+def leading_ideal_by_degree(buckets: dict, varcount: int,
+                            order: MonomialOrder = GREVELEX) -> MonomialIdeal:
+    """The leading ideal of the homogeneous ideal in `varcount` variables
+    whose degree-e generators the iterable buckets[e] yields; a generator is
+    a polynomial whose coefficients are elements of the active field, or
+    ints, which are read in it.  Generators that vanish there are skipped,
+    and nothing to read gives the zero ideal.
+
+    Degree e of the ideal is spanned by x_k times the echelon rows of degree
+    e-1, for every k, and its degree-e generators, read in that order and
+    one at a time.  A row is a map from column to int coefficient, the
+    column of a monomial its rank under the order among the monomials of
+    degree e.  Each row, top-reduced against the pivots so far, is zero or a
+    new pivot; the leading monomials of any row echelon form of a span are
+    the same set, and the pivots' are the leading ideal in degree e, so the
+    row order does not change the result.  Over Q the rows stay integral,
+    over GF(p) they hold residues.  The walk stops at the first degree where
+    every monomial leads a pivot, and reads no generator after that row, so
+    a lazy bucket builds none of the rest; the rows from below come first
+    because they often fill a degree on their own.  Raises ValueError on a
+    generator it reads that is not homogeneous of its bucket's degree, or
+    past degree v(D-1)+1, D the largest bucket degree, where only a
+    non-Artinian quotient has standard monomials left.
+    """
+    v = varcount
+    p = active_field().characteristic
+    if not buckets:
         return MonomialIdeal.zero(v)
-    cap = max(v * (max(by_degree) - 1) + 1, 0)
+    top = max(buckets)
+    cap = max(v * (top - 1) + 1, 0)
 
     xs = [pure_power(k, v) for k in range(v)]
     leads: list[tuple] = []
     below: list[tuple] = []  # the monomials of degree e-1, ranked
     prev: list[dict] = []  # the echelon rows of degree e-1
     for e in range(cap + 1):
+        if e > top and not leads:
+            break  # every generator vanished in the field
         monomials = sorted(monomials_of_degree(v, e), key=order.key)
         column = {m: i for i, m in enumerate(monomials)}
         size = len(monomials)
         pivots: dict = {}  # leading column -> row
-        for row in _degree_rows(by_degree.pop(e, ()), column, xs, below, prev):
+        for row in _degree_rows(buckets.get(e, ()), e, p, column, xs, below, prev):
             lead = _top_reduce(row, pivots, p)
             if lead is not None:
                 pivots[lead] = _pivot(row, lead, p)
@@ -311,16 +333,22 @@ def leading_ideal(ideal: PolyIdeal, order: MonomialOrder = GREVELEX) -> Monomial
             return MonomialIdeal(leads, v)
         below = monomials
         prev = list(pivots.values())
+    if not leads:
+        return MonomialIdeal.zero(v)
     raise ValueError("quotient is not Artinian")
 
 
-def _degree_rows(gens: list, column: dict, xs: list, below: list, prev: list):
-    """The rows spanning one degree, made one at a time: each generator's,
-    then x times each row of `prev`, which are over the ranked monomials
-    `below` of one degree less, for each x in `xs`."""
-    for g in gens:
-        yield {column[m]: c for m, c in g.items()}
+def _degree_rows(gens, e: int, p: int, column: dict, xs: list, below: list, prev: list):
+    """The rows spanning degree e, made one at a time: x times each row of
+    `prev`, which are over the ranked monomials `below` of degree e-1, for
+    each x in `xs`, then each generator's, read in characteristic p."""
     for x in xs:
         up = [column[times(m, x)] for m in below]
         for row in prev:
             yield {up[i]: c for i, c in row.items()}
+    for g in gens:
+        terms = integer_terms(g.terms, p)
+        if any(sum(m) != e for m in terms):
+            raise ValueError("leading_ideal requires homogeneous generators")
+        if terms:
+            yield {column[m]: c for m, c in terms.items()}

@@ -19,7 +19,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Callable, NamedTuple
 
 from .curve import (
@@ -27,6 +27,7 @@ from .curve import (
     InvariantViolation,
     _int_minors,
     cal_I,  # not called here; kept as verify.cal_I, the name perfbench/tracer.py wraps
+    compositions,
     full_minors,
     integer_cal_I,
     lambda_set,
@@ -38,7 +39,7 @@ from .curve import (
     s_set,
     substitute_parametrization,
 )
-from .groebner import PolyIdeal, integer_terms, leading_ideal
+from .groebner import integer_terms, leading_ideal_by_degree
 from .ideals import MonomialIdeal, monomials_between, multiples_outside
 from .poly import pure_power, times
 from .render import format_ideal, format_monomial
@@ -231,13 +232,23 @@ def _case_alternating(args) -> Case:
     return Case(inputs, {"alternating": alternating, "formula": formula}, actual, ok)
 
 
-def _leading_or_refusal(ideal: PolyIdeal) -> MonomialIdeal | str:
-    """The leading ideal, or the message with which `leading_ideal` refuses
-    the ideal as not homogeneous or not Artinian."""
+def _lazy_leading(d: int, n: int, k: int) -> MonomialIdeal | str:
+    """LI(cal_I(d, n) + (f_1, ..., f_k)), read degree by degree from the lazy
+    `integer_cal_I` with each f_i, of degree i+1, first in its degree; or the
+    message with which the kernel refuses the ideal as not homogeneous or
+    not Artinian."""
+    buckets = integer_cal_I(d, n)
+    for i in range(1, k + 1):
+        buckets[i + 1] = chain([_int_minors(d, i)[0]], buckets.get(i + 1, ()))
     try:
-        return leading_ideal(ideal)
+        return leading_ideal_by_degree(buckets, d - 1)
     except ValueError as exc:
         return str(exc)
+
+
+def _multisets(z: int, a: int) -> int:
+    """The number of multisets of a elements drawn from z."""
+    return binom(z + a - 1, a) if a else 1
 
 
 # What the leading and sanity suites read of cal_I(d, n) depends on the
@@ -248,15 +259,30 @@ def _leading_or_refusal(ideal: PolyIdeal) -> MonomialIdeal | str:
 @lru_cache(maxsize=None)
 def _cal_I_facts(field_key, d: int, n: int) -> tuple:
     """LI(cal_I(d, n)) or the refusal, the number of generators and the
-    number of inhomogeneous ones, all as in the active field.  The integer
-    products go to `leading_ideal` as they are; they are counted as
-    `integer_terms` reads them in the field, where cal_I(d, n) drops those
-    that vanish."""
-    gens = integer_cal_I(d, n)
+    number of inhomogeneous ones, all as in the active field.
+
+    The counts need no product.  The generators are the products of a
+    multiset of a_i minors of size i+1 for each i, over the compositions a
+    of n, and T' over a field is a domain, so a product of nonzero factors
+    is nonzero, and homogeneous exactly when each factor is (the product of
+    the factors' lowest-degree parts, and of their highest, is nonzero).
+    With z_i the minors of size i+1 that are nonzero as `integer_terms`
+    reads them in the field, the generators that survive there number
+    sum_a prod_i C(z_i + a_i - 1, a_i); the homogeneous ones are the same
+    sum over the homogeneous minors.
+    """
     p = active_field().characteristic
-    read = [t for t in (integer_terms(g.terms, p) for g in gens) if t]
-    bad = sum(1 for t in read if len(set(map(sum, t))) > 1)
-    return _leading_or_refusal(PolyIdeal(gens, d - 1)), len(read), bad
+    nonzero, homogeneous = [], []
+    for i in range(1, d):
+        read = [t for t in (integer_terms(f.terms, p) for f in _int_minors(d, i)) if t]
+        nonzero.append(len(read))
+        homogeneous.append(sum(1 for t in read if len(set(map(sum, t))) == 1))
+
+    def products(z: list) -> int:
+        return sum(math.prod(map(_multisets, z, a)) for a in compositions(d, n))
+
+    count = products(nonzero)
+    return _lazy_leading(d, n, 0), count, count - products(homogeneous)
 
 
 def _refused(inputs: dict, expected, error: str) -> Case:
@@ -276,11 +302,10 @@ def _case_leading(args) -> Case:
 
 def _case_leading_with_f(args) -> Case:
     d, n, k = args
-    gens = integer_cal_I(d, n) + [_int_minors(d, i)[0] for i in range(1, k + 1)]
     mono = mono_I(d, n) + MonomialIdeal(pure_powers(d, k + 1), d - 1)
     inputs = {"d": d, "n": n, "k": k}
     expected = {"contained": True, "length": mono.length_quotient(), "equal": True}
-    li = _leading_or_refusal(PolyIdeal(gens, d - 1))
+    li = _lazy_leading(d, n, k)
     if isinstance(li, str):
         return _refused(inputs, expected, li)
     contained = li.contains_ideal(mono)
@@ -389,7 +414,10 @@ def worker_count(jobs: int, cases: int) -> int:
 
 def _run(suite: str, params: dict, grid: list, jobs: int) -> VerificationReport:
     """Evaluate the grid's (evaluator, args) items in order, serially or on a
-    pool whose workers compute over the caller's active field."""
+    pool whose workers compute over the caller's active field.  Every suite
+    comes through here, so here a negative n_max is a ValueError."""
+    if params.get("n_max", 0) < 0:
+        raise ValueError("n_max must be non-negative, got %d" % params["n_max"])
     t0 = time.perf_counter()
     workers = worker_count(jobs, len(grid))
     if workers == 1:
@@ -588,8 +616,8 @@ def run_suite(
     m: int | None = None,
     jobs: int = 1,
 ) -> VerificationReport:
-    """Run one suite of SUITES; a flag its row does not list, or a negative
-    n_max, is a ValueError, and each unset flag takes the row's default at d."""
+    """Run one suite of SUITES; a flag its row does not list is a ValueError,
+    and each unset flag takes the row's default at d."""
     suite = SUITES.get(name)
     if suite is None:
         raise ValueError("unknown suite %r" % name)
@@ -598,8 +626,6 @@ def run_suite(
     ignored = ["%s=%s" % (f, v) for f, v in given.items() if v is not None and f not in suite.defaults]
     if ignored:
         raise ValueError("suite %s does not read %s" % (name, ", ".join(ignored)))
-    if n_max is not None and n_max < 0:
-        raise ValueError("n_max must be non-negative, got %d" % n_max)
     kwargs = {f: default(d) if given[f] is None else given[f] for f, default in suite.defaults.items()}
     return suite.check(d, jobs=jobs, **kwargs)
 

@@ -1,4 +1,5 @@
 import functools
+from functools import partial
 import hashlib
 import json
 import multiprocessing
@@ -7,7 +8,8 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 from monocurve import verify
-from monocurve.curve import cal_I, mono_I, nu, pure_powers
+from monocurve.curve import cal_I, f_poly, integer_cal_I, mono_I, nu, pure_powers
+from monocurve.groebner import PolyIdeal, buchberger, leading_ideal, leading_ideal_by_degree
 from monocurve.ideals import MonomialIdeal, monomials_between
 from monocurve.poly import Polynomial, pure_power
 from monocurve.render import format_ideal
@@ -28,7 +30,13 @@ from monocurve.verify import (
     worker_count,
 )
 
-from oracles import filtration_sum, filtration_sum_chained, monomials_between_box, staircase_count
+from oracles import (
+    cal_I_products,
+    filtration_sum,
+    filtration_sum_chained,
+    monomials_between_box,
+    staircase_count,
+)
 
 
 def test_expected_length_conventions():
@@ -153,14 +161,15 @@ def _fresh_leading_cache(monkeypatch, compute=None):
 
 
 def _non_artinian_cal_I(monkeypatch):
-    # leading_ideal raises on (x2 x3): its quotient is not Artinian.  The
-    # empty cache makes the patched build reach leading_ideal whatever ran
-    # before, and drops what it computed when the test ends.
-    monkeypatch.setattr(verify, "integer_cal_I", lambda d, n: [Polynomial({(1, 1): 1}, 2)])
+    # the kernel raises on (x2 x3): its quotient is not Artinian.  The empty
+    # cache makes the patched per-degree source reach the kernel whatever
+    # ran before, and drops what it computed when the test ends.
+    monkeypatch.setattr(verify, "integer_cal_I", lambda d, n: {2: iter([Polynomial({(1, 1): 1}, 2)])})
     _fresh_leading_cache(monkeypatch)
 
 
 def test_leading_cache_keeps_fields_apart(monkeypatch):
+    # one build of the per-degree source, and one computation, per field
     computed, builds = [], []
     compute, build = verify._cal_I_facts.__wrapped__, verify.integer_cal_I
 
@@ -191,31 +200,99 @@ def test_leading_cache_keeps_fields_apart(monkeypatch):
     assert len(builds) == 4
 
 
-@pytest.mark.parametrize("field", [RATIONALS, PrimeField(32003), PrimeField(3)],
-                         ids=["Q", "GF32003", "GF3"])
-@pytest.mark.parametrize("d", [4, 5])
-def test_sanity_counts_the_generators_of_cal_I(field, d):
+_Q, _GF32003, _GF3 = RATIONALS, PrimeField(32003), PrimeField(3)
+
+
+_FIELD_IDS = {_Q: "Q", _GF32003: "GF32003", _GF3: "GF3"}
+
+
+@pytest.mark.parametrize("d, field", [
+    pytest.param(d, field, id="%d-%s" % (d, _FIELD_IDS[field]))
+    for d, fields in ((4, (_Q, _GF32003, _GF3)), (5, (_Q, _GF32003, _GF3)), (6, (_Q, _GF3)), (7, (_Q, _GF3)))
+    for field in fields
+])
+def test_sanity_counts_the_generators_of_cal_I(d, field):
+    # the counts from the minors against every product multiplied out
+    n_max = 2 if d == 7 else 3
     with using_field(field):
-        report = check_construction_sanity(d, 1, 3)
+        report = check_construction_sanity(d, 1, n_max)
         counts = [(c.inputs["n"], c.inputs["generators"], c.actual)
                   for c in report.cases if c.inputs["check"] == "homogeneous"]
-        built = [cal_I(d, n).gens for n in (1, 2, 3)]
+        built = [cal_I_products(d, n) for n in range(1, n_max + 1)]
     assert counts == [(n, len(gens), sum(not g.is_homogeneous() for g in gens))
-                      for n, gens in zip((1, 2, 3), built)]
+                      for n, gens in enumerate(built, start=1)]
+
+
+def _refusal(compute):
+    try:
+        return compute()
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("field", _FIELD_IDS, ids=_FIELD_IDS.get)
+def test_lazy_leading_ideal_matches_eager_and_buchberger(field):
+    # the lazy per-degree route, with and without f_1..f_k, against the
+    # eager kernel on the whole generator list and the reduced basis
+    with using_field(field):
+        for d in (3, 4, 5):
+            for n in range(1, 5):
+                for k in range(d):
+                    ideal = PolyIdeal(list(cal_I(d, n).gens) + [f_poly(d, i) for i in range(1, k + 1)], d - 1)
+                    lazy = verify._lazy_leading(d, n, k)
+                    assert lazy == _refusal(lambda: leading_ideal(ideal)), (d, n, k)
+                    if isinstance(lazy, MonomialIdeal):
+                        assert lazy == MonomialIdeal(buchberger(ideal).leading_monomials(), d - 1), (d, n, k)
+
+
+def test_lazy_source_stops_early_at_5_5():
+    # of the 5,087 products, those of degrees 7-9 fill no degree; x_k times
+    # the rows of degree 9 leave one monomial of degree 10 to the products
+    pulled = 0
+
+    def counted(products):
+        nonlocal pulled
+        for f in products:
+            pulled += 1
+            yield f
+
+    buckets = {e: counted(it) for e, it in integer_cal_I(5, 5).items()}
+    assert leading_ideal_by_degree(buckets, 4) == mono_I(5, 5)
+    assert verify._cal_I_facts(active_field().key, 5, 5)[1] == 5087
+    assert pulled <= 3200
+
+
+def test_lazy_kernel_refuses_what_it_reads():
+    # a generator of the wrong degree for its bucket, or inhomogeneous, is
+    # refused when read; one past the first full degree is never read
+    x2, x3 = Polynomial({(1, 0): 1}, 2), Polynomial({(0, 1): 1}, 2)
+    wrong = Polynomial({(2, 0): 1, (0, 1): 1}, 2)
+    with pytest.raises(ValueError, match="homogeneous"):
+        leading_ideal_by_degree({1: [x2, Polynomial({(0, 2): 1}, 2)]}, 2)
+    with pytest.raises(ValueError, match="homogeneous"):
+        leading_ideal_by_degree({1: [x2, x3], 0: [wrong]}, 2)
+    assert leading_ideal_by_degree({1: [x2, x3], 2: [wrong]}, 2) == MonomialIdeal([(1, 0), (0, 1)], 2)
+    with using_field(PrimeField(3)):
+        assert leading_ideal_by_degree({2: [Polynomial({(1, 1): 3}, 2)]}, 2).is_zero()
 
 
 def test_sanity_counts_generators_as_the_field_sees_them(monkeypatch):
-    # 3 x2^2 vanishes in GF(3) and x2^2 + 3 x2 is homogeneous there
-    gens = [Polynomial({(2, 0): 3}, 2), Polynomial({(2, 0): 1, (1, 0): 3}, 2),
-            Polynomial({(1, 1): 1}, 2)]
-    monkeypatch.setattr(verify, "integer_cal_I", lambda d, n: gens)
+    # the counts come from the minors: 3 x2^2 vanishes in GF(3), x2^2 + 3 x2
+    # is homogeneous there and x2^2 + x2 is not; the size-3 minor is real
+    size_2 = [Polynomial({(2, 0): 3}, 2), Polynomial({(2, 0): 1, (1, 0): 3}, 2),
+              Polynomial({(2, 0): 1, (1, 0): 1}, 2), Polynomial({(1, 1): 1}, 2)]
+    minors = verify._int_minors
+    monkeypatch.setattr(verify, "_int_minors", lambda d, i: size_2 if i == 1 else minors(d, i))
     _fresh_leading_cache(monkeypatch)
     counts = {}
     for field in (RATIONALS, PrimeField(3)):
         with using_field(field):
-            case = check_construction_sanity(3, 1, 1).cases[0]
-        counts[field.name] = (case.inputs["generators"], case.actual)
-    assert counts == {"rational": (3, 1), "fp": (2, 0)}
+            cases = check_construction_sanity(3, 1, 2).cases
+        counts[field.name] = [(c.inputs["generators"], c.actual)
+                              for c in cases if c.inputs["check"] == "homogeneous"]
+    # n = 2 multiplies two size-2 minors, C(z + 1, 2) of them, or takes the
+    # size-3 minor; over Q z = 4 with 2 homogeneous, over GF(3) z = 3 with 2
+    assert counts == {"rational": [(4, 2), (10 + 1, 10 - 3)], "fp": [(3, 1), (6 + 1, 6 - 3)]}
 
 
 def test_sanity_reports_a_non_artinian_case(monkeypatch):
@@ -382,6 +459,26 @@ def test_default_grids_come_from_the_suite_rows():
 def test_run_suite_rejects_negative_n_max(name):
     with pytest.raises(ValueError, match="n_max must be non-negative, got -1"):
         run_suite(name, 3, n_max=-1)
+
+
+_N_MAX_CHECKS = {
+    "colon": partial(check_colon_identity, 3),
+    "regseq": partial(check_assoc_graded_regseq, 3),
+    "length": partial(check_length_formula, 3),
+    "alternating": partial(check_alternating_lengths, 3),
+    "leading": partial(check_leading_ideal_equality, 3),
+    "leading_f": partial(check_leading_ideal_equality, 3, with_f=True),
+    "scounts": partial(check_s_counts_and_spanning, 3),
+    "gscolon": partial(check_gs_colon_chain, 3),
+    "sanity": partial(check_construction_sanity, 3, 1),
+}
+
+
+@pytest.mark.parametrize("name", _N_MAX_CHECKS)
+def test_checks_reject_negative_n_max(name):
+    # the public checks, called directly, share run_suite's guard
+    with pytest.raises(ValueError, match="n_max must be non-negative, got -1"):
+        _N_MAX_CHECKS[name](n_max=-1)
 
 
 @pytest.mark.parametrize("name, cases", [
