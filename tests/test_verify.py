@@ -1,5 +1,4 @@
 import functools
-from functools import partial
 import hashlib
 import json
 import multiprocessing
@@ -201,8 +200,6 @@ def test_leading_cache_keeps_fields_apart(monkeypatch):
 
 
 _Q, _GF32003, _GF3 = RATIONALS, PrimeField(32003), PrimeField(3)
-
-
 _FIELD_IDS = {_Q: "Q", _GF32003: "GF32003", _GF3: "GF3"}
 
 
@@ -462,15 +459,15 @@ def test_run_suite_rejects_negative_n_max(name):
 
 
 _N_MAX_CHECKS = {
-    "colon": partial(check_colon_identity, 3),
-    "regseq": partial(check_assoc_graded_regseq, 3),
-    "length": partial(check_length_formula, 3),
-    "alternating": partial(check_alternating_lengths, 3),
-    "leading": partial(check_leading_ideal_equality, 3),
-    "leading_f": partial(check_leading_ideal_equality, 3, with_f=True),
-    "scounts": partial(check_s_counts_and_spanning, 3),
-    "gscolon": partial(check_gs_colon_chain, 3),
-    "sanity": partial(check_construction_sanity, 3, 1),
+    "colon": functools.partial(check_colon_identity, 3),
+    "regseq": functools.partial(check_assoc_graded_regseq, 3),
+    "length": functools.partial(check_length_formula, 3),
+    "alternating": functools.partial(check_alternating_lengths, 3),
+    "leading": functools.partial(check_leading_ideal_equality, 3),
+    "leading_f": functools.partial(check_leading_ideal_equality, 3, with_f=True),
+    "scounts": functools.partial(check_s_counts_and_spanning, 3),
+    "gscolon": functools.partial(check_gs_colon_chain, 3),
+    "sanity": functools.partial(check_construction_sanity, 3, 1),
 }
 
 
