@@ -16,15 +16,9 @@ from .curve import (
     s_set,
     substitute_parametrization,
 )
-from .groebner import (
-    GroebnerBasis,
-    PolyIdeal,
-    buchberger,
-    leading_ideal,
-    normal_form,
-)
+from .groebner import PolyIdeal, leading_ideal
 from .ideals import MonomialIdeal, minimal_generators, monomials_between, monomials_of_degree
-from .order import GREVELEX, GRLEX, MonomialOrder, leading_term
+from .order import GREVELEX
 from .poly import Polynomial, PolyMatrix
 from .scalars import (
     GFElement,

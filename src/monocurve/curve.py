@@ -289,17 +289,18 @@ def nu(u) -> int:
     return order
 
 
-def _emit_generators(n: int, exps: list, p: int, slack: int, order: int, budget: int,
+def _emit_generators(n: int, exps: list, p: int, slack: int, weight: int, budget: int,
                      out: list) -> bool:
     """Append the minimal generators of I_n whose exponents above position p
     are those of `exps`, and return whether that prefix with zeros at
     positions p, ..., 0 already lies in I_n.
 
-    `slack` and `order` are nu's greedy state after the levels above p, and
-    `budget` is what is left of the degree bound 2n: nu(u) >= deg(u) // 2
-    (blocks of size 2 alone), so u of degree above 2n keeps order n without
-    any one unit and is not minimal.  Once a prefix lies in I_n, raising its
-    last exponent gives no new generator, so each level stops there.
+    `slack` and `weight` (the sum of i a_i so far) are nu's greedy state
+    after the levels above p, and `budget` is what is left of the degree
+    bound 2n: nu(u) >= deg(u) // 2 (blocks of size 2 alone), so u of degree
+    above 2n keeps order n without any one unit and is not minimal.  Once a
+    prefix lies in I_n, raising its last exponent gives no new generator, so
+    each level stops there.
 
     Every u appended is minimal without a test of its own.  Moving a unit
     from one variable to a later one lowers no suffix sum S_j (see nu), so
@@ -314,13 +315,13 @@ def _emit_generators(n: int, exps: list, p: int, slack: int, order: int, budget:
     cycle that keeps `out` alive until the cyclic collector runs.
     """
     if p == 0:
-        low = max(2 * (n - order) - slack, 0)  # the least x_2 exponent reaching n
+        low = max(2 * (n - weight) - slack, 0)  # the least x_2 exponent reaching n
         out.append((low,) + tuple(exps[1:]))
         return low == 0
     for e in range(budget + 1):
         exps[p] = e
         a, rest = divmod(slack + e, p + 2)
-        if _emit_generators(n, exps, p - 1, rest, order + (p + 1) * a, budget - e, out):
+        if _emit_generators(n, exps, p - 1, rest, weight + (p + 1) * a, budget - e, out):
             exps[p] = 0
             return e == 0
     exps[p] = 0

@@ -8,7 +8,8 @@ first full degree; `leading_ideal` groups a `PolyIdeal` for it.
 `buchberger` is the general reduced-basis routine and the tests'
 independent route: Gebauer-Moeller pair update, pairs by increasing lcm
 degree with ties broken by the order, so output is deterministic; it
-reduces through `normal_form`.
+reduces through `normal_form`.  Everything here uses the one order of
+`monocurve.order`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from math import gcd, lcm
 from operator import sub
 
 from .ideals import MonomialIdeal, monomials_of_degree
-from .order import GREVELEX, MonomialOrder, leading_term
+from .order import GREVELEX, leading_term
 from .poly import Polynomial, divides, pure_power, times
 from .scalars import active_field
 
@@ -41,17 +42,16 @@ class PolyIdeal:
 
 
 class GroebnerBasis:
-    __slots__ = ("elements", "order")
+    __slots__ = ("elements",)
 
-    def __init__(self, elements, order: MonomialOrder):
+    def __init__(self, elements):
         self.elements = tuple(elements)
-        self.order = order
 
     def leading_monomials(self) -> list[tuple]:
-        return [leading_term(g, self.order)[0] for g in self.elements]
+        return [leading_term(g)[0] for g in self.elements]
 
     def __repr__(self):
-        return "GroebnerBasis(%d elements, %s)" % (len(self.elements), self.order.name)
+        return "GroebnerBasis(%d elements)" % len(self.elements)
 
 
 class _Divisors(list):
@@ -61,7 +61,7 @@ class _Divisors(list):
     __slots__ = ()
 
 
-def normal_form(f: Polynomial, basis, order: MonomialOrder = GREVELEX) -> Polynomial:
+def normal_form(f: Polynomial, basis) -> Polynomial:
     """Remainder of f under full division by `basis`, tried in list order.
 
     No monomial of the result is divisible by any leading monomial of the
@@ -70,7 +70,7 @@ def normal_form(f: Polynomial, basis, order: MonomialOrder = GREVELEX) -> Polyno
     keeps, whose leading terms are not computed again.
     """
     if not isinstance(basis, _Divisors):
-        basis = [leading_term(g, order) + (g,) for g in basis if g]
+        basis = [leading_term(g) + (g,) for g in basis if g]
 
     def find(m):
         for t in basis:
@@ -78,11 +78,10 @@ def normal_form(f: Polynomial, basis, order: MonomialOrder = GREVELEX) -> Polyno
                 return t
         return None
 
-    key = order.key
     work = dict(f.terms)
     remainder: dict = {}
     while work:
-        m = max(work, key=key)
+        m = max(work, key=GREVELEX)
         c = work.pop(m)
         hit = find(m)
         if hit is None:
@@ -113,7 +112,7 @@ def _s_poly(tf, tg) -> Polynomial:
     return f.mul_term(uf, 1 / cf) - g.mul_term(ug, 1 / cg)
 
 
-def _update_pairs(heap, live, lms, t, order):
+def _update_pairs(heap, live, lms, t):
     """Gebauer-Moeller pair update after appending the basis element t.
 
     New pairs are filtered in ascending lcm order: a pair survives only if no
@@ -122,10 +121,9 @@ def _update_pairs(heap, live, lms, t, order):
     lcm the new leading monomial strictly refines are discarded.
     """
     lm_t = lms[t]
-    key = order.key
 
     lcms = {i: tuple(map(max, lm_t, lms[i])) for i in range(t)}
-    candidates = sorted(range(t), key=lambda i: (key(lcms[i]), i))
+    candidates = sorted(range(t), key=lambda i: (GREVELEX(lcms[i]), i))
     kept: list[int] = []
     for i in candidates:
         coprime = not any(map(min, lm_t, lms[i]))
@@ -142,16 +140,12 @@ def _update_pairs(heap, live, lms, t, order):
             continue  # product criterion: that S-polynomial reduces to zero
         li = lcms[i]
         live[(i, t)] = li
-        heapq.heappush(heap, (sum(li), key(li), i, t))
+        heapq.heappush(heap, (sum(li), GREVELEX(li), i, t))
 
 
-def buchberger(ideal: PolyIdeal, order: MonomialOrder = GREVELEX) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal under the given order."""
-    key = order.key
-    seeds = sorted(
-        (g for g in ideal.gens if g),
-        key=lambda g: key(leading_term(g, order)[0]),
-    )
+def buchberger(ideal: PolyIdeal) -> GroebnerBasis:
+    """Reduced Groebner basis of the ideal."""
+    seeds = sorted((g for g in ideal.gens if g), key=lambda g: GREVELEX(leading_term(g)[0]))
 
     # one (lm, lc, element) triple per basis element, made monic when added
     divisors = _Divisors()
@@ -160,15 +154,15 @@ def buchberger(ideal: PolyIdeal, order: MonomialOrder = GREVELEX) -> GroebnerBas
     live: dict = {}
 
     def add(h: Polynomial) -> None:
-        lm, lc = leading_term(h, order)
+        lm, lc = leading_term(h)
         if lc != 1:
             h = h.scale(1 / lc)
         divisors.append((lm, h.terms[lm], h))
         lms.append(lm)
-        _update_pairs(heap, live, lms, len(lms) - 1, order)
+        _update_pairs(heap, live, lms, len(lms) - 1)
 
     for g in seeds:
-        r = normal_form(g, divisors, order)
+        r = normal_form(g, divisors)
         if r:
             add(r)
 
@@ -177,7 +171,7 @@ def buchberger(ideal: PolyIdeal, order: MonomialOrder = GREVELEX) -> GroebnerBas
         if (i, j) not in live:
             continue
         del live[(i, j)]
-        r = normal_form(_s_poly(divisors[i], divisors[j]), divisors, order)
+        r = normal_form(_s_poly(divisors[i], divisors[j]), divisors)
         if r:
             add(r)
 
@@ -189,10 +183,10 @@ def buchberger(ideal: PolyIdeal, order: MonomialOrder = GREVELEX) -> GroebnerBas
             continue
         keep.append(i)
     reduced = [
-        normal_form(divisors[i][2], _Divisors(divisors[j] for j in keep if j != i), order)
-        for i in sorted(keep, key=lambda i: key(lms[i]))
+        normal_form(divisors[i][2], _Divisors(divisors[j] for j in keep if j != i))
+        for i in sorted(keep, key=lambda i: GREVELEX(lms[i]))
     ]
-    return GroebnerBasis(reduced, order)
+    return GroebnerBasis(reduced)
 
 
 def integer_terms(terms: dict, p: int) -> dict:
@@ -262,7 +256,7 @@ def _pivot(row: dict, lead: int, p: int) -> dict:
     return {k: x // g for k, x in row.items()} if g != 1 else row
 
 
-def leading_ideal(ideal: PolyIdeal, order: MonomialOrder = GREVELEX) -> MonomialIdeal:
+def leading_ideal(ideal: PolyIdeal) -> MonomialIdeal:
     """The leading ideal of a homogeneous ideal; the zero ideal maps to the
     zero ideal.  Coefficients are elements of the active field, or ints,
     which are read in it.  Every generator is read and grouped by degree
@@ -277,11 +271,10 @@ def leading_ideal(ideal: PolyIdeal, order: MonomialOrder = GREVELEX) -> Monomial
             raise ValueError("leading_ideal requires homogeneous generators")
         if degrees:
             by_degree.setdefault(degrees.pop(), []).append(g)
-    return leading_ideal_by_degree(by_degree, ideal.varcount, order)
+    return leading_ideal_by_degree(by_degree, ideal.varcount)
 
 
-def leading_ideal_by_degree(buckets: dict, varcount: int,
-                            order: MonomialOrder = GREVELEX) -> MonomialIdeal:
+def leading_ideal_by_degree(buckets: dict, varcount: int) -> MonomialIdeal:
     """The leading ideal of the homogeneous ideal in `varcount` variables
     whose degree-e generators the iterable buckets[e] yields; a generator is
     a polynomial whose coefficients are elements of the active field, or
@@ -292,17 +285,18 @@ def leading_ideal_by_degree(buckets: dict, varcount: int,
     e-1, for every k, and its degree-e generators, read in that order and
     one at a time.  A row is a map from column to int coefficient, the
     column of a monomial its rank under the order among the monomials of
-    degree e.  Each row, top-reduced against the pivots so far, is zero or a
-    new pivot; the leading monomials of any row echelon form of a span are
-    the same set, and the pivots' are the leading ideal in degree e, so the
-    row order does not change the result.  Over Q the rows stay integral,
-    over GF(p) they hold residues.  The walk stops at the first degree where
-    every monomial leads a pivot, and reads no generator after that row, so
-    a lazy bucket builds none of the rest; the rows from below come first
-    because they often fill a degree on their own.  Raises ValueError on a
-    generator it reads that is not homogeneous of its bucket's degree, or
-    past degree v(D-1)+1, D the largest bucket degree, where only a
-    non-Artinian quotient has standard monomials left.
+    degree e, which is its place in `monomials_of_degree`.  Each row,
+    top-reduced against the pivots so far, is zero or a new pivot; the
+    leading monomials of any row echelon form of a span are the same set,
+    and the pivots' are the leading ideal in degree e, so the row order does
+    not change the result.  Over Q the rows stay integral, over GF(p) they
+    hold residues.  The walk stops at the first degree where every monomial
+    leads a pivot, and reads no generator after that row, so a lazy bucket
+    builds none of the rest; the rows from below come first because they
+    often fill a degree on their own.  Raises ValueError on a generator it
+    reads that is not homogeneous of its bucket's degree, or past degree
+    v(D-1)+1, D the largest bucket degree, where only a non-Artinian
+    quotient has standard monomials left.
     """
     v = varcount
     p = active_field().characteristic
@@ -318,7 +312,7 @@ def leading_ideal_by_degree(buckets: dict, varcount: int,
     for e in range(cap + 1):
         if e > top and not leads:
             break  # every generator vanished in the field
-        monomials = sorted(monomials_of_degree(v, e), key=order.key)
+        monomials = list(monomials_of_degree(v, e))
         column = {m: i for i, m in enumerate(monomials)}
         size = len(monomials)
         pivots: dict = {}  # leading column -> row

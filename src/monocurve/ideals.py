@@ -139,7 +139,7 @@ def multiples_outside(gens, varcount: int, in_ideal: Callable[[tuple], bool]) ->
                 if not in_ideal(up):
                     stack.append(up)
                     found.append(up)
-    return sorted(found, key=GREVELEX.key)
+    return sorted(found, key=GREVELEX)
 
 
 def minimal_generators(monomials) -> tuple:

@@ -35,7 +35,7 @@ def format_polynomial(f: Polynomial, first_index: int = 2) -> str:
     if f.is_zero():
         return "0"
     out = []
-    for m in sorted(f.terms, key=GREVELEX.key, reverse=True):
+    for m in sorted(f.terms, key=GREVELEX, reverse=True):
         sign, mag = _sign_split(f.terms[m])
         if not any(m):
             body = str(mag)

@@ -415,7 +415,9 @@ def worker_count(jobs: int, cases: int) -> int:
 def _run(suite: str, params: dict, grid: list, jobs: int) -> VerificationReport:
     """Evaluate the grid's (evaluator, args) items in order, serially or on a
     pool whose workers compute over the caller's active field.  Every suite
-    comes through here, so here a negative n_max is a ValueError."""
+    comes through here, so here d < 2 and a negative n_max are ValueErrors."""
+    if params.get("d", 2) < 2:
+        raise ValueError("d must be at least 2, got %d" % params["d"])
     if params.get("n_max", 0) < 0:
         raise ValueError("n_max must be non-negative, got %d" % params["n_max"])
     t0 = time.perf_counter()
@@ -621,7 +623,6 @@ def run_suite(
     suite = SUITES.get(name)
     if suite is None:
         raise ValueError("unknown suite %r" % name)
-    CurveParams(d)  # validates d >= 2
     given = {"n_max": n_max, "k": k, "m": m}
     ignored = ["%s=%s" % (f, v) for f, v in given.items() if v is not None and f not in suite.defaults]
     if ignored:

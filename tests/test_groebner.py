@@ -12,7 +12,7 @@ from monocurve.groebner import (
     normal_form,
 )
 from monocurve.ideals import MonomialIdeal, monomials_of_degree
-from monocurve.order import GREVELEX, GRLEX, leading_term
+from monocurve.order import leading_term
 from monocurve.poly import Polynomial, divides
 from monocurve.scalars import RATIONALS, PrimeField, using_field
 from oracles import hilbert_oracle, int_poly as P, s_polynomial
@@ -143,27 +143,26 @@ def test_leading_contains_and_equals_family():
 
 # -- the echelon kernel against Buchberger ---------------------------------------
 
-def _basis_leading_ideal(ideal, order):
-    return MonomialIdeal(buchberger(ideal, order).leading_monomials(), ideal.varcount)
+def _basis_leading_ideal(ideal):
+    return MonomialIdeal(buchberger(ideal).leading_monomials(), ideal.varcount)
 
 
 def _family_with_f(d, n, k):
     return PolyIdeal(list(cal_I(d, n).gens) + [f_poly(d, i) for i in range(1, k + 1)], d - 1)
 
 
-@pytest.mark.parametrize("order", [GREVELEX, GRLEX], ids=lambda o: o.name)
 @pytest.mark.parametrize("d,n", [(3, 1), (3, 4), (4, 2), (4, 3), (5, 2), (5, 3)])
-def test_echelon_matches_buchberger_on_families(d, n, order):
+def test_echelon_matches_buchberger_on_families(d, n):
     ideals = [cal_I(d, n)] + [_family_with_f(d, n, k) for k in range(1, d)]
     for ideal in ideals:
-        assert leading_ideal(ideal, order) == _basis_leading_ideal(ideal, order)
+        assert leading_ideal(ideal) == _basis_leading_ideal(ideal)
 
 
 def test_echelon_matches_buchberger_over_prime_field():
     with using_field(PrimeField(32003)):
         for d, n in [(4, 3), (5, 3)]:
             for ideal in (cal_I(d, n), _family_with_f(d, n, d - 1)):
-                assert leading_ideal(ideal) == _basis_leading_ideal(ideal, GREVELEX)
+                assert leading_ideal(ideal) == _basis_leading_ideal(ideal)
 
 
 @st.composite
@@ -182,10 +181,10 @@ def _artinian_homogeneous(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(_artinian_homogeneous(), st.sampled_from([GREVELEX, GRLEX]))
-def test_echelon_matches_buchberger_random(ideal, order):
-    li = leading_ideal(ideal, order)
-    assert li == _basis_leading_ideal(ideal, order)
+@given(_artinian_homogeneous())
+def test_echelon_matches_buchberger_random(ideal):
+    li = leading_ideal(ideal)
+    assert li == _basis_leading_ideal(ideal)
     assert li.length_quotient() == hilbert_oracle(ideal)
 
 
@@ -214,7 +213,7 @@ def test_echelon_matches_buchberger_on_scaled_generators(drawn):
     for field in (RATIONALS, PrimeField(32003)):
         with using_field(field):
             scaled = PolyIdeal([P(t, v).scale(field.coerce(s)) for t, s in gens], v)
-            oracle = _basis_leading_ideal(scaled, GREVELEX)
+            oracle = _basis_leading_ideal(scaled)
             assert leading_ideal(scaled) == oracle
             assert leading_ideal(PolyIdeal([Polynomial(t, v) for t, _ in gens], v)) == oracle
 
@@ -279,21 +278,14 @@ def test_hilbert_oracle_detects_non_artinian():
         hilbert_oracle(PolyIdeal([P({(1, 1): 1}, 2)], 2))
 
 
-@pytest.mark.parametrize("d,n", [(2, 4), (3, 1), (3, 2), (3, 3), (4, 2)])
+@pytest.mark.parametrize("d,n", [(2, 4), (3, 1), (3, 2), (3, 3), (4, 2), (4, 3), (5, 2)])
 def test_three_way_length_agreement(d, n):
     ideal = cal_I(d, n)
     echelon_route = leading_ideal(ideal).length_quotient()
-    basis_route = _basis_leading_ideal(ideal, GREVELEX).length_quotient()
+    basis_route = _basis_leading_ideal(ideal).length_quotient()
     monomial_route = mono_I(d, n).length_quotient()
     rank_route = hilbert_oracle(ideal)
     assert echelon_route == basis_route == monomial_route == rank_route
-
-
-@pytest.mark.parametrize("d,n", [(3, 3), (4, 2), (4, 3), (5, 2)])
-def test_colength_is_order_independent(d, n):
-    # bases under the two shipped comparators differ, colengths cannot
-    ideal = cal_I(d, n)
-    assert leading_ideal(ideal).length_quotient() == leading_ideal(ideal, GRLEX).length_quotient()
 
 
 # -- randomized Buchberger certificates -----------------------------------------

@@ -3,7 +3,8 @@ from hypothesis import given, strategies as st
 from itertools import combinations
 
 from monocurve.curve import build_matrix, CurveParams
-from monocurve.order import GREVELEX, GRLEX, leading_term
+from monocurve.ideals import monomials_of_degree
+from monocurve.order import GREVELEX, leading_term
 from monocurve.poly import Polynomial, pure_power, times
 
 from oracles import antidiagonal_product, compare, grevelex_greater, int_poly
@@ -73,13 +74,12 @@ def test_constant_is_minimum():
     assert all(compare(one, e) == -1 for e in [(1, 0, 0), (0, 0, 1), (2, 3, 1)])
 
 
-def test_orders_are_pluggable_and_differ():
-    # under the shipped order x2^2 < x3^2; plain graded lex reverses that
-    a, b = (2, 0), (0, 2)
-    assert compare(a, b, GREVELEX) == -1
-    assert compare(a, b, GRLEX) == 1
-    f = int_poly({(2, 0): 1, (0, 2): 1}, 2)
-    assert leading_term(f, GREVELEX)[0] != leading_term(f, GRLEX)[0]
+def test_monomials_of_degree_ascend_in_the_order():
+    # the echelon kernel ranks each degree's columns by this listing, unsorted
+    for v in range(1, 8):
+        for e in range(10):
+            listed = list(monomials_of_degree(v, e))
+            assert listed == sorted(listed, key=GREVELEX), (v, e)
 
 
 def test_antidiagonal_law():

@@ -220,6 +220,21 @@ def test_sanity_counts_the_generators_of_cal_I(d, field):
                       for n, gens in enumerate(built, start=1)]
 
 
+def test_leading_and_sanity_reports_agree_over_q_and_gf32003():
+    def reports():
+        return [
+            check_leading_ideal_equality(5, 5).to_json(include_timing=False),
+            check_leading_ideal_equality(5, 4, k=2).to_json(include_timing=False),
+            check_construction_sanity(5, 1, 4).to_json(include_timing=False),
+        ]
+
+    rational = reports()
+    with using_field(PrimeField()):
+        modp = reports()
+    assert rational == modp
+    assert all('"failed": 0' in r for r in rational)
+
+
 def _refusal(compute):
     try:
         return compute()
@@ -504,6 +519,15 @@ def test_run_suite_rejects_d_below_two(name, d):
     # no suite may answer with an empty report or an IndexError
     with pytest.raises(ValueError, match="d must be at least 2"):
         run_suite(name, d)
+
+
+@pytest.mark.parametrize("name", sorted(verify.SUITES))
+@pytest.mark.parametrize("d", [1, 0])
+def test_checks_reject_d_below_two(name, d):
+    # each row's check itself, called with its defaults, not only run_suite
+    suite = verify.SUITES[name]
+    with pytest.raises(ValueError, match="d must be at least 2"):
+        suite.check(d, **{flag: default(d) for flag, default in suite.defaults.items()})
 
 
 @pytest.mark.parametrize("jobs", [0, -1])
