@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -286,6 +287,26 @@ def test_three_way_length_agreement(d, n):
     monomial_route = mono_I(d, n).length_quotient()
     rank_route = hilbert_oracle(ideal)
     assert echelon_route == basis_route == monomial_route == rank_route
+
+
+@pytest.mark.parametrize("d,n", [(3, 3), (4, 2), (4, 3), (5, 2)])
+def test_colength_is_order_independent(d, n):
+    # GREVELEX on permuted variables is another monomial order on T'; from
+    # three variables on the leading ideals differ, the colengths cannot
+    ideal = cal_I(d, n)
+    v = ideal.varcount
+    leads = set()
+    for p in permutations(range(v)):
+        permuted = PolyIdeal(
+            [Polynomial({tuple(m[i] for i in p): c for m, c in g.terms.items()}, v)
+             for g in ideal.gens],
+            v,
+        )
+        lead = leading_ideal(permuted)
+        assert lead.length_quotient() == mono_I(d, n).length_quotient()
+        inverse = sorted(range(v), key=p.__getitem__)
+        leads.add(MonomialIdeal([tuple(m[j] for j in inverse) for m in lead.gens], v))
+    assert len(leads) > 1 or v == 2
 
 
 # -- randomized Buchberger certificates -----------------------------------------
