@@ -30,7 +30,7 @@ from .curve import (
 )
 from .poly import sort_key
 from .render import format_ideal, format_matrix, format_monomial, format_polynomial
-from .scalars import field_from_spec, set_active_field
+from .scalars import field_from_spec, using_field
 
 
 class UsageError(ValueError):
@@ -180,8 +180,8 @@ def main(argv=None) -> int:
     try:
         if args.d is not None and args.d < 2:
             raise UsageError("--d must be at least 2")
-        set_active_field(field_from_spec(args.field))
-        return _cmd_ideal(args) if args.command == "ideal" else _cmd_verify(args)
+        with using_field(field_from_spec(args.field)):
+            return _cmd_ideal(args) if args.command == "ideal" else _cmd_verify(args)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -54,12 +54,7 @@ def substitute_parametrization(f: Polynomial, d: int, m: int) -> Polynomial:
     out: dict = {}
     for mono, c in f.terms.items():
         key = (sum(e * w for e, w in zip(mono, weights)),)
-        s = out.get(key)
-        s = c if s is None else s + c
-        if s:
-            out[key] = s
-        elif key in out:
-            del out[key]
+        out[key] = out.get(key, 0) + c
     return Polynomial(out, 1)
 
 
@@ -328,21 +323,28 @@ def _emit_generators(n: int, exps: list, p: int, slack: int, weight: int, budget
     return False
 
 
+def mono_I_generators(d: int, n: int) -> list[tuple]:
+    """The minimal generators of I_n in the emitter's order, each once: the
+    u with nu(u) >= n and nu(u - e_p) < n for every p in the support of u;
+    the constant 1 for n <= 0.  Uncached, for readers that need only the
+    list and not the ideal."""
+    v = d - 1
+    if n <= 0:
+        return [(0,) * v]
+    gens: list = []
+    _emit_generators(n, [0] * v, v - 1, 0, 0, 2 * n, gens)
+    return gens
+
+
 @lru_cache(maxsize=None)
 def mono_I(d: int, n: int) -> MonomialIdeal:
     """The weighted-composition sum of powers of the mono_J ideals: the
-    monomials u with nu(u) >= n.  Its minimal generators are the u with
-    nu(u) >= n and nu(u - e_p) < n for every p in the support of u.
+    monomials u with nu(u) >= n, generated by `mono_I_generators`.
 
     By convention I_n is the unit ideal for n <= 0 (needed so the alternating
     length sums telescope at the boundary).
     """
-    v = d - 1
-    if n <= 0:
-        return MonomialIdeal.unit(v)
-    gens: list = []
-    _emit_generators(n, [0] * v, v - 1, 0, 0, 2 * n, gens)
-    return MonomialIdeal(gens, v)
+    return MonomialIdeal(mono_I_generators(d, n), d - 1)
 
 
 def pure_powers(d: int, k: int) -> list[tuple]:

@@ -2,6 +2,9 @@
 
 A monomial is a plain tuple of non-negative exponents, here and in every
 other module; a polynomial is a map monomial -> nonzero scalar.  The
+constructor is the one place that drops a zero coefficient: the arithmetic
+accumulates each coefficient from 0 (ints, Fractions and GF(p) elements
+all take 0 + c and 0 - c) and hands its sums, zeros included, to it.  The
 scalars are the active field's, except that the structured matrix, its
 minors and the products that generate cal_I have Python int coefficients.
 `curve` maps them into the field for its public results, and the suites
@@ -76,15 +79,7 @@ class Polynomial:
         self._check(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = out.get(m)
-            if s is None:
-                out[m] = c
-            else:
-                s = s + c
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
+            out[m] = out.get(m, 0) + c
         return Polynomial(out, self.varcount)
 
     def __neg__(self) -> "Polynomial":
@@ -94,15 +89,7 @@ class Polynomial:
         self._check(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = out.get(m)
-            if s is None:
-                out[m] = -c
-            else:
-                s = s - c
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
+            out[m] = out.get(m, 0) - c
         return Polynomial(out, self.varcount)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
@@ -111,23 +98,14 @@ class Polynomial:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = times(m1, m2)
-                s = out.get(m)
-                s = c1 * c2 if s is None else s + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
+                out[m] = out.get(m, 0) + c1 * c2
         return Polynomial(out, self.varcount)
 
     def mul_term(self, m: tuple, c) -> "Polynomial":
         """Multiply by the single term c*m."""
-        if not c:
-            return Polynomial.zero(self.varcount)
         return Polynomial({times(mm, m): cc * c for mm, cc in self.terms.items()}, self.varcount)
 
     def scale(self, c) -> "Polynomial":
-        if not c:
-            return Polynomial.zero(self.varcount)
         return Polynomial({m: cc * c for m, cc in self.terms.items()}, self.varcount)
 
     def degree(self) -> int:

@@ -2,8 +2,11 @@
 
 The default field is the rationals (``fractions.Fraction``); an odd prime
 field GF(p) can be selected instead for faster cross-checking runs.  The
-active field is run-level configuration, chosen once before any computation
-starts; the two coefficient types never mix in one run.
+active field is process state, switched for a scope by `using_field`: the
+CLI runs each command inside one, so a command leaves the process in the
+field it found, and a pool worker runs each case inside the caller's.  The two coefficient types never mix in one computation.  The
+GF(p) reports of the suites that depend on the field (leading, sanity)
+name the prime in their params.
 """
 
 from __future__ import annotations
@@ -162,7 +165,7 @@ def set_active_field(field) -> None:
 
 @contextlib.contextmanager
 def using_field(field):
-    """Temporarily switch the active field (intended for tests and suites)."""
+    """Switch the active field for the scope of a `with` block."""
     global _active_field
     saved = _active_field
     _active_field = field

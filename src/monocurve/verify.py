@@ -32,6 +32,7 @@ from .curve import (
     integer_cal_I,
     lambda_set,
     mono_I,
+    mono_I_generators,
     mono_J,
     nu,
     pure_powers,
@@ -63,6 +64,13 @@ def _length_with_powers(d: int, N: int, k: int) -> int:
     if k >= 2:
         ideal = ideal + MonomialIdeal(pure_powers(d, k), d - 1)
     return ideal.length_quotient()
+
+
+def _field_params(params: dict) -> dict:
+    """A report's params, naming the prime when the active field is GF(p);
+    the rationals add nothing, so a report over Q reads as it always has."""
+    p = active_field().characteristic
+    return dict(params, field="fp:%d" % p) if p else params
 
 
 def _monomial_n_max(d: int) -> int:
@@ -486,7 +494,8 @@ def check_leading_ideal_equality(
         raise ValueError("k applies only to the with_f variant")
     else:
         grid = [(_case_leading, (d, n)) for n in range(1, n_max + 1)]
-    return _run("leading", {"d": d, "n_max": n_max, "with_f": with_f, "k": k}, grid, jobs)
+    params = {"d": d, "n_max": n_max, "with_f": with_f, "k": k}
+    return _run("leading", _field_params(params), grid, jobs)
 
 
 def check_s_counts_and_spanning(d: int, n_max: int, jobs: int = 1) -> VerificationReport:
@@ -516,7 +525,7 @@ def check_construction_sanity(d: int, m: int, n_max: int, jobs: int = 1) -> Veri
     for n in range(1, n_max + 1):
         grid += [(_case_sanity_homogeneous, (d, n)), (_case_sanity_artinian, (d, n))]
     grid += [(_case_sanity_substitution, (d, m, i)) for i in range(1, d)]
-    return _run("sanity", {"d": d, "m": m, "n_max": n_max}, grid, jobs)
+    return _run("sanity", _field_params({"d": d, "m": m, "n_max": n_max}), grid, jobs)
 
 
 # -- the Artinian reduction and its socle ------------------------------------
@@ -538,8 +547,9 @@ def _in_denominator(d: int, n: int, u: tuple) -> bool:
 
 def _reduction_pieces(d: int) -> list[list[tuple]]:
     """The monomial bases of the reduction's pieces, level by level: those
-    of I_n outside its denominator, walked up from the generators of I_n.
-    The walk is finite, as the denominator holds the Artinian I_{n+1}."""
+    of I_n outside its denominator, walked up from the emitted generators
+    of I_n, with no ideal built or cached for them.  The walk is finite, as
+    the denominator holds the Artinian I_{n+1}."""
     cap = d * (d - 1) // 2 + d
     pieces = []
     zeros = 0
@@ -550,7 +560,7 @@ def _reduction_pieces(d: int) -> list[list[tuple]]:
             raise InvariantViolation(
                 "Artinian reduction still has nonzero pieces past level %d" % cap
             )
-        basis = multiples_outside(mono_I(d, n).gens, d - 1, partial(_in_denominator, d, n))
+        basis = multiples_outside(mono_I_generators(d, n), d - 1, partial(_in_denominator, d, n))
         pieces.append(basis)
         zeros = zeros + 1 if not basis else 0
         n += 1

@@ -4,6 +4,7 @@ import pytest
 
 from monocurve import verify
 from monocurve.cli import main
+from monocurve.scalars import RATIONALS, active_field
 
 
 def run_cli(capsys, *args):
@@ -205,6 +206,22 @@ def test_verify_prime_field(capsys):
     )
     assert code == 0
     assert "2/2 passed" in out
+
+
+def test_field_holds_for_one_command(capsys):
+    # a GF(p) report names its prime, and the process leaves each command
+    # in the field it entered it with
+    code, out, _ = run_cli(
+        capsys, "verify", "--suite", "leading", "--d", "3", "--n-max", "1",
+        "--field", "fp", "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["params"]["field"] == "fp:32003"
+    assert active_field() is RATIONALS
+    code, _, _ = run_cli(capsys, "ideal", "--d", "3", "--kind", "fi", "--i", "1",
+                         "--field", "fp:7")
+    assert code == 0
+    assert active_field() is RATIONALS
 
 
 def test_bad_field_spec(capsys):

@@ -8,7 +8,6 @@ import pytest
 
 from monocurve.curve import (
     CurveParams,
-    _emit_generators,
     build_matrix,
     cal_I,
     cal_J,
@@ -19,6 +18,7 @@ from monocurve.curve import (
     lambda_set,
     minor_polynomials,
     mono_I,
+    mono_I_generators,
     mono_J,
     nu,
     pure_powers,
@@ -301,10 +301,8 @@ def test_emitted_generators_are_minimal_and_distinct(d):
     # the emitter's own list, before MonomialIdeal minimalizes it: its
     # early stop at each level alone admits no duplicate and no
     # non-minimal monomial
-    v = d - 1
     for n in range(1, 9):
-        raw: list = []
-        _emit_generators(n, [0] * v, v - 1, 0, 0, 2 * n, raw)
+        raw = mono_I_generators(d, n)
         assert sorted(raw, key=sort_key) == list(mono_I(d, n).gens), (d, n)
 
 

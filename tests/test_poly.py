@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from monocurve.curve import CurveParams, build_matrix, substitute_parametrization
 from monocurve.order import leading_term
 from monocurve.poly import Polynomial, PolyMatrix, divides, pure_power, times
-from monocurve.scalars import PrimeField, using_field
+from monocurve.scalars import GFElement, PrimeField, using_field
 
 from oracles import divides_tuple, field_matrix, int_poly as P, leibniz_determinant
 
@@ -19,6 +19,22 @@ exps3 = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
 polys3 = st.dictionaries(exps3, coeffs, max_size=4).map(
     lambda terms: Polynomial(terms, 3)
 )
+# every coefficient type the polynomials meet: the field's and the ints of
+# the structured matrix's minors; GF(3) cancels often
+coeff_types = {
+    "Q": coeffs,
+    "GF3": st.integers(0, 2).map(lambda c: GFElement(c, 3)),
+    "int": st.integers(-9, 9),
+}
+
+
+@st.composite
+def ring_inputs(draw):
+    """Three polynomials in 3 variables, a monomial and a scalar, all of one
+    coefficient type."""
+    kind = draw(st.sampled_from(list(coeff_types.values())))
+    polys = st.dictionaries(exps3, kind, max_size=4).map(lambda terms: Polynomial(terms, 3))
+    return draw(polys), draw(polys), draw(polys), draw(exps3), draw(kind)
 
 
 @st.composite
@@ -73,14 +89,19 @@ def test_varcount_mismatch_rejected():
         P({(1,): 1}, 1) + P({(1, 0): 1}, 2)
 
 
-@settings(max_examples=60)
-@given(polys3, polys3, polys3)
-def test_ring_axioms(f, g, h):
+@settings(max_examples=150)
+@given(ring_inputs())
+def test_ring_axioms(inputs):
+    f, g, h, m, c = inputs
     assert (f + g) + h == f + (g + h)
     assert f + g == g + f
     assert f * g == g * f
     assert (f * g) * h == f * (g * h)
     assert f * (g + h) == f * g + f * h
+    assert f - f == Polynomial.zero(3)
+    # the constructor drops every zero the arithmetic accumulates
+    for r in (f + g, f - g, g - f, f * g, f.mul_term(m, c), f.scale(c)):
+        assert all(r.terms.values()), r
 
 
 # -- determinants -------------------------------------------------------------
