@@ -2,12 +2,12 @@
 membership, the Artinian test, the staircase length of an Artinian ideal,
 and the monomials between two ideals.
 
-Divisibility masks answer "does a stored generator divide m", for
-minimalization and membership alike (after Bachmann & Schoenemann, ISSAC
-1998).  An exponent trie counts the staircase per range of exponent keys
-without listing it (after Bigatti, JPAA 1997).  The monomials between two
-ideals are listed by one upward walk from the outer ideal's generators,
-which prunes every monomial the inner membership test accepts.
+An ideal keeps one structure, divisibility masks: they answer "does a
+stored generator divide m" for minimalization and membership (after
+Bachmann & Schoenemann, ISSAC 1998), and the staircase is counted on them
+one variable at a time from the last, which splits the curve ideals best
+(after Bigatti, JPAA 1997).  The monomials between two ideals are listed by
+one upward walk from the outer ideal's generators.
 
 Generators are exponent tuples, always stored minimal and sorted by
 (degree, exponents), so two equal ideals are structurally identical and
@@ -45,11 +45,10 @@ class _DivisorMasks:
         """Store the monomials of `batch` as the next bits; their exponents
         must lie within the tables."""
         shift = self.size
-        ones = [1 << i for i in range(len(batch))]
         for table, column in zip(self.below, zip(*batch)):
             exact = [0] * len(table)
-            for e, one in zip(column, ones):
-                exact[e] |= one
+            for i, e in enumerate(column):
+                exact[e] |= 1 << i
             run = 0
             for e, bits in enumerate(exact):
                 run |= bits
@@ -63,59 +62,25 @@ class _DivisorMasks:
         return reduce(and_, map(getitem, self.below, map(min, m, self.tops))) != 0
 
 
-def _staircase_count(gens: tuple) -> int:
-    """How many monomials none of the minimal `gens` divides; needs a pure
-    power of every variable among them (a finite staircase).
-
-    The gens go into an exponent trie keyed by the exponent of x_d, then
-    x_{d-1}, down to x_3; the deepest level maps the x_3 exponent to the x_2
-    exponent of the one monomial stored under that path.  The curve ideals
-    are sums of powers of (x_{i+1}, ..., x_d), so the last variables split
-    the stored monomials best, which is why the trie starts there.
+def _count(below: list, active: int, p: int) -> int:
+    """How many standard monomials in the variables 0..p lie over a fixed
+    choice of the later exponents, which the stored monomials in `active`
+    divide.  Along variable p the set `below[p][e] & active` grows with e,
+    and the variables below are recounted only where it changes (after
+    Bigatti, JPAA 1997).  The pure power of variable p ends the loop at the
+    first zero; those of the variables below are always active.
     """
-    top = len(gens[0]) - 1  # position of the variable keyed at the root
-    if top == 0:
-        return gens[0][0]  # one variable: the one minimal generator is a pure power
-    root: dict = {}
-    for g in gens:
-        node = root
-        for p in range(top, 1, -1):
-            node = node.setdefault(g[p], {})
-        node[g[1]] = g[0]
-    return _count({key: [child] for key, child in root.items()}, top)
-
-
-def _count(level: dict, p: int) -> int:
-    """How many standard monomials in x_2..x_{p+2} there are over a fixed
-    prefix of the later exponents; `level` maps each x_{p+2} exponent key
-    to the list of level-(p-1) subtries (x_2 exponents if p == 1) stored
-    under it whose paths divide the prefix.
-
-    The standard monomials change only where the x_{p+2} exponent reaches
-    a key (after Bigatti, JPAA 1997), so each range [key, next_key) between
-    consecutive keys adds its width times the count under the keys at most
-    key: if p == 1, the least x_2 exponent among them; else the count of
-    their subtries, merged by their own keys (one dict, extended from range
-    to range).  Standard monomials form an order ideal: once a range counts
-    none, no later one counts any, and the staircase is finite, so the last
-    key counts none.
-    """
-    keys = sorted(level)
-    merged: dict = {}
-    least = None
-    total = 0
-    for key, next_key in zip(keys, keys[1:]):
-        if p == 1:
-            low = min(level[key])
-            lower = least = low if least is None else min(least, low)
-        else:
-            for node in level[key]:
-                for k, child in node.items():
-                    merged.setdefault(k, []).append(child)
-            lower = _count(merged, p - 1)
-        if not lower:
-            break
-        total += (next_key - key) * lower
+    if p == 0:
+        return next(e for e, bits in enumerate(below[0]) if bits & active)
+    total, last = 0, None
+    for bits in below[p]:
+        bits &= active
+        if bits != last:
+            last = bits
+            lower = _count(below, bits, p - 1)
+            if not lower:
+                break
+        total += lower
     return total
 
 
@@ -208,7 +173,7 @@ class MonomialIdeal:
                              % (m, len(m), varcount))
         self.gens = minimal_generators(monomials)
         self.varcount = varcount
-        self._masks = None  # built on the first membership test
+        self._masks = None  # built on the first membership test or count
 
     @classmethod
     def zero(cls, varcount: int) -> "MonomialIdeal":
@@ -240,12 +205,16 @@ class MonomialIdeal:
         """Monomial membership: some generator divides m."""
         if len(m) != self.varcount:
             raise ValueError("variable count mismatch")
+        if not self.gens:
+            return False
+        return (self._masks or self._divisor_masks()).has_divisor(m)
+
+    def _divisor_masks(self) -> _DivisorMasks:
+        """The masks of the generators, built on first use."""
         if self._masks is None:
-            if not self.gens:
-                return False
             self._masks = _DivisorMasks(list(map(max, zip(*self.gens))))
             self._masks.add(self.gens)
-        return self._masks.has_divisor(m)
+        return self._masks
 
     def contains_ideal(self, other: "MonomialIdeal") -> bool:
         return all(self.contains(g) for g in other.gens)
@@ -283,7 +252,8 @@ class MonomialIdeal:
         """Number of monomials outside the ideal (the staircase length)."""
         if not self.is_artinian():
             raise ValueError("length of a non-Artinian quotient is infinite")
-        return _staircase_count(self.gens)
+        masks = self._divisor_masks()
+        return _count(masks.below, (1 << masks.size) - 1, self.varcount - 1)
 
 
 def monomials_between(outer: MonomialIdeal, inner: MonomialIdeal) -> list[tuple]:

@@ -4,15 +4,17 @@ A monomial is a plain tuple of non-negative exponents, here and in every
 other module; a polynomial is a map monomial -> nonzero scalar.  The
 constructor is the one place that drops a zero coefficient: the arithmetic
 accumulates each coefficient from 0 (ints, Fractions and GF(p) elements
-all take 0 + c and 0 - c) and hands its sums, zeros included, to it.  The
-scalars are the active field's, except that the structured matrix, its
+all take 0 + c and 0 - c) and hands its sums, zeros included, to it.
+
+The scalars are the active field's, except that the structured matrix, its
 minors and the products that generate cal_I have Python int coefficients.
 `curve` maps them into the field for its public results, and the suites
 hand the integer products to the echelon kernel in `groebner`, which reads
 them in the field through `groebner.integer_terms`; ints mix with either
-field's elements.  Variable
-names are contextual: position ``p`` means x_{p+2} when working modulo x_1
-(the usual case) and x_{p+1} for full-ring polynomials.
+field's elements.
+
+Variable names are contextual: position ``p`` means x_{p+2} when working
+modulo x_1 (the usual case) and x_{p+1} for full-ring polynomials.
 """
 
 from __future__ import annotations

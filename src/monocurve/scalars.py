@@ -4,9 +4,11 @@ The default field is the rationals (``fractions.Fraction``); an odd prime
 field GF(p) can be selected instead for faster cross-checking runs.  The
 active field is process state, switched for a scope by `using_field`: the
 CLI runs each command inside one, so a command leaves the process in the
-field it found, and a pool worker runs each case inside the caller's.  The two coefficient types never mix in one computation.  The
-GF(p) reports of the suites that depend on the field (leading, sanity)
-name the prime in their params.
+field it found, and a pool worker runs each case inside the caller's.  The
+two coefficient types never mix in one computation.  The GF(p) reports of
+the suites that depend on the field (leading, sanity) name the prime in
+their params.  A prime is tested by deterministic Miller-Rabin, which is
+exact for every p below 3.3 * 10^24; a larger p is refused.
 """
 
 from __future__ import annotations
@@ -17,16 +19,37 @@ from fractions import Fraction
 DEFAULT_PRIME = 32003
 
 
+# Miller-Rabin over the primes up to 41 as bases is exact below this bound
+# (Sorenson & Webster, Math. Comp. 86, 2017).
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_WITNESS_BOUND = 3317044064679887385961981
+
+
 def is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin; ValueError from the bound on, where the
+    bases no longer decide."""
+    if p >= _WITNESS_BOUND:
+        raise ValueError("cannot decide whether %d is prime: the test is exact only below %d"
+                         % (p, _WITNESS_BOUND))
     if p < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    if p in _WITNESSES:
+        return True
+    if any(p % a == 0 for a in _WITNESSES):
+        return False
+    odd, twos = p - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    for a in _WITNESSES:
+        x = pow(a, odd, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(twos - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

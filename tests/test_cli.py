@@ -230,6 +230,17 @@ def test_bad_field_spec(capsys):
     assert code == 2
 
 
+def test_large_prime_field(capsys):
+    # 10^18 + 3 is prime; a prime past the primality test's bound exits 2
+    code, out, _ = run_cli(capsys, "ideal", "--d", "2", "--kind", "fi", "--i", "1",
+                           "--field", "fp:1000000000000000003")
+    assert (code, out) == (0, "1000000000000000002*x2^2\n")  # -x2^2 mod p
+    code, out, err = run_cli(capsys, "ideal", "--d", "2", "--kind", "fi", "--i", "1",
+                             "--field", "fp:%d" % (2 ** 89 - 1))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot decide whether"), err
+
+
 def test_non_integer_prime_names_the_spec(capsys):
     code, _, err = run_cli(capsys, "ideal", "--d", "3", "--kind", "I", "--n", "1",
                            "--field", "fp:x")

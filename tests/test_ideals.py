@@ -344,10 +344,11 @@ def test_monomials_between_against_box_walk(case, data):
     assert len(walk) == len(set(walk)) == inner.length_quotient()
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
 def test_length_count_equals_walk(d):
-    # the staircase counted per key range against the walk listing it, on
-    # the ideals of the alternating suite: I_n + (x_2^2, ..., x_k^k)
+    # the staircase counted on the divisibility masks against the walk
+    # listing it, on the ideals of the alternating suite, I_n + (x_2^2, ...,
+    # x_k^k); d = 6 and 7 reach past the brute-force test's 5 variables
     unit = MonomialIdeal.unit(d - 1)
     for n in range(0, 7):
         for k in range(1, d + 1):
