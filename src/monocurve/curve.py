@@ -342,9 +342,11 @@ def mono_I(d: int, n: int) -> MonomialIdeal:
     monomials u with nu(u) >= n, generated by `mono_I_generators`.
 
     By convention I_n is the unit ideal for n <= 0 (needed so the alternating
-    length sums telescope at the boundary).
+    length sums telescope at the boundary).  The emitter's list is minimal
+    and free of duplicates (see `_emit_generators`), so it is sorted and
+    not minimalized again.
     """
-    return MonomialIdeal(mono_I_generators(d, n), d - 1)
+    return MonomialIdeal._of_minimal(mono_I_generators(d, n), d - 1)
 
 
 def pure_powers(d: int, k: int) -> list[tuple]:

@@ -11,7 +11,9 @@ one upward walk from the outer ideal's generators.
 
 Generators are exponent tuples, always stored minimal and sorted by
 (degree, exponents), so two equal ideals are structurally identical and
-every report is deterministic.
+every report is deterministic.  The constructor minimalizes; the private
+`MonomialIdeal._of_minimal` keeps the same invariant for a list its caller
+proves minimal and free of duplicates, by sorting it alone.
 """
 
 from __future__ import annotations
@@ -138,6 +140,22 @@ def minimal_generators(monomials) -> tuple:
     return tuple(out)
 
 
+def colon_generators(gens, m: tuple) -> list:
+    """The monomials g / gcd(g, m) for g in `gens`, lowered one variable of
+    m's support at a time (the colons in this package are by pure powers).
+
+    For monomial ideals (A + B) : m = (A : m) + (B : m), so these generate
+    the colon by m of the ideal `gens` generate, minimal or not.
+    """
+    if min(m) < 0:
+        raise ValueError("negative exponent in %r" % (m,))
+    gens = list(gens)
+    for v, e in enumerate(m):
+        if e:
+            gens = [g[:v] + (max(g[v] - e, 0),) + g[v + 1:] for g in gens]
+    return gens
+
+
 def monomials_of_degree(varcount: int, degree: int):
     """All exponent tuples of the given total degree, lexicographically."""
     if degree < 0:
@@ -174,6 +192,19 @@ class MonomialIdeal:
         self.gens = minimal_generators(monomials)
         self.varcount = varcount
         self._masks = None  # built on the first membership test or count
+
+    @classmethod
+    def _of_minimal(cls, gens: list, varcount: int) -> "MonomialIdeal":
+        """The ideal of `gens`, which must be minimal, free of duplicates
+        and of length `varcount`: sorted as the constructor sorts, not
+        minimalized."""
+        gens = sorted(gens)
+        gens.sort(key=sum)  # stable: by (degree, exponents), as `minimal_generators`
+        ideal = cls.__new__(cls)
+        ideal.gens = tuple(gens)
+        ideal.varcount = varcount
+        ideal._masks = None
+        return ideal
 
     @classmethod
     def zero(cls, varcount: int) -> "MonomialIdeal":
@@ -227,17 +258,10 @@ class MonomialIdeal:
         return MonomialIdeal(self.gens + other.gens, self.varcount)
 
     def colon_mon(self, m: tuple) -> "MonomialIdeal":
-        """(I : m), generated by g / gcd(g, m), lowered one variable of m's
-        support at a time (the colons in this package are by pure powers)."""
+        """(I : m), generated by the `colon_generators` of I's generators."""
         if len(m) != self.varcount:
             raise ValueError("variable count mismatch")
-        if min(m) < 0:
-            raise ValueError("negative exponent in %r" % (m,))
-        gens = self.gens
-        for v, e in enumerate(m):
-            if e:
-                gens = [g[:v] + (max(g[v] - e, 0),) + g[v + 1:] for g in gens]
-        return MonomialIdeal(gens, self.varcount)
+        return MonomialIdeal(colon_generators(self.gens, m), self.varcount)
 
     # -- Artinian structure ----------------------------------------------
 

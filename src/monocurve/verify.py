@@ -16,7 +16,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import chain, combinations
@@ -41,7 +40,7 @@ from .curve import (
     substitute_parametrization,
 )
 from .groebner import integer_terms, leading_ideal_by_degree
-from .ideals import MonomialIdeal, monomials_between, multiples_outside
+from .ideals import MonomialIdeal, colon_generators, monomials_between, multiples_outside
 from .poly import pure_power, times
 from .render import format_ideal, format_monomial
 from .scalars import active_field, using_field
@@ -195,7 +194,8 @@ def _case_colon(args) -> Case:
 @lru_cache(maxsize=None)
 def _filtration_ideal(d: int, N: int, i: int) -> MonomialIdeal:
     """I_N + sum over 2 <= j < i of x_j^j I_{N-j}, the sum at i - 1 plus
-    x_{i-1}^{i-1} I_{N-i+1}; at i = 2 it is I_N."""
+    x_{i-1}^{i-1} I_{N-i+1}; at i = 2 it is I_N.  The regseq suite reads it
+    for its expected side only, at N <= n_max + 1."""
     if i <= 2:
         return mono_I(d, N)
     j = i - 1
@@ -204,9 +204,24 @@ def _filtration_ideal(d: int, N: int, i: int) -> MonomialIdeal:
     return MonomialIdeal(_filtration_ideal(d, N, j).gens + scaled, d - 1)
 
 
+def _filtration_summands(d: int, N: int, i: int) -> list[tuple]:
+    """The generators of I_N and of each x_j^j I_{N-j} for 2 <= j < i,
+    concatenated and not minimalized: a generating set of the sum that
+    `_filtration_ideal` builds."""
+    v = d - 1
+    gens = list(mono_I(d, N).gens)
+    for j in range(2, i):
+        pw = pure_power(j - 2, v, j)
+        gens += [times(g, pw) for g in mono_I(d, N - j).gens]
+    return gens
+
+
 def _case_regseq(args) -> Case:
     d, n, i = args
-    actual = _filtration_ideal(d, n + i, i).colon_mon(pure_power(i - 2, d - 1, i))
+    # the colon of the summands generates the colon of their sum, so the
+    # large sum F(n + i, i) is never minimalized itself
+    xi = pure_power(i - 2, d - 1, i)
+    actual = MonomialIdeal(colon_generators(_filtration_summands(d, n + i, i), xi), d - 1)
     expected = _filtration_ideal(d, n + 1, i)
     return _ideal_case({"d": d, "n": n, "i": i}, actual, expected)
 
@@ -433,6 +448,9 @@ def _run(suite: str, params: dict, grid: list, jobs: int) -> VerificationReport:
     if workers == 1:
         cases = [evaluator(args) for evaluator, args in grid]
     else:
+        # imported here: it pulls in multiprocessing, which a serial run never uses
+        from concurrent.futures import ProcessPoolExecutor
+
         field = active_field()
         with ProcessPoolExecutor(max_workers=workers) as pool:
             cases = list(pool.map(_pool_entry, [(field, ev, args) for ev, args in grid]))

@@ -1,7 +1,11 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import monocurve
 from monocurve import verify
 from monocurve.cli import main
 from monocurve.scalars import RATIONALS, active_field
@@ -11,6 +15,17 @@ def run_cli(capsys, *args):
     code = main(list(args))
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def test_import_leaves_the_process_pool_out():
+    # only a --jobs run imports concurrent.futures, and with it multiprocessing
+    src = str(Path(monocurve.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, %r); import monocurve, monocurve.cli; "
+            "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
+            % src)
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out == "[]\n"
 
 
 def test_ideal_family_listing(capsys):

@@ -26,7 +26,7 @@ from monocurve.curve import (
     s_set,
     substitute_parametrization,
 )
-from monocurve.ideals import MonomialIdeal, monomials_of_degree
+from monocurve.ideals import MonomialIdeal, minimal_generators, monomials_of_degree
 from monocurve.order import leading_term
 from monocurve.poly import pure_power, sort_key, times
 from monocurve.scalars import RATIONALS, GFElement, PrimeField, using_field
@@ -296,14 +296,16 @@ def test_mono_I_matches_block_product_emitter(d, n_max):
         assert max(map(sum, gens)) <= 2 * n
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
 def test_emitted_generators_are_minimal_and_distinct(d):
-    # the emitter's own list, before MonomialIdeal minimalizes it: its
-    # early stop at each level alone admits no duplicate and no
+    # the emitter's own list, which mono_I stores without minimalizing it:
+    # its early stop at each level alone admits no duplicate and no
     # non-minimal monomial
     for n in range(1, 9):
         raw = mono_I_generators(d, n)
-        assert sorted(raw, key=sort_key) == list(mono_I(d, n).gens), (d, n)
+        assert len(set(raw)) == len(raw), (d, n)
+        assert minimal_generators(raw) == tuple(sorted(raw, key=sort_key)), (d, n)
+        assert mono_I(d, n).gens == minimal_generators(raw), (d, n)
 
 
 def test_range_monomials_negative_degree():

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from monocurve.curve import mono_I, pure_powers, range_monomials
 from monocurve.ideals import (
     MonomialIdeal,
+    colon_generators,
     minimal_generators,
     monomials_between,
     monomials_of_degree,
@@ -159,6 +160,8 @@ def test_colon_rejects_negative_exponents():
     for ideal in (MonomialIdeal([(1, 0)], 2), MonomialIdeal.unit(2), MonomialIdeal.zero(2)):
         with pytest.raises(ValueError, match="negative exponent"):
             ideal.colon_mon((-1, 0))
+    with pytest.raises(ValueError, match="negative exponent"):
+        colon_generators([(1, 0), (2, 0)], (-1, 0))
 
 
 def test_colon_examples_from_family():
@@ -185,6 +188,15 @@ def test_colon_composition_law(J, m1, m2):
 @given(ideals2, ideals2, mons2)
 def test_colon_distributes_over_sum(A, B, m):
     assert (A + B).colon_mon(m) == A.colon_mon(m) + B.colon_mon(m)
+
+
+@settings(max_examples=120)
+@given(st.lists(mons2, min_size=1, max_size=8), mons2)
+def test_colon_generators_of_any_generating_set(ms, m):
+    # the colons of a non-minimal, unsorted list with repeats generate the
+    # colon of its ideal: (A + B) : m = (A : m) + (B : m)
+    raw = ms + [times(g, (1, 0)) for g in ms] + ms[:1]
+    assert MonomialIdeal(colon_generators(raw, m), 2) == MonomialIdeal(ms, 2).colon_mon(m)
 
 
 # -- membership / equality ------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from monocurve import verify
 from monocurve.curve import cal_I, f_poly, integer_cal_I, mono_I, nu, pure_powers
 from monocurve.groebner import PolyIdeal, buchberger, leading_ideal, leading_ideal_by_degree
-from monocurve.ideals import MonomialIdeal, monomials_between
+from monocurve.ideals import MonomialIdeal, colon_generators, monomials_between
 from monocurve.poly import Polynomial, pure_power
 from monocurve.render import format_ideal
 from monocurve.scalars import RATIONALS, PrimeField, active_field, using_field
@@ -348,8 +348,8 @@ def test_spanning_bound_is_attained():
 
 def test_filtration_sum_matches_chained_sums():
     # the one-pass generator list, its per-generator colon, the cached sum
-    # built from the sum at i - 1 and the socle denominator against ideal
-    # sums built one summand at a time
+    # built from the sum at i - 1, the summands' colons and the socle
+    # denominator against ideal sums built one summand at a time
     for d in range(2, 7):
         v = d - 1
         for N in range(0, 9):  # i = d + 1 covers the socle's denominators
@@ -362,6 +362,10 @@ def test_filtration_sum_matches_chained_sums():
                     xi = pure_power(i - 2, v, i)
                     coloned = [tuple(max(a - b, 0) for a, b in zip(g, xi)) for g in gens]
                     assert MonomialIdeal(coloned, v) == oracle.colon_mon(xi), (d, N, i)
+                    # the regseq suite's actual side: the summands' colons
+                    summands = verify._filtration_summands(d, N, i)
+                    actual = MonomialIdeal(colon_generators(summands, xi), v)
+                    assert actual == oracle.colon_mon(xi), (d, N, i)
 
 
 def test_length_with_powers_counts_the_staircase():
@@ -392,6 +396,19 @@ def test_regseq_fails_on_a_wrong_filtration_sum(monkeypatch):
         assert case.expected == case.inputs["expected_gens"] == "1"
         assert case.actual == case.inputs["actual_gens"] == actual != "1"
     assert all(c.inputs["n"] > 0 and "actual_gens" not in c.inputs for c in report.cases if c.ok)
+
+
+def test_regseq_fails_without_the_last_summand(monkeypatch):
+    # the actual side's F(n + i, i) without its x_{i-1}^{i-1} summand; at
+    # i = 2 there is no such summand, so only i = 3 can fail
+    real = verify._filtration_summands
+    monkeypatch.setattr(verify, "_filtration_summands",
+                        lambda d, N, i: real(d, N, max(i - 1, 2)))
+    report = check_assoc_graded_regseq(3, 2)
+    failed = [(c.inputs["n"], c.inputs["i"]) for c in report.cases if not c.ok]
+    assert failed == [(1, 3), (2, 3)]
+    for case in report.cases:
+        assert ("actual_gens" in case.inputs) != case.ok, case.inputs
 
 
 def test_length_suites_fail_on_a_wrong_length(monkeypatch):
@@ -573,7 +590,7 @@ def test_pooled_cases_compute_over_the_callers_field(monkeypatch):
     # spawned workers start from a fresh import, so only the field passed
     # with each case can tell them the caller's choice
     spawn = functools.partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn"))
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", spawn)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", spawn)
     monkeypatch.setattr("os.cpu_count", lambda: 2)
     with using_field(PrimeField(32003)):
         report = verify._run("probe", {}, [(_active_field_key, None)] * 2, jobs=2)
