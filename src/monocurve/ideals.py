@@ -140,22 +140,6 @@ def minimal_generators(monomials) -> tuple:
     return tuple(out)
 
 
-def colon_generators(gens, m: tuple) -> list:
-    """The monomials g / gcd(g, m) for g in `gens`, lowered one variable of
-    m's support at a time (the colons in this package are by pure powers).
-
-    For monomial ideals (A + B) : m = (A : m) + (B : m), so these generate
-    the colon by m of the ideal `gens` generate, minimal or not.
-    """
-    if min(m) < 0:
-        raise ValueError("negative exponent in %r" % (m,))
-    gens = list(gens)
-    for v, e in enumerate(m):
-        if e:
-            gens = [g[:v] + (max(g[v] - e, 0),) + g[v + 1:] for g in gens]
-    return gens
-
-
 def monomials_of_degree(varcount: int, degree: int):
     """All exponent tuples of the given total degree, lexicographically."""
     if degree < 0:
@@ -258,10 +242,24 @@ class MonomialIdeal:
         return MonomialIdeal(self.gens + other.gens, self.varcount)
 
     def colon_mon(self, m: tuple) -> "MonomialIdeal":
-        """(I : m), generated by the `colon_generators` of I's generators."""
+        """(I : m), one variable of m's support at a time, as I : ab = (I : a) : b.
+
+        Colon by x_v^e takes each minimal generator g to g / gcd(g, x_v^e).
+        Where g_v > e that quotient stays minimal: a quotient h' dividing it
+        would make h divide g.  It keeps x_v, so it divides no quotient that
+        lost x_v; only those, from g_v <= e, are minimalized, among themselves.
+        """
         if len(m) != self.varcount:
             raise ValueError("variable count mismatch")
-        return MonomialIdeal(colon_generators(self.gens, m), self.varcount)
+        if min(m) < 0:
+            raise ValueError("negative exponent in %r" % (m,))
+        gens = self.gens
+        for v, e in enumerate(m):
+            if e:
+                lowered = [g[:v] + (g[v] - e,) + g[v + 1:] for g in gens if g[v] > e]
+                cleared = [g[:v] + (0,) + g[v + 1:] for g in gens if g[v] <= e]
+                gens = lowered + list(minimal_generators(cleared))
+        return MonomialIdeal._of_minimal(gens, self.varcount)
 
     # -- Artinian structure ----------------------------------------------
 

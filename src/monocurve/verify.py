@@ -40,7 +40,7 @@ from .curve import (
     substitute_parametrization,
 )
 from .groebner import integer_terms, leading_ideal_by_degree
-from .ideals import MonomialIdeal, colon_generators, monomials_between, multiples_outside
+from .ideals import MonomialIdeal, monomials_between, multiples_outside
 from .poly import pure_power, times
 from .render import format_ideal, format_monomial
 from .scalars import active_field, using_field
@@ -183,10 +183,16 @@ def _ideal_case(inputs: dict, actual: MonomialIdeal, expected: MonomialIdeal) ->
 # -- case evaluators (top level so a worker pool can run them) ---------------
 
 
+@lru_cache(maxsize=None)
+def _colon_ideal(d: int, M: int, i: int) -> MonomialIdeal:
+    """I_M : x_i^i, read by the colon and regseq suites alike; a monomial
+    ideal does not depend on the field, so the cache has no field key."""
+    return mono_I(d, M).colon_mon(pure_power(i - 2, d - 1, i))
+
+
 def _case_colon(args) -> Case:
     d, n, i = args
-    In = mono_I(d, n)
-    actual = In.colon_mon(pure_power(i - 2, d - 1, i))
+    actual = _colon_ideal(d, n, i)
     expected = MonomialIdeal.unit(d - 1) if n < i else mono_I(d, n - i + 1)
     return _ideal_case({"d": d, "n": n, "i": i}, actual, expected)
 
@@ -204,24 +210,20 @@ def _filtration_ideal(d: int, N: int, i: int) -> MonomialIdeal:
     return MonomialIdeal(_filtration_ideal(d, N, j).gens + scaled, d - 1)
 
 
-def _filtration_summands(d: int, N: int, i: int) -> list[tuple]:
-    """The generators of I_N and of each x_j^j I_{N-j} for 2 <= j < i,
-    concatenated and not minimalized: a generating set of the sum that
-    `_filtration_ideal` builds."""
-    v = d - 1
-    gens = list(mono_I(d, N).gens)
+def _filtration_colon(d: int, N: int, i: int) -> MonomialIdeal:
+    """(I_N + sum over 2 <= j < i of x_j^j I_{N-j}) : x_i^i, summed from the
+    cached colons of the summands, as (A + B) : m = (A : m) + (B : m) and
+    (x_j^j I) : x_i^i = x_j^j (I : x_i^i) for j != i."""
+    gens = list(_colon_ideal(d, N, i).gens)
     for j in range(2, i):
-        pw = pure_power(j - 2, v, j)
-        gens += [times(g, pw) for g in mono_I(d, N - j).gens]
-    return gens
+        pw = pure_power(j - 2, d - 1, j)
+        gens += [times(g, pw) for g in _colon_ideal(d, N - j, i).gens]
+    return MonomialIdeal(gens, d - 1)
 
 
 def _case_regseq(args) -> Case:
     d, n, i = args
-    # the colon of the summands generates the colon of their sum, so the
-    # large sum F(n + i, i) is never minimalized itself
-    xi = pure_power(i - 2, d - 1, i)
-    actual = MonomialIdeal(colon_generators(_filtration_summands(d, n + i, i), xi), d - 1)
+    actual = _filtration_colon(d, n + i, i)
     expected = _filtration_ideal(d, n + 1, i)
     return _ideal_case({"d": d, "n": n, "i": i}, actual, expected)
 

@@ -3,8 +3,9 @@
 Nothing here shares an algorithm with the package: determinants come from
 the permutation sum, minimal generators from the all-pairs definition,
 products and powers of monomial ideals from generator-by-generator
-products, staircase lengths from degree-capped enumeration, the monomials
-between two ideals from a walk over every monomial of each degree, quotient lengths of
+products, colons by a monomial from each generator's quotient, staircase
+lengths from degree-capped enumeration, the monomials between two ideals
+from a walk over every monomial of each degree, quotient lengths of
 polynomial ideals from the rank of every generator times every monomial of
 each degree (the package shifts only its echelon rows), the
 order from a literal transcription of its definition, S-polynomials from
@@ -206,6 +207,13 @@ def ideal_power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
 def scaled_ideal(ideal: MonomialIdeal, m) -> MonomialIdeal:
     """The ideal m * I."""
     return MonomialIdeal([times(g, m) for g in ideal.gens], ideal.varcount)
+
+
+def colon_generators(gens, m) -> list[tuple]:
+    """The quotients g / gcd(g, m), over every variable at once, of any
+    generating list: they generate its ideal's colon by m, since
+    (A + B) : m = (A : m) + (B : m) for monomial ideals."""
+    return [tuple(max(a - b, 0) for a, b in zip(g, m)) for g in gens]
 
 
 def filtration_sum(d: int, N: int, i: int) -> list[tuple]:

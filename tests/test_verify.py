@@ -9,7 +9,7 @@ import pytest
 from monocurve import verify
 from monocurve.curve import cal_I, f_poly, integer_cal_I, mono_I, nu, pure_powers
 from monocurve.groebner import PolyIdeal, buchberger, leading_ideal, leading_ideal_by_degree
-from monocurve.ideals import MonomialIdeal, colon_generators, monomials_between
+from monocurve.ideals import MonomialIdeal, monomials_between
 from monocurve.poly import Polynomial, pure_power
 from monocurve.render import format_ideal
 from monocurve.scalars import RATIONALS, PrimeField, active_field, using_field
@@ -31,6 +31,7 @@ from monocurve.verify import (
 
 from oracles import (
     cal_I_products,
+    colon_generators,
     filtration_sum,
     filtration_sum_chained,
     monomials_between_box,
@@ -347,9 +348,11 @@ def test_spanning_bound_is_attained():
 
 
 def test_filtration_sum_matches_chained_sums():
-    # the one-pass generator list, its per-generator colon, the cached sum
-    # built from the sum at i - 1, the summands' colons and the socle
-    # denominator against ideal sums built one summand at a time
+    # the one-pass generator list, the cached sum built from the sum at
+    # i - 1 and the socle denominator against ideal sums built one summand
+    # at a time; the regseq suite's actual side, summed from the summands'
+    # cached colons, against the chained sum's colon and against the
+    # one-pass list coloned generator by generator
     for d in range(2, 7):
         v = d - 1
         for N in range(0, 9):  # i = d + 1 covers the socle's denominators
@@ -360,12 +363,9 @@ def test_filtration_sum_matches_chained_sums():
                 if i <= d:
                     assert verify._filtration_ideal(d, N, i) == oracle, (d, N, i)
                     xi = pure_power(i - 2, v, i)
-                    coloned = [tuple(max(a - b, 0) for a, b in zip(g, xi)) for g in gens]
-                    assert MonomialIdeal(coloned, v) == oracle.colon_mon(xi), (d, N, i)
-                    # the regseq suite's actual side: the summands' colons
-                    summands = verify._filtration_summands(d, N, i)
-                    actual = MonomialIdeal(colon_generators(summands, xi), v)
+                    actual = verify._filtration_colon(d, N, i)
                     assert actual == oracle.colon_mon(xi), (d, N, i)
+                    assert actual == MonomialIdeal(colon_generators(gens, xi), v), (d, N, i)
 
 
 def test_length_with_powers_counts_the_staircase():
@@ -400,15 +400,41 @@ def test_regseq_fails_on_a_wrong_filtration_sum(monkeypatch):
 
 def test_regseq_fails_without_the_last_summand(monkeypatch):
     # the actual side's F(n + i, i) without its x_{i-1}^{i-1} summand; at
-    # i = 2 there is no such summand, so only i = 3 can fail
-    real = verify._filtration_summands
-    monkeypatch.setattr(verify, "_filtration_summands",
-                        lambda d, N, i: real(d, N, max(i - 1, 2)))
+    # d = 3 that leaves I_{n+i} : x_i^i, and at i = 2 there is no such
+    # summand, so only i = 3 can fail
+    monkeypatch.setattr(verify, "_filtration_colon", verify._colon_ideal)
     report = check_assoc_graded_regseq(3, 2)
     failed = [(c.inputs["n"], c.inputs["i"]) for c in report.cases if not c.ok]
     assert failed == [(1, 3), (2, 3)]
     for case in report.cases:
         assert ("actual_gens" in case.inputs) != case.ok, case.inputs
+
+
+def test_regseq_reuses_the_colon_suite_colons():
+    # every colon case but (n, i) = (1, 2) reads a colon the regseq grid
+    # already built: at i = 2 regseq colons only I_{n+2}
+    verify._colon_ideal.cache_clear()
+    check_assoc_graded_regseq(4, 3)
+    before = verify._colon_ideal.cache_info()
+    assert check_colon_identity(4, 3).all_pass
+    after = verify._colon_ideal.cache_info()
+    assert after.misses - before.misses == 1
+    assert after.hits - before.hits == 8
+
+
+def test_wrong_cached_colon_fails_colon_and_regseq(monkeypatch):
+    # I_3 : x_2^2 replaced by the unit ideal: the colon case (3, 2) and the
+    # regseq case (1, 2), whose actual side it is, fail and show the unit
+    real = verify._colon_ideal
+    monkeypatch.setattr(
+        verify, "_colon_ideal",
+        lambda d, M, i: MonomialIdeal.unit(d - 1) if (M, i) == (3, 2) else real(d, M, i))
+    for report, key in ((check_colon_identity(4, 3), (3, 2)),
+                        (check_assoc_graded_regseq(4, 3), (1, 2))):
+        failed = [c for c in report.cases if not c.ok]
+        assert [(c.inputs["n"], c.inputs["i"]) for c in failed] == [key], report.suite
+        assert failed[0].actual == failed[0].inputs["actual_gens"] == "1"
+        assert all("actual_gens" not in c.inputs for c in report.cases if c.ok)
 
 
 def test_length_suites_fail_on_a_wrong_length(monkeypatch):
