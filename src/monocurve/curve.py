@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import combinations
 from math import gcd
 
 from .groebner import PolyIdeal
@@ -92,9 +92,9 @@ def build_matrix(params: CurveParams, mod_x1: bool = False) -> PolyMatrix:
 # integers and cached for every field.  Each call maps them into the active
 # field afresh, so no field-coefficient copy outlives a change of field.
 # The products that generate cal_I are taken over the integers too, one
-# lazy generator per composition: `cal_I` lists them all, and the suites
-# read them degree by degree through `integer_cal_I`, building only those
-# the echelon kernel pulls.
+# lazy generator per composition; `cal_I` lists them all.  The suites build
+# no product: they walk cal_I degree by degree from the minors (see
+# `verify._cal_I_basis`).
 
 
 @lru_cache(maxsize=None)
@@ -185,46 +185,17 @@ def _composition_products(d: int, a: tuple):
         yield Polynomial({(0,) * (d - 1): 1}, d - 1)
 
 
-def _cal_I_compositions(d: int, n: int) -> tuple:
-    """The compositions of n that index the products of cal_I(d, n)."""
+def cal_I(d: int, n: int) -> PolyIdeal:
+    """Weighted sum of products of the minor ideals; n = 0 is the unit ideal.
+    Its generators are the products of every composition in colex order,
+    each multiplied out over the integers and mapped into the active field
+    once; `PolyIdeal` drops any that vanish there."""
     if d < 2:
         raise ValueError("d must be at least 2")
     if n < 0:
         raise ValueError("n must be non-negative")
-    return compositions(d, n)
-
-
-def integer_cal_I(d: int, n: int) -> dict:
-    """The generators of cal_I(d, n) with their integer coefficients, before
-    any field sees them, as a map from degree to a lazy iterator; n = 0 gives
-    the constant 1.
-
-    A composition a of n contributes `_composition_products(d, a)`, each of
-    degree n + sum(a), as a minor of size i+1 has degree i+1.  The iterator of
-    a degree walks its compositions in colex order and multiplies a product
-    out, over the integers and sharing prefixes, only when it is pulled, so
-    a reader that stops early builds none of the rest.
-    """
-    by_degree: dict = {}
-    for a in _cal_I_compositions(d, n):
-        by_degree.setdefault(n + sum(a), []).append(a)
-    return {
-        e: chain.from_iterable(_composition_products(d, a) for a in comps)
-        for e, comps in by_degree.items()
-    }
-
-
-def cal_I(d: int, n: int) -> PolyIdeal:
-    """Weighted sum of products of the minor ideals; n = 0 is the unit ideal.
-    Its generators are the products of `integer_cal_I`, all of them, one
-    composition after another in colex order, each mapped into the active
-    field once; `PolyIdeal` drops any that vanish there."""
     coerce = active_field().coerce
-    gens = [
-        _in_field(f, coerce)
-        for a in _cal_I_compositions(d, n)
-        for f in _composition_products(d, a)
-    ]
+    gens = [_in_field(f, coerce) for a in compositions(d, n) for f in _composition_products(d, a)]
     return PolyIdeal(gens, d - 1)
 
 

@@ -1,20 +1,20 @@
 """Leading ideals of homogeneous ideals, and reduced Groebner bases.
 
-`leading_ideal_by_degree`, which the suites call, reads the leading ideal
-off one degree-by-degree echelon form of the Macaulay matrices (Lazard,
-EUROCAL 1983), eliminating over Python ints: fraction-free over Q, residues
-over GF(p).  It pulls each degree's generators lazily and stops at the
-first full degree; `leading_ideal` groups a `PolyIdeal` for it.
+`echelon_walk`, which `leading_ideal` and the suites call, reads the
+leading ideal off one degree-by-degree echelon form of the Macaulay
+matrices (Lazard, EUROCAL 1983), eliminating over Python ints: fraction-free
+over Q, residues over GF(p).  Its generators are polynomials times echelon
+rows of another walk, made lazily, and it stops at the first full degree.
 `buchberger` is the general reduced-basis routine and the tests'
 independent route: Gebauer-Moeller pair update, pairs by increasing lcm
 degree with ties broken by the order, so output is deterministic; it
 reduces through `normal_form`.  Everything here uses the one order of
-`monocurve.order`.
-"""
+`monocurve.order`."""
 
 from __future__ import annotations
 
 import heapq
+from functools import lru_cache
 from math import gcd, lcm
 from operator import sub
 
@@ -256,93 +256,121 @@ def _pivot(row: dict, lead: int, p: int) -> dict:
     return {k: x // g for k, x in row.items()} if g != 1 else row
 
 
+# The echelon rows of the unit ideal, by degree: the constant 1, in degree 0.
+UNIT_ROWS = ([{0: 1}],)
+
+
 def leading_ideal(ideal: PolyIdeal) -> MonomialIdeal:
-    """The leading ideal of a homogeneous ideal; the zero ideal maps to the
-    zero ideal.  Coefficients are elements of the active field, or ints,
-    which are read in it.  Every generator is read and grouped by degree
-    first, so an inhomogeneous one raises ValueError before any elimination;
-    the groups go to `leading_ideal_by_degree`.
+    """The leading ideal of a homogeneous ideal, each generator a piece of
+    `echelon_walk` times the unit ideal's rows; the zero ideal maps to the
+    zero ideal."""
+    v = ideal.varcount
+    return MonomialIdeal(echelon_walk([(g, UNIT_ROWS) for g in ideal.gens], v)[0], v)
+
+
+@lru_cache(maxsize=None)
+def _columns(v: int, e: int) -> dict:
+    """The column of each monomial of degree e in v variables: its place in
+    `monomials_of_degree`, ascending in the order."""
+    return {u: i for i, u in enumerate(monomials_of_degree(v, e))}
+
+
+@lru_cache(maxsize=None)
+def _shift(v: int, e: int, m: tuple) -> tuple:
+    """For each column of degree e, the column of degree e + |m| that
+    multiplying by the monomial m sends it to."""
+    column = _columns(v, e + sum(m))
+    return tuple(column[times(u, m)] for u in _columns(v, e))
+
+
+def echelon_walk(pieces, v: int) -> tuple[list, list]:
+    """Leading monomials of the homogeneous ideal in v variables
+    generated by g * r over the pieces (g, rows): g a polynomial whose
+    coefficients are elements of the active field, or ints, which are read
+    in it; rows[e] a list of rows of degree e.  Returns the leading monomials
+    and, per degree e walked, the echelon rows new[e] that x_k times degree
+    e-1 did not give: degree e of the ideal is x times degree e-1 plus the
+    span of new[e].  No leading monomial means the zero ideal.
+
+    A row maps a column (see `_columns`) to an int coefficient.  Degree e
+    reads x_k times the echelon rows of degree e-1, for every k, then g * r
+    for each piece and r in rows[e - deg g], one at a time.  Each row,
+    top-reduced against the pivots so far, is zero or a new pivot; any row
+    echelon form of a span has the same leading monomials, the leading
+    ideal in degree e, so the row order does not change them.  The walk
+    stops at the first degree where every monomial leads a pivot and makes
+    no product after that row.  Raises ValueError on a g that is not
+    homogeneous, every g being read before any elimination, or past degree
+    v(D-1)+1, D the largest degree of a product, where only a non-Artinian
+    quotient has standard monomials left.
     """
     p = active_field().characteristic
-    by_degree: dict[int, list] = {}
-    for g in ideal.gens:
-        degrees = set(map(sum, integer_terms(g.terms, p)))
+    factors = []
+    for g, rows in pieces:
+        terms = integer_terms(g.terms, p)
+        degrees = set(map(sum, terms))
         if len(degrees) > 1:
             raise ValueError("leading_ideal requires homogeneous generators")
         if degrees:
-            by_degree.setdefault(degrees.pop(), []).append(g)
-    return leading_ideal_by_degree(by_degree, ideal.varcount)
-
-
-def leading_ideal_by_degree(buckets: dict, varcount: int) -> MonomialIdeal:
-    """The leading ideal of the homogeneous ideal in `varcount` variables
-    whose degree-e generators the iterable buckets[e] yields; a generator is
-    a polynomial whose coefficients are elements of the active field, or
-    ints, which are read in it.  Generators that vanish there are skipped,
-    and nothing to read gives the zero ideal.
-
-    Degree e of the ideal is spanned by x_k times the echelon rows of degree
-    e-1, for every k, and its degree-e generators, read in that order and
-    one at a time.  A row is a map from column to int coefficient, the
-    column of a monomial its rank under the order among the monomials of
-    degree e, which is its place in `monomials_of_degree`.  Each row,
-    top-reduced against the pivots so far, is zero or a new pivot; the
-    leading monomials of any row echelon form of a span are the same set,
-    and the pivots' are the leading ideal in degree e, so the row order does
-    not change the result.  Over Q the rows stay integral, over GF(p) they
-    hold residues.  The walk stops at the first degree where every monomial
-    leads a pivot, and reads no generator after that row, so a lazy bucket
-    builds none of the rest; the rows from below come first because they
-    often fill a degree on their own.  Raises ValueError on a generator it
-    reads that is not homogeneous of its bucket's degree, or past degree
-    v(D-1)+1, D the largest bucket degree, where only a non-Artinian
-    quotient has standard monomials left.
-    """
-    v = varcount
-    p = active_field().characteristic
-    if not buckets:
-        return MonomialIdeal.zero(v)
-    top = max(buckets)
+            factors.append((degrees.pop(), terms, rows))
+    top = max((dg + e for dg, _, rows in factors for e, r in enumerate(rows) if r), default=-1)
     cap = max(v * (top - 1) + 1, 0)
 
     xs = [pure_power(k, v) for k in range(v)]
     leads: list[tuple] = []
-    below: list[tuple] = []  # the monomials of degree e-1, ranked
+    new: list[list] = []
     prev: list[dict] = []  # the echelon rows of degree e-1
     for e in range(cap + 1):
         if e > top and not leads:
             break  # every generator vanished in the field
-        monomials = list(monomials_of_degree(v, e))
-        column = {m: i for i, m in enumerate(monomials)}
+        monomials = list(_columns(v, e))
         size = len(monomials)
         pivots: dict = {}  # leading column -> row
-        for row in _degree_rows(buckets.get(e, ()), e, p, column, xs, below, prev):
-            lead = _top_reduce(row, pivots, p)
-            if lead is not None:
-                pivots[lead] = _pivot(row, lead, p)
-                if len(pivots) == size:
-                    break
+        full = _fill(pivots, _rows_times_x(prev, v, e - 1, xs), size, p)
+        old = len(pivots)
+        full = full or _fill(pivots, _products(factors, v, e, p), size, p)
+        rows = list(pivots.values())
         leads += [monomials[i] for i in pivots]
-        if len(pivots) == size:
-            return MonomialIdeal(leads, v)
-        below = monomials
-        prev = list(pivots.values())
+        new.append(rows[old:])
+        if full:
+            return leads, new
+        prev = rows
     if not leads:
-        return MonomialIdeal.zero(v)
+        return leads, new
     raise ValueError("quotient is not Artinian")
 
 
-def _degree_rows(gens, e: int, p: int, column: dict, xs: list, below: list, prev: list):
-    """The rows spanning degree e, made one at a time: x times each row of
-    `prev`, which are over the ranked monomials `below` of degree e-1, for
-    each x in `xs`, then each generator's, read in characteristic p."""
+def _fill(pivots: dict, rows, size: int, p: int) -> bool:
+    """Top-reduce each row, keeping the nonzero ones as pivots; stops,
+    returning True, once there are `size`."""
+    for row in rows:
+        lead = _top_reduce(row, pivots, p)
+        if lead is not None:
+            pivots[lead] = _pivot(row, lead, p)
+            if len(pivots) == size:
+                return True
+    return False
+
+
+def _rows_times_x(prev: list, v: int, e: int, xs: list):
+    """x times each row of `prev`, of degree e, for each x in `xs`."""
     for x in xs:
-        up = [column[times(m, x)] for m in below]
+        up = _shift(v, e, x)
         for row in prev:
             yield {up[i]: c for i, c in row.items()}
-    for g in gens:
-        terms = integer_terms(g.terms, p)
-        if any(sum(m) != e for m in terms):
-            raise ValueError("leading_ideal requires homogeneous generators")
-        if terms:
-            yield {column[m]: c for m, c in terms.items()}
+
+
+def _products(factors: list, v: int, e: int, p: int):
+    """The rows of degree e of the products g * r, made one at a time, for
+    each factor (deg g, g's terms, rows) and r in rows[e - deg g]."""
+    for dg, terms, rows in factors:
+        if not 0 <= e - dg < len(rows):
+            continue
+        ups = [(_shift(v, e - dg, m), c) for m, c in terms.items()]
+        for row in rows[e - dg]:
+            out: dict = {}
+            for up, b in ups:
+                for i, a in row.items():
+                    k = up[i]
+                    out[k] = out.get(k, 0) + a * b
+            yield {k: x % p for k, x in out.items() if x % p} if p else {k: x for k, x in out.items() if x}

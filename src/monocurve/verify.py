@@ -18,7 +18,7 @@ import os
 import time
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import chain, combinations
+from itertools import combinations
 from typing import Callable, NamedTuple
 
 from .curve import (
@@ -28,7 +28,6 @@ from .curve import (
     cal_I,  # not called here; kept as verify.cal_I, the name perfbench/tracer.py wraps
     compositions,
     full_minors,
-    integer_cal_I,
     lambda_set,
     mono_I,
     mono_I_generators,
@@ -39,9 +38,9 @@ from .curve import (
     s_set,
     substitute_parametrization,
 )
-from .groebner import integer_terms, leading_ideal_by_degree
+from .groebner import UNIT_ROWS, echelon_walk, integer_terms
 from .ideals import MonomialIdeal, monomials_between, multiples_outside
-from .poly import pure_power, times
+from .poly import Polynomial, pure_power, times
 from .render import format_ideal, format_monomial
 from .scalars import active_field, using_field
 
@@ -51,7 +50,10 @@ def binom(a: int, b: int) -> int:
 
 
 def expected_length(d: int, n: int) -> int:
-    """The closed-form length of T'/I_n; zero for n <= 0 by convention."""
+    """The closed-form length of T'/I_n; zero for n <= 0 by convention.
+    It is the multiplicity e(x_1; S/p^(n)) = l(S_p/p^n S_p) e(x_1; S/p),
+    p the curve's prime in S = k[x_1, ..., x_d] and p^(n) its n-th symbolic
+    power (associativity formula; Bruns-Herzog, Cohen-Macaulay Rings, 4.7)."""
     return d * binom(n + d - 2, d - 1) if n >= 1 else 0
 
 
@@ -257,16 +259,54 @@ def _case_alternating(args) -> Case:
     return Case(inputs, {"alternating": alternating, "formula": formula}, actual, ok)
 
 
-def _lazy_leading(d: int, n: int, k: int) -> MonomialIdeal | str:
-    """LI(cal_I(d, n) + (f_1, ..., f_k)), read degree by degree from the lazy
-    `integer_cal_I` with each f_i, of degree i+1, first in its degree; or the
-    message with which the kernel refuses the ideal as not homogeneous or
-    not Artinian."""
-    buckets = integer_cal_I(d, n)
-    for i in range(1, k + 1):
-        buckets[i + 1] = chain([_int_minors(d, i)[0]], buckets.get(i + 1, ()))
+# What the leading and sanity suites read of cal_I(d, n) depends on the
+# field, so it is cached by the active field's key: a basis, and facts.
+
+
+@lru_cache(maxsize=None)
+def _cal_I_basis(field_key, d: int, n: int) -> tuple | str:
+    """LI(cal_I(d, n)) and its echelon rows `new` by degree, both from
+    `echelon_walk` in the active field; or the walk's message of refusal.
+
+    Every composition of n has some a_i > 0, so cal_I(n) is the sum over
+    1 <= i <= min(n, d-1) of J_i cal_I(n-i), with cal_I(0) = (1).  For K =
+    cal_I(n-i) the walk gives K_e = x K_{e-1} + span new(n-i)_e, so for f
+    a minor of J_i, of degree s, f K_{e-s} = x f K_{e-s-1} + f new(n-i)_{e-s},
+    where f K_{e-s-1} lies in cal_I(n)_{e-1}.  Hence cal_I(n)_e is x
+    cal_I(n)_{e-1} plus the sum of f new(n-i)_{e-s} over i and f, which the
+    walk reads from the pieces (f, new(n-i)); new(n-i) ends at the first
+    full degree of cal_I(n-i).  A refused cal_I(n-i) refuses cal_I(n): a
+    minor of J_i expands along its last row into minors of J_{i-1}, so
+    cal_I(n) lies in cal_I(n-i), and its quotient is no nearer Artinian.
+    """
+    v = d - 1
+    if n == 0:
+        return MonomialIdeal.unit(v), UNIT_ROWS
+    pieces = []
+    for i in range(1, min(n, v) + 1):
+        below = _cal_I_basis(field_key, d, n - i)
+        if isinstance(below, str):
+            return below
+        pieces += [(f, below[1]) for f in _int_minors(d, i)]
     try:
-        return leading_ideal_by_degree(buckets, d - 1)
+        leads, new = echelon_walk(pieces, v)
+    except ValueError as exc:
+        return str(exc)
+    return MonomialIdeal(leads, v), new
+
+
+def _lazy_leading(d: int, n: int, k: int) -> MonomialIdeal | str:
+    """LI(cal_I(d, n) + (f_1, ..., f_k)), walked from each f_i and the new
+    rows of the cached basis of cal_I(d, n), which generate it; or the walk's
+    refusal, which a refused cal_I(d, n) passes on."""
+    basis = _cal_I_basis(active_field().key, d, n)
+    if isinstance(basis, str):
+        return basis
+    v = d - 1
+    pieces = [(_int_minors(d, i)[0], UNIT_ROWS) for i in range(1, k + 1)]
+    pieces.append((Polynomial({(0,) * v: 1}, v), basis[1]))
+    try:
+        return MonomialIdeal(echelon_walk(pieces, v)[0], v)
     except ValueError as exc:
         return str(exc)
 
@@ -276,15 +316,11 @@ def _multisets(z: int, a: int) -> int:
     return binom(z + a - 1, a) if a else 1
 
 
-# What the leading and sanity suites read of cal_I(d, n) depends on the
-# field, so it is cached by the active field's key, as facts, not as the
-# ideal.
-
-
 @lru_cache(maxsize=None)
 def _cal_I_facts(field_key, d: int, n: int) -> tuple:
-    """LI(cal_I(d, n)) or the refusal, the number of generators and the
-    number of inhomogeneous ones, all as in the active field.
+    """LI(cal_I(d, n)), read off its cached basis, or the refusal; the
+    number of generators and the number of inhomogeneous ones; all as in
+    the active field.
 
     The counts need no product.  The generators are the products of a
     multiset of a_i minors of size i+1 for each i, over the compositions a
@@ -307,7 +343,8 @@ def _cal_I_facts(field_key, d: int, n: int) -> tuple:
         return sum(math.prod(map(_multisets, z, a)) for a in compositions(d, n))
 
     count = products(nonzero)
-    return _lazy_leading(d, n, 0), count, count - products(homogeneous)
+    basis = _cal_I_basis(field_key, d, n)
+    return basis if isinstance(basis, str) else basis[0], count, count - products(homogeneous)
 
 
 def _refused(inputs: dict, expected, error: str) -> Case:

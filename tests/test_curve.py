@@ -1,5 +1,4 @@
 import random
-from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, gcd
@@ -14,7 +13,6 @@ from monocurve.curve import (
     compositions,
     f_poly,
     full_minors,
-    integer_cal_I,
     lambda_set,
     minor_polynomials,
     mono_I,
@@ -192,15 +190,6 @@ def test_cal_I_matches_product_oracle(field):
             assert gens == oracle, (d, n)
             assert [list(g.terms.items()) for g in gens] == [list(g.terms.items()) for g in oracle]
             assert all(type(c) is one for g in gens for c in g.terms.values())
-
-
-def test_integer_cal_I_groups_the_products_by_degree():
-    # each degree's lazy iterator yields exactly the products of that degree
-    for d, n in [(2, 3), (3, 4), (4, 3), (5, 3), (6, 2)]:
-        pulled = [(e, f) for e, products in integer_cal_I(d, n).items() for f in products]
-        assert all(f.is_homogeneous() and f.degree() == e for e, f in pulled)
-        assert Counter(f for _, f in pulled) == Counter(cal_I(d, n).gens)
-    assert {e: list(products) for e, products in integer_cal_I(4, 0).items()} == {0: list(cal_I(4, 0).gens)}
 
 
 def test_cal_I_generator_counts():

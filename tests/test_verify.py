@@ -6,9 +6,9 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from monocurve import verify
-from monocurve.curve import cal_I, f_poly, integer_cal_I, mono_I, nu, pure_powers
-from monocurve.groebner import PolyIdeal, buchberger, leading_ideal, leading_ideal_by_degree
+from monocurve import groebner, verify
+from monocurve.curve import cal_I, f_poly, mono_I, nu, pure_powers
+from monocurve.groebner import UNIT_ROWS, PolyIdeal, buchberger, echelon_walk, leading_ideal
 from monocurve.ideals import MonomialIdeal, monomials_between
 from monocurve.poly import Polynomial, pure_power
 from monocurve.render import format_ideal
@@ -158,20 +158,24 @@ def test_failures_carry_counterexample_payload():
     assert case.inputs["expected_gens"] == "x2^3"
 
 
-def _fresh_leading_cache(monkeypatch, compute=None):
-    """Give verify an empty cache of cal_I facts for this test only, over
-    `compute` or the cached function itself."""
-    compute = compute or verify._cal_I_facts.__wrapped__
-    fresh = functools.lru_cache(maxsize=None)(compute)
-    monkeypatch.setattr(verify, "_cal_I_facts", fresh)
-    return fresh
+def _fresh_leading_cache(monkeypatch, compute=None, build=None):
+    """Give verify empty caches of cal_I bases and facts for this test only,
+    over `build` and `compute` or the cached functions themselves; returns
+    the two caches, bases first."""
+    caches = []
+    for name, fn in (("_cal_I_basis", build), ("_cal_I_facts", compute)):
+        fresh = functools.lru_cache(maxsize=None)(fn or getattr(verify, name).__wrapped__)
+        monkeypatch.setattr(verify, name, fresh)
+        caches.append(fresh)
+    return caches
 
 
 def _non_artinian_cal_I(monkeypatch):
-    # the kernel raises on (x2 x3): its quotient is not Artinian.  The empty
-    # cache makes the patched per-degree source reach the kernel whatever
-    # ran before, and drops what it computed when the test ends.
-    monkeypatch.setattr(verify, "integer_cal_I", lambda d, n: {2: iter([Polynomial({(1, 1): 1}, 2)])})
+    # every J_i is (x2 x3): the walk refuses cal_I(1), whose quotient is not
+    # Artinian, and cal_I(2) with it.  The empty caches make the patched
+    # minors reach the walk whatever ran before, and drop what it computed
+    # when the test ends.
+    monkeypatch.setattr(verify, "_int_minors", lambda d, i: (Polynomial({(1, 1): 1}, 2),))
     _fresh_leading_cache(monkeypatch)
 
 
@@ -183,27 +187,28 @@ def _without_field(report) -> str:
 
 
 def test_leading_cache_keeps_fields_apart(monkeypatch):
-    # one build of the per-degree source, and one computation, per field
+    # one build of the basis, and one computation of the facts, per field
+    # and (d, n); the basis of cal_I(3, 1) builds that of cal_I(3, 0)
     computed, builds = [], []
-    compute, build = verify._cal_I_facts.__wrapped__, verify.integer_cal_I
+    compute, build = verify._cal_I_facts.__wrapped__, verify._cal_I_basis.__wrapped__
 
     def record(field_key, d, n):
         computed.append((field_key, d, n))
         return compute(field_key, d, n)
 
-    def record_build(d, n):
-        builds.append((d, n))
-        return build(d, n)
+    def record_build(field_key, d, n):
+        builds.append((field_key, d, n))
+        return build(field_key, d, n)
 
-    cache = _fresh_leading_cache(monkeypatch, record)
-    monkeypatch.setattr(verify, "integer_cal_I", record_build)
+    bases, cache = _fresh_leading_cache(monkeypatch, record, record_build)
     with using_field(PrimeField(32003)):
         modp = _without_field(check_leading_ideal_equality(3, 2))
     rational = check_leading_ideal_equality(3, 2).to_json(include_timing=False)
     assert computed == [(("fp", 32003), 3, 1), (("fp", 32003), 3, 2),
                         (("rational",), 3, 1), (("rational",), 3, 2)]
-    assert builds == [(3, 1), (3, 2)] * 2
+    assert builds == [(key, 3, n) for key in (("fp", 32003), ("rational",)) for n in (1, 0, 2)]
     assert cache.cache_info().currsize == 4
+    assert bases.cache_info().currsize == 6
     assert modp == rational
     # the sanity suite, its homogeneity cases included, reads the same
     # entries instead of computing or building them again
@@ -211,7 +216,19 @@ def test_leading_cache_keeps_fields_apart(monkeypatch):
     assert sanity.all_pass
     assert [c.inputs["generators"] for c in sanity.cases if c.inputs["check"] == "homogeneous"] == [3, 7]
     assert len(computed) == 4
-    assert len(builds) == 4
+    assert len(builds) == 6
+
+
+def test_leading_and_sanity_build_each_basis_once(monkeypatch):
+    # every k of a with-f grid reads the one basis of each (field, 5, n),
+    # n = 0..4; the plain grid reads the same bases, and sanity after it
+    # reads the cached facts and builds none
+    bases, _ = _fresh_leading_cache(monkeypatch)
+    assert check_leading_ideal_equality(5, 4, with_f=True).all_pass
+    assert bases.cache_info().misses == bases.cache_info().currsize == 5
+    assert check_leading_ideal_equality(5, 4).all_pass
+    assert check_construction_sanity(5, 1, 4).all_pass
+    assert bases.cache_info().misses == 5
 
 
 _Q, _GF32003, _GF3 = RATIONALS, PrimeField(32003), PrimeField(3)
@@ -261,46 +278,60 @@ def _refusal(compute):
 def test_lazy_leading_ideal_matches_eager_and_buchberger(field):
     # the lazy per-degree route, with and without f_1..f_k, against the
     # eager kernel on the whole generator list and the reduced basis
+    grid = [(d, n) for d in (3, 4, 5) for n in range(1, 5)]
+    if field is not _GF32003:
+        grid += [(6, n) for n in range(1, 4)]
     with using_field(field):
-        for d in (3, 4, 5):
-            for n in range(1, 5):
-                for k in range(d):
-                    ideal = PolyIdeal(list(cal_I(d, n).gens) + [f_poly(d, i) for i in range(1, k + 1)], d - 1)
-                    lazy = verify._lazy_leading(d, n, k)
-                    assert lazy == _refusal(lambda: leading_ideal(ideal)), (d, n, k)
-                    if isinstance(lazy, MonomialIdeal):
-                        assert lazy == MonomialIdeal(buchberger(ideal).leading_monomials(), d - 1), (d, n, k)
+        for d, n in grid:
+            for k in range(d):
+                ideal = PolyIdeal(list(cal_I(d, n).gens) + [f_poly(d, i) for i in range(1, k + 1)], d - 1)
+                lazy = verify._lazy_leading(d, n, k)
+                assert lazy == _refusal(lambda: leading_ideal(ideal)), (d, n, k)
+                if isinstance(lazy, MonomialIdeal):
+                    assert lazy == MonomialIdeal(buchberger(ideal).leading_monomials(), d - 1), (d, n, k)
 
 
-def test_lazy_source_stops_early_at_5_5():
-    # of the 5,087 products, those of degrees 7-9 fill no degree; x_k times
-    # the rows of degree 9 leave one monomial of degree 10 to the products
-    pulled = 0
+def test_rows_read_by_the_bases_of_5_5(monkeypatch):
+    # the bases of cal_I(5, n), n = 0..5, built afresh: every row the walk
+    # reads is top-reduced once.  A speed pin: the product route read up to
+    # 3,200 of the 5,087 products of cal_I(5, 5) alone, most to zero
+    read = zero = 0
+    reduce = groebner._top_reduce
 
-    def counted(products):
-        nonlocal pulled
-        for f in products:
-            pulled += 1
-            yield f
+    def counted(row, pivots, p):
+        nonlocal read, zero
+        lead = reduce(row, pivots, p)
+        read += 1
+        zero += lead is None
+        return lead
 
-    buckets = {e: counted(it) for e, it in integer_cal_I(5, 5).items()}
-    assert leading_ideal_by_degree(buckets, 4) == mono_I(5, 5)
-    assert verify._cal_I_facts(active_field().key, 5, 5)[1] == 5087
-    assert pulled <= 3200
+    monkeypatch.setattr(groebner, "_top_reduce", counted)
+    bases, _ = _fresh_leading_cache(monkeypatch)
+    assert check_leading_ideal_equality(5, 5).all_pass
+    assert bases.cache_info().misses == 6
+    assert (read, zero) == (4460, 3299)
 
 
 def test_lazy_kernel_refuses_what_it_reads():
-    # a generator of the wrong degree for its bucket, or inhomogeneous, is
-    # refused when read; one past the first full degree is never read
+    # every generator is read, and one that is not homogeneous refused,
+    # before any elimination; the rows of a piece past the first full
+    # degree are never read; a generator that vanishes in the field is
+    # skipped
     x2, x3 = Polynomial({(1, 0): 1}, 2), Polynomial({(0, 1): 1}, 2)
     wrong = Polynomial({(2, 0): 1, (0, 1): 1}, 2)
     with pytest.raises(ValueError, match="homogeneous"):
-        leading_ideal_by_degree({1: [x2, Polynomial({(0, 2): 1}, 2)]}, 2)
-    with pytest.raises(ValueError, match="homogeneous"):
-        leading_ideal_by_degree({1: [x2, x3], 0: [wrong]}, 2)
-    assert leading_ideal_by_degree({1: [x2, x3], 2: [wrong]}, 2) == MonomialIdeal([(1, 0), (0, 1)], 2)
+        leading_ideal(PolyIdeal([x2, x3, wrong], 2))
+    read = []
+
+    def late():
+        read.append(True)
+        yield {0: 1}
+
+    leads, new = echelon_walk([(x2, UNIT_ROWS), (x3, UNIT_ROWS), (x2, [[], [], late()])], 2)
+    assert MonomialIdeal(leads, 2) == MonomialIdeal([(1, 0), (0, 1)], 2)
+    assert (len(new), read) == (2, [])
     with using_field(PrimeField(3)):
-        assert leading_ideal_by_degree({2: [Polynomial({(1, 1): 3}, 2)]}, 2).is_zero()
+        assert leading_ideal(PolyIdeal([Polynomial({(1, 1): 3}, 2)], 2)).is_zero()
 
 
 def test_sanity_counts_generators_as_the_field_sees_them(monkeypatch):
