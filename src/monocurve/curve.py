@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from math import gcd
 
 from .groebner import PolyIdeal
@@ -89,18 +88,21 @@ def build_matrix(params: CurveParams, mod_x1: bool = False) -> PolyMatrix:
 
 
 # The matrix has integer entries, so its minors are computed once over the
-# integers and cached for every field.  Each call maps them into the active
-# field afresh, so no field-coefficient copy outlives a change of field.
-# The products that generate cal_I are taken over the integers too, one
-# lazy generator per composition; `cal_I` lists them all.  The suites build
-# no product: they walk cal_I degree by degree from the minors (see
-# `verify._cal_I_basis`).
+# integers, in one table per (params, mod_x1); each call maps them into the
+# active field afresh, so no field-coefficient copy outlives a change of
+# field.  The products that generate cal_I are integer too, one lazy
+# generator per composition, and `cal_I` lists them all; the suites build
+# none, but walk cal_I degree by degree from the minors (`verify._cal_I_basis`).
 
 
 @lru_cache(maxsize=None)
+def _minor_table(params: CurveParams, mod_x1: bool) -> tuple:
+    """Entry i: the (i+1)-minors of the first i+1 rows, with int coefficients."""
+    return build_matrix(params, mod_x1).leading_minors(params.d)
+
+
 def _int_minors(d: int, i: int) -> tuple:
-    X = build_matrix(CurveParams(d), mod_x1=True)
-    return tuple(X.submatrix(range(i + 1), cols).det() for cols in combinations(range(d), i + 1))
+    return _minor_table(CurveParams(d), True)[i]
 
 
 def _in_field(f: Polynomial, coerce) -> Polynomial:
@@ -132,8 +134,7 @@ def full_minors(params: CurveParams, i: int) -> list[Polynomial]:
     """Full-ring minors over column selections; used by parametrization checks."""
     if not 1 <= i <= params.d - 1:
         raise ValueError("need 1 <= i <= d-1")
-    X = build_matrix(params, mod_x1=False)
-    return [X.submatrix(range(i + 1), cols).det() for cols in combinations(range(params.d), i + 1)]
+    return list(_minor_table(params, False)[i])
 
 
 @lru_cache(maxsize=None)
@@ -160,7 +161,7 @@ def _slot_products(slots: list, k: int, lo: int, prefix):
     product is its prefix times one minor, so a shared prefix is multiplied
     once, when the first product under it is pulled; the walk is the
     lexicographic order of the index tuples and the products associate left
-    to right.  It recurses at module level, like `_minor`.
+    to right.  It recurses at module level, so no closure forms a cycle.
     """
     minors, opens_block = slots[k]
     last = k + 1 == len(slots)

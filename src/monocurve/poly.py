@@ -19,6 +19,7 @@ modulo x_1 (the usual case) and x_{p+1} for full-ring polynomials.
 
 from __future__ import annotations
 
+from itertools import combinations
 from operator import add, le
 
 
@@ -127,7 +128,7 @@ class Polynomial:
 
 
 class PolyMatrix:
-    """A square matrix of polynomials with an exact memoized determinant."""
+    """A square matrix of polynomials with its exact leading-row minors."""
 
     __slots__ = ("entries", "size", "varcount")
 
@@ -148,31 +149,29 @@ class PolyMatrix:
     def submatrix(self, rows, cols) -> "PolyMatrix":
         return PolyMatrix([[self.entries[r][c] for c in cols] for r in rows])
 
+    def leading_minors(self, size: int) -> tuple:
+        """For s = 1..size, the s x s minors of the first s rows, columns in
+        lexicographic order, at entry s-1.  Each expands along its last row
+        r as the sum of (-1)^(r+k) row_r[c_k] times the minor below on cols
+        without c_k: each minor is computed once, and zero costs no product."""
+        if not 1 <= size <= self.size:
+            raise ValueError("minor size %d out of range 1..%d" % (size, self.size))
+        below = {(c,): f for c, f in enumerate(self.entries[0])}
+        levels = [tuple(below.values())]
+        for r in range(1, size):
+            level = {}
+            for cols in combinations(range(self.size), r + 1):
+                out: dict = {}
+                for k, c in enumerate(cols):
+                    entry, minor = self.entries[r][c], below[cols[:k] + cols[k + 1 :]]
+                    if entry and minor:
+                        for m, cc in (entry * minor).terms.items():
+                            out[m] = out.get(m, 0) + (-cc if (r + k) % 2 else cc)
+                level[cols] = Polynomial(out, self.varcount)
+            levels.append(tuple(level.values()))
+            below = level
+        return tuple(levels)
+
     def det(self) -> Polynomial:
-        """Cofactor expansion memoized on column subsets (the row prefix is implied)."""
-        return _minor(self.entries, tuple(range(self.size)), {}, self.varcount)
-
-
-def _minor(entries, cols: tuple, memo: dict, varcount: int) -> Polynomial:
-    """The minor on the last len(cols) rows and the columns `cols`, expanded
-    along its first row.  It recurses at module level: a nested recursive
-    closure is a reference cycle that keeps `memo` alive until the cyclic
-    collector runs.
-    """
-    hit = memo.get(cols)
-    if hit is not None:
-        return hit
-    row = len(entries) - len(cols)
-    if len(cols) == 1:
-        out = entries[row][cols[0]]
-    else:
-        out = Polynomial.zero(varcount)
-        sign = 1
-        for k, c in enumerate(cols):
-            entry = entries[row][c]
-            if entry:
-                term = entry * _minor(entries, cols[:k] + cols[k + 1 :], memo, varcount)
-                out = out + term if sign > 0 else out - term
-            sign = -sign
-    memo[cols] = out
-    return out
+        """The determinant: the one minor of the table's last level."""
+        return self.leading_minors(self.size)[-1][0]

@@ -7,6 +7,8 @@ import pytest
 
 from monocurve.curve import (
     CurveParams,
+    _int_minors,
+    _minor_table,
     build_matrix,
     cal_I,
     cal_J,
@@ -26,8 +28,9 @@ from monocurve.curve import (
 )
 from monocurve.ideals import MonomialIdeal, minimal_generators, monomials_of_degree
 from monocurve.order import leading_term
-from monocurve.poly import pure_power, sort_key, times
+from monocurve.poly import Polynomial, pure_power, sort_key, times
 from monocurve.scalars import RATIONALS, GFElement, PrimeField, using_field
+from monocurve import verify
 
 from oracles import (
     antidiagonal_product,
@@ -208,6 +211,52 @@ def test_full_minors_vanish_under_substitution():
         for i in range(1, d):
             for g in full_minors(CurveParams(d, m), i):
                 assert substitute_parametrization(g, d, m).is_zero()
+
+
+def test_mod_x1_minors_are_the_full_minors_reduced():
+    # reduction mod x_1 is a ring map, so each minor of the mod-x_1 table is
+    # its full-ring minor with every x_1 term dropped and x_1's coordinate
+    # removed; the two tables are built from different matrices
+    for d in range(2, 7):
+        for m in [m for m in (1, 2, 3, 5) if gcd(d, m) == 1][:2]:
+            for i in range(1, d):
+                reduced = [Polynomial({u[1:]: c for u, c in f.terms.items() if not u[0]}, d - 1)
+                           for f in full_minors(CurveParams(d, m), i)]
+                assert reduced == list(_int_minors(d, i)), (d, m, i)
+
+
+def test_minor_tables_stay_integer_after_a_gf3_run():
+    # the tables are cached for every field: a GF(3) sanity run builds both
+    # and must leave Python ints in them
+    for cached in (_minor_table, verify._cal_I_basis, verify._cal_I_facts):
+        cached.cache_clear()
+    with using_field(PrimeField(3)):
+        verify.check_construction_sanity(4, 3, 2)
+    built = _minor_table.cache_info().misses
+    assert built == 2
+    for i in range(1, 4):
+        for f in full_minors(CurveParams(4, 3), i) + list(_int_minors(4, i)):
+            assert all(type(c) is int for c in f.terms.values()), f
+    assert _minor_table.cache_info().misses == built
+
+
+def test_minor_table_multiplies_each_nonzero_pair_once(monkeypatch):
+    # one product per nonzero entry of the expansion row times a nonzero
+    # minor of the level below, and none for the first level: 102 at d = 6
+    calls = []
+    mul = Polynomial.__mul__
+    monkeypatch.setattr(Polynomial, "__mul__", lambda f, g: calls.append(1) or mul(f, g))
+    _minor_table.cache_clear()
+    table = _minor_table(CurveParams(6), True)
+    monkeypatch.undo()
+    X = build_matrix(CurveParams(6), mod_x1=True)
+    pairs = 0
+    for s in range(2, 7):
+        below = dict(zip(combinations(range(6), s - 1), table[s - 2]))
+        for cols in combinations(range(6), s):
+            pairs += sum(1 for k, c in enumerate(cols)
+                         if X.entries[s - 1][c] and below[cols[:k] + cols[k + 1:]])
+    assert len(calls) == pairs == 102
 
 
 # -- monomial side ------------------------------------------------------------------

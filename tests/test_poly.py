@@ -1,5 +1,7 @@
 import gc
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -118,7 +120,8 @@ def test_det_2x2():
 
 
 def test_det_leaves_no_garbage():
-    # the cofactor memo must not sit in a reference cycle after det returns
+    # the leading-minors table is built in a loop: nothing of it may sit in
+    # a reference cycle after det returns
     X = build_matrix(CurveParams(6), mod_x1=True)
     gc.collect()
     gc.disable()
@@ -137,6 +140,40 @@ def test_det_x2_block_d4():
     assert det == leibniz_determinant(block)
     assert det == P({(1, 1, 1): 2, (0, 3, 0): -1}, 3)
     assert leading_term(det)[0] == (0, 3, 0)
+
+
+def _assert_leading_minors_match_leibniz(M):
+    table = M.leading_minors(M.size)
+    assert len(table) == M.size
+    for s, level in enumerate(table, start=1):
+        blocks = [M.submatrix(range(s), cols) for cols in combinations(range(M.size), s)]
+        assert list(level) == [leibniz_determinant(b) for b in blocks], s
+
+
+def test_leading_minors_match_leibniz():
+    # every level of the table against the permutation sum of its block:
+    # random integer matrices up to 5 x 5, about a third of their entries
+    # zero, then the structured matrices for d <= 5, mod x_1 and full ring
+    rng = random.Random(24)
+
+    def entry():
+        if rng.random() < 0.35:
+            return P({}, 2)
+        return P({(rng.randrange(3), rng.randrange(3)): rng.randint(-3, 3) or 1
+                  for _ in range(rng.randint(1, 3))}, 2)
+
+    for size in range(1, 6):
+        for _ in range(4):
+            _assert_leading_minors_match_leibniz(
+                PolyMatrix([[entry() for _ in range(size)] for _ in range(size)]))
+    for d in range(2, 6):
+        for m in (1, 2) if d % 2 else (1, 3):
+            for mod_x1 in (True, False):
+                _assert_leading_minors_match_leibniz(build_matrix(CurveParams(d, m), mod_x1))
+    X = build_matrix(CurveParams(3), mod_x1=True)
+    for size in (0, 4):
+        with pytest.raises(ValueError):
+            X.leading_minors(size)
 
 
 def test_non_square_rejected():

@@ -6,7 +6,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from monocurve import groebner, verify
+from monocurve import curve, groebner, verify
 from monocurve.curve import cal_I, f_poly, mono_I, nu, pure_powers
 from monocurve.groebner import UNIT_ROWS, PolyIdeal, buchberger, echelon_walk, leading_ideal
 from monocurve.ideals import MonomialIdeal, monomials_between
@@ -451,6 +451,20 @@ def test_regseq_reuses_the_colon_suite_colons():
     after = verify._colon_ideal.cache_info()
     assert after.misses - before.misses == 1
     assert after.hits - before.hits == 8
+
+
+def test_leading_and_sanity_build_one_table_of_each_kind():
+    # leading and sanity at d = 5 read the mod-x_1 minors and the full-ring
+    # minors at m = 2 from one cached table each, built once
+    for cached in (curve._minor_table, verify._cal_I_basis, verify._cal_I_facts):
+        cached.cache_clear()
+    assert check_leading_ideal_equality(5, 3).all_pass
+    assert check_construction_sanity(5, 2, 3).all_pass
+    info = curve._minor_table.cache_info()
+    assert (info.misses, info.currsize) == (2, 2) and info.hits > 0
+    curve._minor_table(curve.CurveParams(5), True)
+    curve._minor_table(curve.CurveParams(5, 2), False)
+    assert curve._minor_table.cache_info().misses == 2
 
 
 def test_wrong_cached_colon_fails_colon_and_regseq(monkeypatch):
