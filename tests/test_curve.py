@@ -5,6 +5,7 @@ from math import comb, gcd
 
 import pytest
 
+from monocurve import verify
 from monocurve.curve import (
     CurveParams,
     _int_minors,
@@ -30,7 +31,6 @@ from monocurve.ideals import MonomialIdeal, minimal_generators, monomials_of_deg
 from monocurve.order import leading_term
 from monocurve.poly import Polynomial, pure_power, sort_key, times
 from monocurve.scalars import RATIONALS, GFElement, PrimeField, using_field
-from monocurve import verify
 
 from oracles import (
     antidiagonal_product,
@@ -226,18 +226,17 @@ def test_mod_x1_minors_are_the_full_minors_reduced():
 
 
 def test_minor_tables_stay_integer_after_a_gf3_run():
-    # the tables are cached for every field: a GF(3) sanity run builds both
-    # and must leave Python ints in them
+    # the tables are cached for every field: a GF(3) sanity run builds the
+    # mod-x_1 and the full-ring one, and must leave Python ints in both
     for cached in (_minor_table, verify._cal_I_basis, verify._cal_I_facts):
         cached.cache_clear()
     with using_field(PrimeField(3)):
         verify.check_construction_sanity(4, 3, 2)
-    built = _minor_table.cache_info().misses
-    assert built == 2
+    assert _minor_table.cache_info().misses == 2
     for i in range(1, 4):
         for f in full_minors(CurveParams(4, 3), i) + list(_int_minors(4, i)):
             assert all(type(c) is int for c in f.terms.values()), f
-    assert _minor_table.cache_info().misses == built
+    assert _minor_table.cache_info().misses == 2
 
 
 def test_minor_table_multiplies_each_nonzero_pair_once(monkeypatch):
