@@ -98,7 +98,7 @@ def build_matrix(params: CurveParams, mod_x1: bool = False) -> PolyMatrix:
 @lru_cache(maxsize=None)
 def _minor_table(params: CurveParams, mod_x1: bool) -> tuple:
     """Entry i: the (i+1)-minors of the first i+1 rows, with int coefficients."""
-    return build_matrix(params, mod_x1).leading_minors(params.d)
+    return build_matrix(params, mod_x1).leading_minors()
 
 
 def _int_minors(d: int, i: int) -> tuple:

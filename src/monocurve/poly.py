@@ -149,16 +149,14 @@ class PolyMatrix:
     def submatrix(self, rows, cols) -> "PolyMatrix":
         return PolyMatrix([[self.entries[r][c] for c in cols] for r in rows])
 
-    def leading_minors(self, size: int) -> tuple:
+    def leading_minors(self) -> tuple:
         """For s = 1..size, the s x s minors of the first s rows, columns in
         lexicographic order, at entry s-1.  Each expands along its last row
         r as the sum of (-1)^(r+k) row_r[c_k] times the minor below on cols
         without c_k: each minor is computed once, and zero costs no product."""
-        if not 1 <= size <= self.size:
-            raise ValueError("minor size %d out of range 1..%d" % (size, self.size))
         below = {(c,): f for c, f in enumerate(self.entries[0])}
         levels = [tuple(below.values())]
-        for r in range(1, size):
+        for r in range(1, self.size):
             level = {}
             for cols in combinations(range(self.size), r + 1):
                 out: dict = {}
@@ -174,4 +172,4 @@ class PolyMatrix:
 
     def det(self) -> Polynomial:
         """The determinant: the one minor of the table's last level."""
-        return self.leading_minors(self.size)[-1][0]
+        return self.leading_minors()[-1][0]

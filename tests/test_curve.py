@@ -232,11 +232,9 @@ def test_minor_tables_stay_integer_after_a_gf3_run():
         cached.cache_clear()
     with using_field(PrimeField(3)):
         verify.check_construction_sanity(4, 3, 2)
-    assert _minor_table.cache_info().misses == 2
     for i in range(1, 4):
         for f in full_minors(CurveParams(4, 3), i) + list(_int_minors(4, i)):
             assert all(type(c) is int for c in f.terms.values()), f
-    assert _minor_table.cache_info().misses == 2
 
 
 def test_minor_table_multiplies_each_nonzero_pair_once(monkeypatch):
