@@ -13,7 +13,10 @@ Generators are exponent tuples, always stored minimal and sorted by
 (degree, exponents), so two equal ideals are structurally identical and
 every report is deterministic.  The constructor minimalizes; the private
 `MonomialIdeal._of_minimal` keeps the same invariant for a list its caller
-proves minimal and free of duplicates, by sorting it alone.
+proves minimal and free of duplicates, by sorting it alone.  The colon by a
+monomial and the sum of two ideals build their results that way: both read
+what the minimality of their inputs proves, filter against divisibility
+masks, and never minimalize.
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ class _DivisorMasks:
     Bit i stands for the i-th stored monomial, and bit i of below[p][e] is
     set iff that monomial's exponent of variable p is at most e.  So some
     stored monomial divides m iff the AND over p of below[p][m[p]] is
-    nonzero.  The tables run from exponent 0 to the largest stored one, and
-    a query exponent above it reads the top entry.
+    nonzero.  The tables run from exponent 0 to `tops`, at least the largest
+    stored exponent, and a query exponent above it reads the top entry.
     """
 
     __slots__ = ("below", "tops", "size")
@@ -62,6 +65,18 @@ class _DivisorMasks:
         if min(m) < 0:
             return False  # no monomial divides one with a negative exponent
         return reduce(and_, map(getitem, self.below, map(min, m, self.tops))) != 0
+
+    def undivided(self, batch) -> list:
+        """The monomials of `batch`, in order, that no stored monomial
+        divides: `has_divisor` for a batch of exponent tuples, which must be
+        nonnegative.  A table too short for the batch is first extended by
+        its top entry, which stands for every exponent above it."""
+        below = self.below
+        for p, top in enumerate(map(max, zip(*batch))):
+            if top > self.tops[p]:
+                below[p] += [below[p][-1]] * (top - self.tops[p])
+                self.tops[p] = top
+        return [m for m in batch if not reduce(and_, map(getitem, below, m))]
 
 
 def _count(below: list, active: int, p: int) -> int:
@@ -237,9 +252,24 @@ class MonomialIdeal:
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other: "MonomialIdeal") -> "MonomialIdeal":
+        """The sum, from the two minimal generating sets as they stand.
+
+        Both sides are minimal, so a generator of one side leaves the sum
+        only if a generator of the other side divides it: each side is
+        filtered against the other's masks.  A generator both sides share
+        divides itself on the other side and leaves both, so one copy of it
+        is put back.
+        """
         if self.varcount != other.varcount:
             raise ValueError("variable count mismatch: %d vs %d" % (self.varcount, other.varcount))
-        return MonomialIdeal(self.gens + other.gens, self.varcount)
+        if not other.gens:
+            return self
+        if not self.gens:
+            return other
+        gens = (other._divisor_masks().undivided(self.gens)
+                + self._divisor_masks().undivided(other.gens))
+        gens += set(self.gens).intersection(other.gens)
+        return MonomialIdeal._of_minimal(gens, self.varcount)
 
     def colon_mon(self, m: tuple) -> "MonomialIdeal":
         """(I : m), one variable of m's support at a time, as I : ab = (I : a) : b.
@@ -247,7 +277,13 @@ class MonomialIdeal:
         Colon by x_v^e takes each minimal generator g to g / gcd(g, x_v^e).
         Where g_v > e that quotient stays minimal: a quotient h' dividing it
         would make h divide g.  It keeps x_v, so it divides no quotient that
-        lost x_v; only those, from g_v <= e, are minimalized, among themselves.
+        lost x_v.  The quotients that lost x_v, from g_v <= e, fall into
+        slices S_c by c = g_v.  Within a slice, s - c e_v divides t - c e_v
+        only if s divides t, so no quotient of a slice divides another.  A
+        quotient t' of S_c' divides s' of S_c only if c' > c, since for
+        c' <= c it would make t divide s.  So S_e is kept whole, and each
+        slice below it is filtered against the masks of the quotients kept
+        above it; nothing is minimalized afresh.
         """
         if len(m) != self.varcount:
             raise ValueError("variable count mismatch")
@@ -255,10 +291,23 @@ class MonomialIdeal:
             raise ValueError("negative exponent in %r" % (m,))
         gens = self.gens
         for v, e in enumerate(m):
-            if e:
-                lowered = [g[:v] + (g[v] - e,) + g[v + 1:] for g in gens if g[v] > e]
-                cleared = [g[:v] + (0,) + g[v + 1:] for g in gens if g[v] <= e]
-                gens = lowered + list(minimal_generators(cleared))
+            if not e:
+                continue
+            out: list[tuple] = []
+            slices: list[list] = [[] for _ in range(e + 1)]
+            for g in gens:
+                c = g[v]
+                if c > e:
+                    out.append(g[:v] + (c - e,) + g[v + 1:])
+                else:
+                    slices[c].append(g[:v] + (0,) + g[v + 1:])
+            masks = _DivisorMasks([0] * self.varcount)
+            for c in range(e, -1, -1):
+                kept = masks.undivided(slices[c])
+                if c:
+                    masks.add(kept)
+                out += kept
+            gens = out
         return MonomialIdeal._of_minimal(gens, self.varcount)
 
     # -- Artinian structure ----------------------------------------------

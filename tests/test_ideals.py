@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from monocurve import ideals
 from monocurve.curve import mono_I, pure_powers, range_monomials
 from monocurve.ideals import (
     MonomialIdeal,
@@ -27,6 +28,8 @@ from oracles import (
 
 mons2 = st.tuples(st.integers(0, 5), st.integers(0, 5))
 ideals2 = st.lists(mons2, min_size=1, max_size=5).map(lambda ms: MonomialIdeal(ms, 2))
+mons3 = st.tuples(*[st.integers(0, 4)] * 3)
+pure3 = st.builds(lambda v, e: pure_power(v, 3, e), st.integers(0, 2), st.integers(1, 7))
 
 
 @st.composite
@@ -127,6 +130,29 @@ def test_sum_product_identities():
     assert ideal_product(J, MonomialIdeal.unit(2)) == J
 
 
+def test_sum_rejects_a_variable_count_mismatch():
+    with pytest.raises(ValueError, match="variable count mismatch"):
+        MonomialIdeal([(1, 0)], 2) + MonomialIdeal([(1, 0, 0)], 3)
+
+
+@settings(max_examples=200)
+@example([(2, 0, 1), (0, 1, 0)], [(0, 1, 0), (3, 0, 0)])   # a generator on both sides
+@example([(1, 0, 0), (0, 2, 0)], [(2, 1, 0), (0, 3, 1)])   # one side inside the other
+@example([(2, 1, 0)], [(1, 0, 0), (0, 2, 0), (2, 1, 0)])   # ... and the other way round
+@example([], [(1, 2, 0), (0, 0, 3)])                       # the zero ideal on the left
+@example([(1, 2, 0), (0, 0, 3)], [])                       # ... and on the right
+@example([(0, 0, 0)], [(1, 2, 0), (0, 0, 3)])              # the unit ideal on the left
+@example([(1, 2, 0), (0, 0, 3)], [(0, 0, 0)])              # ... and on the right
+@given(st.lists(mons3, max_size=8) | st.just([(0, 0, 0)]),
+       st.lists(mons3, max_size=8) | st.just([(0, 0, 0)]))
+def test_sum_matches_the_minimalized_union(a, b):
+    # filtered side against side, against the union minimalized, by the
+    # masks and pair by pair
+    A, B = MonomialIdeal(a, 3), MonomialIdeal(b, 3)
+    union = A.gens + B.gens
+    assert (A + B).gens == MonomialIdeal(union, 3).gens == tuple(minimal_generators_naive(union))
+
+
 def test_square_of_maximal_ideal():
     m = MonomialIdeal([(1, 0), (0, 1)], 2)
     assert set(ideal_product(m, m).gens) == {(2, 0), (1, 1), (0, 2)}
@@ -195,21 +221,43 @@ def test_colon_generators_of_any_generating_set(ms, m):
     assert MonomialIdeal(colon_generators(raw, m), 2) == MonomialIdeal(ms, 2).colon_mon(m)
 
 
-mons3 = st.tuples(*[st.integers(0, 4)] * 3)
-pure3 = st.builds(lambda v, e: pure_power(v, 3, e), st.integers(0, 2), st.integers(1, 7))
-
-
 @settings(max_examples=200)
 @example([], (0, 3, 0))                       # the zero ideal
 @example([(0, 0, 0)], (2, 0, 1))              # the unit ideal
 @example([(2, 0, 1), (0, 3, 0)], (0, 0, 7))   # a power above every generator's
 @example([(1, 2, 0), (3, 0, 0)], (3, 2, 0))   # every generator lowered to 1
+# a lower slice cut by higher ones: by x_3^3, x_1 x_2 (slice 0) is cut by x_2
+# (slice 2) and x_1 (slice 1), and the colon is (x_3, x_2, x_1)
+@example([(1, 0, 1), (0, 1, 2), (1, 1, 0), (0, 0, 4)], (0, 0, 3))
 @given(st.lists(mons3, max_size=8) | st.just([(0, 0, 0)]), pure3 | mons3)
 def test_colon_mon_matches_per_generator_colon(ms, m):
-    # variable by variable, minimalizing only the generators that lose the
-    # variable, against every quotient minimalized pair by pair
+    # variable by variable, filtering each slice of the generators that lose
+    # the variable against the slices above, against every quotient
+    # minimalized pair by pair
     assert list(MonomialIdeal(ms, 3).colon_mon(m).gens) == minimal_generators_naive(
         colon_generators(ms, m))
+
+
+def test_colon_and_sum_of_minimal_ideals_never_minimalize(monkeypatch):
+    # both read the minimality of their inputs: from minimal ideals neither
+    # calls minimal_generators, whose count is the traced cost they save
+    A, B = mono_I(5, 6), MonomialIdeal(pure_powers(5, 4), 4)
+    calls = []
+
+    def counted(monomials):
+        calls.append(len(monomials))
+        return real(monomials)
+
+    real = ideals.minimal_generators
+    monkeypatch.setattr(ideals, "minimal_generators", counted)
+    for i in range(2, 6):
+        A.colon_mon(pure_power(i - 2, 4, i))
+    A.colon_mon((1, 2, 0, 3))
+    A + B
+    B + A
+    assert calls == []
+    MonomialIdeal(A.gens + B.gens, 4)
+    assert len(calls) == 1
 
 
 # -- membership / equality ------------------------------------------------------
