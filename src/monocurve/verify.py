@@ -348,7 +348,10 @@ def _cal_I_facts(field_key, d: int, n: int) -> tuple:
 
 
 def _refused(inputs: dict, expected, error: str) -> Case:
-    """The failed case of an ideal `leading_ideal` refused."""
+    """The failed case of an ideal whose echelon walk was refused:
+    `echelon_walk` raises `ValueError` on an inhomogeneous piece or a
+    quotient that is not Artinian, and `_cal_I_basis` or `_lazy_leading`
+    hands on its message, here `error`."""
     return Case(dict(inputs, error=error), expected, False, False)
 
 
@@ -441,7 +444,8 @@ def _case_sanity_homogeneous(args) -> Case:
 def _case_sanity_artinian(args) -> Case:
     d, n = args
     inputs = {"d": d, "n": n, "check": "artinian"}
-    # leading_ideal returns only Artinian leading ideals and raises otherwise
+    # echelon_walk raises ValueError where the quotient is not Artinian, and
+    # _cal_I_basis turns that refusal into its message string
     li = _cal_I_facts(active_field().key, d, n)[0]
     return _refused(inputs, True, li) if isinstance(li, str) else Case(inputs, True, True, True)
 
