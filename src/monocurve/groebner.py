@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import heapq
 from functools import lru_cache
+from itertools import chain
 from math import gcd, lcm
 from operator import sub
 
@@ -265,7 +266,8 @@ def leading_ideal(ideal: PolyIdeal) -> MonomialIdeal:
     `echelon_walk` times the unit ideal's rows; the zero ideal maps to the
     zero ideal."""
     v = ideal.varcount
-    return MonomialIdeal(echelon_walk([(g, UNIT_ROWS) for g in ideal.gens], v)[0], v)
+    leads = echelon_walk([[(g, UNIT_ROWS) for g in ideal.gens]], v)[0]
+    return MonomialIdeal._of_minimal(leads, v)
 
 
 @lru_cache(maxsize=None)
@@ -278,63 +280,93 @@ def _columns(v: int, e: int) -> dict:
 @lru_cache(maxsize=None)
 def _shift(v: int, e: int, m: tuple) -> tuple:
     """For each column of degree e, the column of degree e + |m| that
-    multiplying by the monomial m sends it to."""
-    column = _columns(v, e + sum(m))
-    return tuple(column[times(u, m)] for u in _columns(v, e))
+    multiplying by the monomial m sends it to: for one variable read off
+    `_columns`, else the one-variable steps composed, lowest variable first."""
+    if sum(m) == 1:
+        column = _columns(v, e + 1)
+        return tuple(column[times(u, m)] for u in _columns(v, e))
+    up = range(len(_columns(v, e)))
+    for k, power in enumerate(m):
+        for _ in range(power):
+            up = tuple(map(_shift(v, e, pure_power(k, v)).__getitem__, up))
+            e += 1
+    return tuple(up)
 
 
-def echelon_walk(pieces, v: int) -> tuple[list, list]:
-    """Leading monomials of the homogeneous ideal in v variables
-    generated by g * r over the pieces (g, rows): g a polynomial whose
-    coefficients are elements of the active field, or ints, which are read
-    in it; rows[e] a list of rows of degree e.  Returns the leading monomials
-    and, per degree e walked, the echelon rows new[e] that x_k times degree
-    e-1 did not give: degree e of the ideal is x times degree e-1 plus the
-    span of new[e].  No leading monomial means the zero ideal.
+def echelon_walk(groups, v: int) -> tuple[list, list]:
+    """Minimal generators of the leading ideal of the homogeneous ideal in
+    v variables generated by g * r over the pieces (g, rows) of each group:
+    g a polynomial whose coefficients are elements of the active field, or
+    ints, which are read in it; rows[e] a list of rows of degree e.  Returns
+    them and, per group and degree e walked, the echelon rows new[j][e] that
+    group j's products gave: degree e of the ideal is x times degree e-1
+    plus the span of the new[j][e].  No leading monomial means the zero ideal.
 
     A row maps a column (see `_columns`) to an int coefficient.  Degree e
-    reads x_k times the echelon rows of degree e-1, for every k, then g * r
-    for each piece and r in rows[e - deg g], one at a time.  Each row,
-    top-reduced against the pivots so far, is zero or a new pivot; any row
-    echelon form of a span has the same leading monomials, the leading
-    ideal in degree e, so the row order does not change them.  The walk
-    stops at the first degree where every monomial leads a pivot and makes
-    no product after that row.  Raises ValueError on a g that is not
-    homogeneous, every g being read before any elimination, or past degree
-    v(D-1)+1, D the largest degree of a product, where only a non-Artinian
-    quotient has standard monomials left.
+    reads x_k times rows of degree e-1, k ascending, then g * r for each
+    piece and r in rows[e - deg g], one at a time.  Each row, top-reduced
+    against the pivots so far, is zero or a new pivot; any row echelon form
+    of a span has the same leading monomials, so the row order does not
+    change them, and a lead u is minimal when no u / x_k leads in degree
+    e-1.  A pivot is labelled k if the block of x_k made it, 0 if a product
+    did, and block k reads x_k times the pivots labelled <= k.  That spans
+    x times degree e-1, a sum of s q, q a pivot a product made and s a
+    monomial: with x_m the largest variable of s = x_m s', s' q lies, by
+    induction on deg s, in the span of pivots labelled <= m, which block m
+    reads before any pivot labelled above m exists.  The walk stops at the
+    first degree where every monomial leads a pivot and makes no product
+    after that row.  Raises ValueError on a g that is not homogeneous,
+    every g being read before any elimination, or past degree v(D-1)+1, D
+    the largest degree of a product, where only a non-Artinian quotient has
+    standard monomials left.
     """
     p = active_field().characteristic
-    factors = []
-    for g, rows in pieces:
-        terms = integer_terms(g.terms, p)
-        degrees = set(map(sum, terms))
-        if len(degrees) > 1:
-            raise ValueError("leading_ideal requires homogeneous generators")
-        if degrees:
-            factors.append((degrees.pop(), terms, rows))
-    top = max((dg + e for dg, _, rows in factors for e, r in enumerate(rows) if r), default=-1)
+    factors = []  # per group, (deg g, g's terms, rows) for each g nonzero in the field
+    for group in groups:
+        read = []
+        for g, rows in group:
+            terms = integer_terms(g.terms, p)
+            degrees = set(map(sum, terms))
+            if len(degrees) > 1:
+                raise ValueError("leading_ideal requires homogeneous generators")
+            if degrees:
+                read.append((degrees.pop(), terms, rows))
+        factors.append(read)
+    top = max((dg + e for read in factors for dg, _, rows in read for e, r in enumerate(rows) if r),
+              default=-1)
     cap = max(v * (top - 1) + 1, 0)
 
     xs = [pure_power(k, v) for k in range(v)]
     leads: list[tuple] = []
-    new: list[list] = []
-    prev: list[dict] = []  # the echelon rows of degree e-1
+    new: list[list] = [[] for _ in factors]
+    prev: list[dict] = []  # degree e-1's pivots: blocks 0..v-1, then the products'
+    prev_leads: list[int] = []
+    ends = [0] * v  # ends[k]: where block k's pivots end in prev
     for e in range(cap + 1):
         if e > top and not leads:
             break  # every generator vanished in the field
         monomials = list(_columns(v, e))
         size = len(monomials)
+        ups = [_shift(v, e - 1, x) for x in xs]
         pivots: dict = {}  # leading column -> row
-        full = _fill(pivots, _rows_times_x(prev, v, e - 1, xs), size, p)
-        old = len(pivots)
-        full = full or _fill(pivots, _products(factors, v, e, p), size, p)
+        full = False
+        blocks = []
+        for k, up in enumerate(ups):
+            labelled = chain(prev[:ends[k]], prev[ends[-1]:])  # the pivots labelled <= k
+            full = full or _fill(pivots, ({up[i]: c for i, c in r.items()} for r in labelled), size, p)
+            blocks.append(len(pivots))
+        cuts = [len(pivots)]
+        for read in factors:
+            full = full or _fill(pivots, _products(read, v, e, p), size, p)
+            cuts.append(len(pivots))
         rows = list(pivots.values())
-        leads += [monomials[i] for i in pivots]
-        new.append(rows[old:])
+        for made, start, end in zip(new, cuts, cuts[1:]):
+            made.append(rows[start:end])
+        below = {up[i] for up in ups for i in prev_leads}  # x times degree e-1's leads
+        leads += [monomials[i] for i in pivots if i not in below]
         if full:
             return leads, new
-        prev = rows
+        prev, prev_leads, ends = rows, list(pivots), blocks
     if not leads:
         return leads, new
     raise ValueError("quotient is not Artinian")
@@ -350,14 +382,6 @@ def _fill(pivots: dict, rows, size: int, p: int) -> bool:
             if len(pivots) == size:
                 return True
     return False
-
-
-def _rows_times_x(prev: list, v: int, e: int, xs: list):
-    """x times each row of `prev`, of degree e, for each x in `xs`."""
-    for x in xs:
-        up = _shift(v, e, x)
-        for row in prev:
-            yield {up[i]: c for i, c in row.items()}
 
 
 def _products(factors: list, v: int, e: int, p: int):

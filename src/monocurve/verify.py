@@ -266,7 +266,9 @@ def _case_alternating(args) -> Case:
 @lru_cache(maxsize=None)
 def _cal_I_basis(field_key, d: int, n: int) -> tuple | str:
     """LI(cal_I(d, n)) and its echelon rows `new` by degree, both from
-    `echelon_walk` in the active field; or the walk's message of refusal.
+    `echelon_walk` in the active field, the rows as pairs (t, new_t), new_t
+    the rows the minors of J_t gave, t = 0 for the unit ideal's; or the
+    walk's message of refusal.
 
     Every composition of n has some a_i > 0, so cal_I(n) is the sum over
     1 <= i <= min(n, d-1) of J_i cal_I(n-i), with cal_I(0) = (1).  For K =
@@ -275,24 +277,39 @@ def _cal_I_basis(field_key, d: int, n: int) -> tuple | str:
     where f K_{e-s-1} lies in cal_I(n)_{e-1}.  Hence cal_I(n)_e is x
     cal_I(n)_{e-1} plus the sum of f new(n-i)_{e-s} over i and f, which the
     walk reads from the pieces (f, new(n-i)); new(n-i) ends at the first
-    full degree of cal_I(n-i).  A refused cal_I(n-i) refuses cal_I(n): a
-    minor of J_i expands along its last row into minors of J_{i-1}, so
-    cal_I(n) lies in cal_I(n-i), and its quotient is no nearer Artinian.
+    full degree of cal_I(n-i).
+
+    The pieces of J_i take only the rows new_t of cal_I(n-i) with t <= i.
+    By descending induction on i from d-1, where every row is read, the
+    groups above i span J_t cal_I(n-t) modulo x cal_I(n)_{e-1} for t > i.
+    A row q of new_t, t > i, is c f' r' less earlier pivots of its walk, f'
+    a minor of J_t and r' a row of cal_I(n-i-t), so f q is c f' (f r'), with
+    f r' in cal_I(n-t), less f times those pivots: f times a pivot x made
+    lies in x cal_I(n)_{e-1}, and f times one a product made is read, or is
+    the same case for a pivot read earlier.  The walk reads the groups for
+    i descending, which is faster past the default grid.
+
+    A refused cal_I(n-i) refuses cal_I(n): a minor of J_i expands along its
+    last row into minors of J_{i-1}, so cal_I(n) lies in cal_I(n-i), and
+    its quotient is no nearer Artinian.
     """
     v = d - 1
     if n == 0:
-        return MonomialIdeal.unit(v), UNIT_ROWS
-    pieces = []
+        return MonomialIdeal.unit(v), ((0, UNIT_ROWS),)
+    belows = []
     for i in range(1, min(n, v) + 1):
         below = _cal_I_basis(field_key, d, n - i)
         if isinstance(below, str):
             return below
-        pieces += [(f, below[1]) for f in _int_minors(d, i)]
+        belows.append(below[1])
+    tags = range(len(belows), 0, -1)
+    groups = [[(f, rows) for f in _int_minors(d, i) for t, rows in belows[i - 1] if t <= i]
+              for i in tags]
     try:
-        leads, new = echelon_walk(pieces, v)
+        leads, new = echelon_walk(groups, v)
     except ValueError as exc:
         return str(exc)
-    return MonomialIdeal(leads, v), new
+    return MonomialIdeal._of_minimal(leads, v), tuple(zip(tags, new))
 
 
 def _lazy_leading(d: int, n: int, k: int) -> MonomialIdeal | str:
@@ -303,10 +320,11 @@ def _lazy_leading(d: int, n: int, k: int) -> MonomialIdeal | str:
     if isinstance(basis, str):
         return basis
     v = d - 1
+    one = Polynomial({(0,) * v: 1}, v)
     pieces = [(_int_minors(d, i)[0], UNIT_ROWS) for i in range(1, k + 1)]
-    pieces.append((Polynomial({(0,) * v: 1}, v), basis[1]))
+    pieces += [(one, rows) for _, rows in basis[1]]
     try:
-        return MonomialIdeal(echelon_walk(pieces, v)[0], v)
+        return MonomialIdeal._of_minimal(echelon_walk([pieces], v)[0], v)
     except ValueError as exc:
         return str(exc)
 

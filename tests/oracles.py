@@ -6,11 +6,13 @@ products and powers of monomial ideals from generator-by-generator
 products, colons by a monomial from each generator's quotient, staircase
 lengths from degree-capped enumeration, the monomials between two ideals
 from a walk over every monomial of each degree, quotient lengths of
-polynomial ideals from the rank of every generator times every monomial of
-each degree (the package shifts only its echelon rows), the
-order from a literal transcription of its definition, S-polynomials from
-theirs with leading terms picked by that order, leading monomials of
-minors from their anti-diagonals, membership in products of
+polynomial ideals, and every leading monomial up to the first full
+degree, from the rank of every generator times every monomial of each
+degree (the package shifts only its echelon rows), the columns of a
+shifted monomial from one lookup per product (the package composes
+one-variable steps), the order from a literal transcription of its
+definition, S-polynomials from theirs with leading terms picked by that
+order, leading monomials of minors from their anti-diagonals, membership in products of
 variable-range powers from Hall's condition, membership in I_n from suffix
 degree sums against each composition's demands, the order function nu by
 maximising over every composition, the generators of I_n from each
@@ -137,15 +139,39 @@ def monomials_between_box(outer: MonomialIdeal, inner: MonomialIdeal) -> list[tu
         degree += 1
 
 
-def hilbert_oracle(ideal: PolyIdeal) -> int:
-    """Quotient length by degreewise rank counting; no Groebner bases involved.
+def _degree_pivots(gens, v: int, e: int) -> dict:
+    """The pivots, by leading monomial, of the span of {m*g : deg(m*g) = e},
+    each row reduced over the degree-e monomial basis by field division."""
+    pivots: dict[tuple, dict] = {}
+    for g in gens:
+        shift_deg = e - g.degree()
+        if shift_deg < 0:
+            continue
+        for shift in monomials_of_degree(v, shift_deg):
+            row = {times(m, shift): c for m, c in g.terms.items()}
+            while row:
+                lead = max(row, key=GREVELEX)
+                hit = pivots.get(lead)
+                if hit is None:
+                    lc = row[lead]
+                    pivots[lead] = {m: c / lc for m, c in row.items()}
+                    break
+                factor = row[lead]
+                for m, c in hit.items():
+                    s = row.get(m)
+                    s = -factor * c if s is None else s - factor * c
+                    if s:
+                        row[m] = s
+                    elif m in row:
+                        del row[m]
+    return pivots
 
-    For each degree e the span of {m*g : deg(m*g) = e} is row-reduced over
-    the degree-e monomial basis; the number of standard monomials at degree e
-    is the corank.  Summation stops at the first degree with no standard
-    monomial: the generators are homogeneous, so every later degree lies
-    in the ideal too.
-    """
+
+def _degreewise_leads(ideal: PolyIdeal):
+    """For each degree e from 0 to the first with no standard monomial, the
+    leading monomials of the ideal's degree-e span, from `_degree_pivots`:
+    the generators are homogeneous, so every later degree lies in the ideal
+    too."""
     gens = ideal.gens
     if not gens:
         raise ValueError("the zero ideal has an infinite quotient")
@@ -155,40 +181,41 @@ def hilbert_oracle(ideal: PolyIdeal) -> int:
     v = ideal.varcount
     maxdeg = max(g.degree() for g in gens)
     cap = v * (maxdeg - 1) + 1 if maxdeg > 0 else 0
-
-    total = 0
     e = 0
     while True:
         if e > cap:
             raise ValueError("quotient does not appear to be Artinian")
-        pivots: dict[tuple, dict] = {}
-        for g in gens:
-            shift_deg = e - g.degree()
-            if shift_deg < 0:
-                continue
-            for shift in monomials_of_degree(v, shift_deg):
-                row = {times(m, shift): c for m, c in g.terms.items()}
-                while row:
-                    lead = max(row, key=GREVELEX)
-                    hit = pivots.get(lead)
-                    if hit is None:
-                        lc = row[lead]
-                        pivots[lead] = {m: c / lc for m, c in row.items()}
-                        break
-                    factor = row[lead]
-                    for m, c in hit.items():
-                        s = row.get(m)
-                        s = -factor * c if s is None else s - factor * c
-                        if s:
-                            row[m] = s
-                        elif m in row:
-                            del row[m]
-        n_monomials = len(list(monomials_of_degree(v, e)))
-        std = n_monomials - len(pivots)
-        if std == 0:
-            return total
-        total += std
+        leads = list(_degree_pivots(gens, v, e))
+        yield e, leads
+        if len(leads) == len(list(monomials_of_degree(v, e))):
+            return
         e += 1
+
+
+def hilbert_oracle(ideal: PolyIdeal) -> int:
+    """Quotient length by degreewise rank counting; no Groebner bases involved.
+
+    For each degree e the span of {m*g : deg(m*g) = e} is row-reduced over
+    the degree-e monomial basis; the number of standard monomials at degree e
+    is the corank.  Summation stops at the first degree with no standard
+    monomial.
+    """
+    v = ideal.varcount
+    return sum(len(list(monomials_of_degree(v, e))) - len(leads) for e, leads in _degreewise_leads(ideal))
+
+
+def leading_monomials_by_rank(ideal: PolyIdeal) -> list[tuple]:
+    """Every leading monomial of the ideal up to its first full degree, from
+    the degreewise row reduction of `hilbert_oracle`: not minimalized."""
+    return [u for _, leads in _degreewise_leads(ideal) for u in leads]
+
+
+def shift_by_columns(v: int, e: int, m: tuple) -> tuple:
+    """For each monomial of degree e, in `monomials_of_degree` order, the
+    place of its product with m among the monomials of degree e + |m|: one
+    dict lookup of each product."""
+    column = {u: i for i, u in enumerate(monomials_of_degree(v, e + sum(m)))}
+    return tuple(column[times(u, m)] for u in monomials_of_degree(v, e))
 
 
 def ideal_product(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:

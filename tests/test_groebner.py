@@ -6,9 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from monocurve.curve import cal_I, cal_J, f_poly, mono_I
 from monocurve.groebner import (
+    UNIT_ROWS,
     GroebnerBasis,
     PolyIdeal,
+    _shift,
     buchberger,
+    echelon_walk,
     leading_ideal,
     normal_form,
 )
@@ -16,7 +19,14 @@ from monocurve.ideals import MonomialIdeal, monomials_of_degree
 from monocurve.order import leading_term
 from monocurve.poly import Polynomial, divides
 from monocurve.scalars import RATIONALS, PrimeField, using_field
-from oracles import hilbert_oracle, int_poly as P, s_polynomial
+from oracles import (
+    hilbert_oracle,
+    int_poly as P,
+    leading_monomials_by_rank,
+    minimal_generators_naive,
+    s_polynomial,
+    shift_by_columns,
+)
 
 
 _exps2 = st.tuples(st.integers(0, 3), st.integers(0, 3))
@@ -217,6 +227,31 @@ def test_echelon_matches_buchberger_on_scaled_generators(drawn):
             oracle = _basis_leading_ideal(scaled)
             assert leading_ideal(scaled) == oracle
             assert leading_ideal(PolyIdeal([Polynomial(t, v) for t, _ in gens], v)) == oracle
+
+
+@settings(max_examples=40, deadline=None)
+@given(_scaled_homogeneous())
+def test_walk_leads_are_the_minimal_leading_monomials(drawn):
+    # the walk keeps a lead only when no lead of the degree below divides
+    # it; the oracle reduces every degree's span on its own and minimalizes
+    # all the leads it finds by the all-pairs definition
+    v, gens = drawn
+    for field in (RATIONALS, PrimeField(32003)):
+        with using_field(field):
+            ideal = PolyIdeal([P(t, v).scale(field.coerce(s)) for t, s in gens], v)
+            leads = echelon_walk([[(g, UNIT_ROWS) for g in ideal.gens]], v)[0]
+            assert sorted(leads, key=lambda u: (sum(u), u)) == minimal_generators_naive(
+                leading_monomials_by_rank(ideal))
+
+
+def test_composed_shifts_match_one_lookup_per_product():
+    # each shift by a monomial of degree 2 or 3 is composed from the
+    # one-variable steps; the oracle looks up every product's column
+    for v in range(1, 6):
+        for e in range(7):
+            for s in range(4):
+                for m in monomials_of_degree(v, s):
+                    assert _shift(v, e, m) == shift_by_columns(v, e, m), (v, e, m)
 
 
 def test_echelon_stops_at_the_cap():
