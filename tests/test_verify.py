@@ -314,17 +314,15 @@ def _rows_read_by_fresh_bases(monkeypatch, d: int, n_max: int) -> tuple:
 
 def test_rows_read_by_the_bases_of_5_5(monkeypatch):
     # a speed pin: block k of a degree reads x_k times only the pivots of
-    # the degree below that blocks 0..k or a product made, and the minors
-    # of J_i only the rows of cal_I(n-i) that minors of J_t, t <= i, gave.
-    # Reading every row, as before both criteria, read 4,460 rows, 3,299 to
-    # zero; the product route read up to 3,200 of the 5,087 products of
-    # cal_I(5, 5) alone, most to zero
+    # the degree below that the blocks of x_0..x_k or a product made, and
+    # the minors of J_i only the rows of cal_I(n-i) that minors of J_t,
+    # t <= i, gave; reading every row reads 4,460 rows, 3,299 to zero
     assert _rows_read_by_fresh_bases(monkeypatch, 5, 5) == (3004, 1843)
 
 
 def test_rows_read_by_the_bases_of_6_3(monkeypatch):
-    # below the product route, which read 1,111 rows, 669 to zero; reading
-    # every row of every basis read 1,410, 969 to zero
+    # below the product route, which reads 1,111 rows, 669 to zero; reading
+    # every row of every basis reads 1,410, 969 to zero
     assert _rows_read_by_fresh_bases(monkeypatch, 6, 3) == (1046, 605)
 
 
