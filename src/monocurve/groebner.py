@@ -280,8 +280,8 @@ def _columns(v: int, e: int) -> dict:
 @lru_cache(maxsize=None)
 def _shift(v: int, e: int, m: tuple) -> tuple:
     """For each column of degree e, the column of degree e + |m| that
-    multiplying by the monomial m sends it to: one variable's step read off
-    `_columns`, or the steps composed."""
+    multiplying by the monomial m sends it to: for one variable read off
+    `_columns`, else the one-variable steps composed, lowest variable first."""
     if sum(m) == 1:
         column = _columns(v, e + 1)
         return tuple(column[times(u, m)] for u in _columns(v, e))
@@ -298,25 +298,27 @@ def echelon_walk(groups, v: int) -> tuple[list, list]:
     v variables generated by g * r over the pieces (g, rows) of each group:
     g a polynomial whose coefficients are elements of the active field, or
     ints, which are read in it; rows[e] a list of rows of degree e.  Returns
-    them and, per group j and degree e walked, the echelon rows new[j][e]
-    its products gave: degree e of the ideal is x times degree e-1 plus the
-    span of the new[j][e].  No leading monomial means the zero ideal.
+    them and, per group and degree e walked, the echelon rows new[j][e] that
+    group j's products gave: degree e of the ideal is x times degree e-1
+    plus the span of the new[j][e].  No leading monomial means the zero ideal.
 
     A row maps a column (see `_columns`) to an int coefficient.  Degree e
     reads x_k times rows of degree e-1, k ascending, then g * r for each
     piece and r in rows[e - deg g], one at a time.  Each row, top-reduced
-    against the pivots so far, is zero or a new pivot; the leading monomials
-    do not depend on the row order, and a lead u is minimal when no u / x_k
-    leads in degree e-1.  A pivot is labelled k if the block of x_k made it,
-    0 if a product did, and block k reads x_k times the pivots labelled <= k:
-    with q a pivot a product made and x_m the largest variable of s = x_m s',
-    s' q lies, by induction on deg s, in the span of pivots labelled <= m,
-    which block m reads before any pivot labelled above m exists.  The walk
-    stops at the first degree where every monomial leads a pivot and makes
-    no product after that row.  Raises ValueError on a g that is not
-    homogeneous, every g being read before any elimination, or past degree
-    v(D-1)+1, D the largest degree of a product, where only a non-Artinian
-    quotient has standard monomials left.
+    against the pivots so far, is zero or a new pivot; any row echelon form
+    of a span has the same leading monomials, so the row order does not
+    change them, and a lead u is minimal when no u / x_k leads in degree
+    e-1.  A pivot is labelled k if the block of x_k made it, 0 if a product
+    did, and block k reads x_k times the pivots labelled <= k.  That spans
+    x times degree e-1, a sum of s q, q a pivot a product made and s a
+    monomial: with x_m the largest variable of s = x_m s', s' q lies, by
+    induction on deg s, in the span of pivots labelled <= m, which block m
+    reads before any pivot labelled above m exists.  The walk stops at the
+    first degree where every monomial leads a pivot and makes no product
+    after that row.  Raises ValueError on a g that is not homogeneous,
+    every g being read before any elimination, or past degree v(D-1)+1, D
+    the largest degree of a product, where only a non-Artinian quotient has
+    standard monomials left.
     """
     p = active_field().characteristic
     factors = []  # per group, (deg g, g's terms, rows) for each g nonzero in the field

@@ -265,22 +265,33 @@ def _case_alternating(args) -> Case:
 
 @lru_cache(maxsize=None)
 def _cal_I_basis(field_key, d: int, n: int) -> tuple | str:
-    """LI(cal_I(d, n)) and its echelon rows as pairs (t, new_t), new_t by
-    degree the rows the minors of J_t gave (t = 0: the unit ideal's row),
-    both from `echelon_walk` in the active field; or the walk's refusal.
+    """LI(cal_I(d, n)) and its echelon rows `new` by degree, both from
+    `echelon_walk` in the active field, the rows as pairs (t, new_t), new_t
+    the rows the minors of J_t gave, t = 0 for the unit ideal's; or the
+    walk's message of refusal.
 
-    cal_I(n) is the sum of J_i cal_I(n-i), 1 <= i <= min(n, d-1), with
-    cal_I(0) = (1).  As cal_I(n-i)_e = x cal_I(n-i)_{e-1} + span new(n-i)_e,
-    degree e of cal_I(n) is x cal_I(n)_{e-1} plus the minors f of J_i times
-    new(n-i), of which J_i takes only the new_t with t <= i: a row q of
-    new_t, t > i, is c f' r' less earlier pivots of its walk, f' in J_t and
-    r' in cal_I(n-i-t), so f q is c f' (f r'), f r' in cal_I(n-t), which
-    the groups t > i give by descending induction on i, less f times those
-    pivots, each in x cal_I(n)_{e-1}, read, or the same case.  The groups
-    are read for i descending, which is faster.  A refused cal_I(n-i)
-    refuses cal_I(n): a minor of J_i expands along its last row into minors
-    of J_{i-1}, so cal_I(n) lies in cal_I(n-i), and its quotient is no
-    nearer Artinian.
+    Every composition of n has some a_i > 0, so cal_I(n) is the sum over
+    1 <= i <= min(n, d-1) of J_i cal_I(n-i), with cal_I(0) = (1).  For K =
+    cal_I(n-i) the walk gives K_e = x K_{e-1} + span new(n-i)_e, so for f
+    a minor of J_i, of degree s, f K_{e-s} = x f K_{e-s-1} + f new(n-i)_{e-s},
+    where f K_{e-s-1} lies in cal_I(n)_{e-1}.  Hence cal_I(n)_e is x
+    cal_I(n)_{e-1} plus the sum of f new(n-i)_{e-s} over i and f, which the
+    walk reads from the pieces (f, new(n-i)); new(n-i) ends at the first
+    full degree of cal_I(n-i).
+
+    The pieces of J_i take only the rows new_t of cal_I(n-i) with t <= i.
+    By descending induction on i from d-1, where every row is read, the
+    groups above i span J_t cal_I(n-t) modulo x cal_I(n)_{e-1} for t > i.
+    A row q of new_t, t > i, is c f' r' less earlier pivots of its walk, f'
+    a minor of J_t and r' a row of cal_I(n-i-t), so f q is c f' (f r'), with
+    f r' in cal_I(n-t), less f times those pivots: f times a pivot x made
+    lies in x cal_I(n)_{e-1}, and f times one a product made is read, or is
+    the same case for a pivot read earlier.  The walk reads the groups for
+    i descending, which is faster past the default grid.
+
+    A refused cal_I(n-i) refuses cal_I(n): a minor of J_i expands along its
+    last row into minors of J_{i-1}, so cal_I(n) lies in cal_I(n-i), and
+    its quotient is no nearer Artinian.
     """
     v = d - 1
     if n == 0:
