@@ -12,8 +12,8 @@ degree (the package shifts only its echelon rows), the columns of a
 shifted monomial from one lookup per product (the package composes
 one-variable steps), the order from a literal transcription of its
 definition, S-polynomials from theirs with leading terms picked by that
-order, leading monomials of minors from their anti-diagonals, membership in products of
-variable-range powers from Hall's condition, membership in I_n from suffix
+order, leading monomials of minors from their anti-diagonals, membership
+in products of variable-range powers from Hall's condition, membership in I_n from suffix
 degree sums against each composition's demands, the order function nu by
 maximising over every composition, the generators of I_n from each
 composition's block products minimalized together, the filtration sums from
@@ -139,39 +139,11 @@ def monomials_between_box(outer: MonomialIdeal, inner: MonomialIdeal) -> list[tu
         degree += 1
 
 
-def _degree_pivots(gens, v: int, e: int) -> dict:
-    """The pivots, by leading monomial, of the span of {m*g : deg(m*g) = e},
-    each row reduced over the degree-e monomial basis by field division."""
-    pivots: dict[tuple, dict] = {}
-    for g in gens:
-        shift_deg = e - g.degree()
-        if shift_deg < 0:
-            continue
-        for shift in monomials_of_degree(v, shift_deg):
-            row = {times(m, shift): c for m, c in g.terms.items()}
-            while row:
-                lead = max(row, key=GREVELEX)
-                hit = pivots.get(lead)
-                if hit is None:
-                    lc = row[lead]
-                    pivots[lead] = {m: c / lc for m, c in row.items()}
-                    break
-                factor = row[lead]
-                for m, c in hit.items():
-                    s = row.get(m)
-                    s = -factor * c if s is None else s - factor * c
-                    if s:
-                        row[m] = s
-                    elif m in row:
-                        del row[m]
-    return pivots
-
-
 def _degreewise_leads(ideal: PolyIdeal):
     """For each degree e from 0 to the first with no standard monomial, the
-    leading monomials of the ideal's degree-e span, from `_degree_pivots`:
-    the generators are homogeneous, so every later degree lies in the ideal
-    too."""
+    leading monomials of the span of {m*g : deg(m*g) = e}, row-reduced over
+    the degree-e monomial basis: the generators are homogeneous, so every
+    later degree lies in the ideal too."""
     gens = ideal.gens
     if not gens:
         raise ValueError("the zero ideal has an infinite quotient")
@@ -185,9 +157,30 @@ def _degreewise_leads(ideal: PolyIdeal):
     while True:
         if e > cap:
             raise ValueError("quotient does not appear to be Artinian")
-        leads = list(_degree_pivots(gens, v, e))
-        yield e, leads
-        if len(leads) == len(list(monomials_of_degree(v, e))):
+        pivots: dict[tuple, dict] = {}
+        for g in gens:
+            shift_deg = e - g.degree()
+            if shift_deg < 0:
+                continue
+            for shift in monomials_of_degree(v, shift_deg):
+                row = {times(m, shift): c for m, c in g.terms.items()}
+                while row:
+                    lead = max(row, key=GREVELEX)
+                    hit = pivots.get(lead)
+                    if hit is None:
+                        lc = row[lead]
+                        pivots[lead] = {m: c / lc for m, c in row.items()}
+                        break
+                    factor = row[lead]
+                    for m, c in hit.items():
+                        s = row.get(m)
+                        s = -factor * c if s is None else s - factor * c
+                        if s:
+                            row[m] = s
+                        elif m in row:
+                            del row[m]
+        yield e, list(pivots)
+        if len(pivots) == len(list(monomials_of_degree(v, e))):
             return
         e += 1
 
