@@ -277,14 +277,29 @@ def _emit_generators(n: int, exps: list, p: int, slack: int, weight: int, budget
     s = 0, that contradicts the least x_2 exponent.  Otherwise u - e_s is
     the prefix of u with u_s - 1 at s and zeros below, which level s tried
     before u_s and found outside I_n, else it would have stopped there.
+    Level 1 is folded into one loop: for each x_3 exponent it computes the
+    least x_2 exponent inline, as level 0 would, and stops at the first
+    that is zero, so the argument is unchanged; level 0 runs on its own
+    only at d = 2, where x_2 is the one variable.
 
     It recurses at module level: a nested recursive closure is a reference
     cycle that keeps `out` alive until the cyclic collector runs.
     """
     if p == 0:
         low = max(2 * (n - weight) - slack, 0)  # the least x_2 exponent reaching n
-        out.append((low,) + tuple(exps[1:]))
+        out.append((low,))
         return low == 0
+    if p == 1:
+        rest = tuple(exps[2:])
+        for e in range(budget + 1):
+            a, r = divmod(slack + e, 3)
+            low = 2 * (n - weight - 2 * a) - r  # as at level 0
+            if low < 0:
+                low = 0
+            out.append((low, e) + rest)
+            if not low:
+                return e == 0
+        return False
     for e in range(budget + 1):
         exps[p] = e
         a, rest = divmod(slack + e, p + 2)

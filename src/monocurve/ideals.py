@@ -16,7 +16,8 @@ every report is deterministic.  The constructor minimalizes; the private
 proves minimal and free of duplicates, by sorting it alone.  The colon by a
 monomial and the sum of two ideals build their results that way: both read
 what the minimality of their inputs proves, filter against divisibility
-masks, and never minimalize.
+masks, and never minimalize.  `generated_by` tells whether a generating
+list, minimal or not, generates a known ideal, again on the masks alone.
 """
 
 from __future__ import annotations
@@ -248,6 +249,17 @@ class MonomialIdeal:
 
     def contains_ideal(self, other: "MonomialIdeal") -> bool:
         return all(self.contains(g) for g in other.gens)
+
+    def generated_by(self, gens: list) -> bool:
+        """True iff the monomials `gens`, nonnegative exponent tuples of
+        length `varcount`, generate this ideal.  A monomial ideal's minimal
+        generators lie in every monomial generating set, so that is: each
+        minimal generator is among `gens`, and each of `gens` lies in the
+        ideal."""
+        if not self.gens:
+            return not gens
+        return (set(gens).issuperset(self.gens)
+                and not self._divisor_masks().undivided(gens))
 
     # -- arithmetic ------------------------------------------------------
 

@@ -8,21 +8,21 @@ default; full-ring values pass first_index=1.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .ideals import MonomialIdeal
 from .order import GREVELEX
 from .poly import Polynomial, PolyMatrix
 
 
+@lru_cache(maxsize=None)
+def _factor(p: int, e: int) -> str:
+    """The factor x<p>^<e> of a monomial, e nonzero: x<p> for e = 1."""
+    return "x%d" % p if e == 1 else "x%d^%d" % (p, e)
+
+
 def format_monomial(m: tuple, first_index: int = 2) -> str:
-    if not any(m):
-        return "1"
-    parts = []
-    for p, e in enumerate(m):
-        if e:
-            name = "x%d" % (p + first_index)
-            parts.append(name if e == 1 else "%s^%d" % (name, e))
-    return "*".join(parts)
+    return "*".join([_factor(p, e) for p, e in enumerate(m, first_index) if e]) or "1"
 
 
 def _sign_split(c):

@@ -229,6 +229,19 @@ def scaled_ideal(ideal: MonomialIdeal, m) -> MonomialIdeal:
     return MonomialIdeal([times(g, m) for g in ideal.gens], ideal.varcount)
 
 
+def format_monomial_loop(m: tuple, first_index: int = 2) -> str:
+    """A monomial's text, each factor formatted afresh: x<p>^<e>, or x<p>
+    for e = 1, joined by '*'; "1" for the constant."""
+    if not any(m):
+        return "1"
+    parts = []
+    for p, e in enumerate(m):
+        if e:
+            name = "x%d" % (p + first_index)
+            parts.append(name if e == 1 else "%s^%d" % (name, e))
+    return "*".join(parts)
+
+
 def colon_generators(gens, m) -> list[tuple]:
     """The quotients g / gcd(g, m), over every variable at once, of any
     generating list: they generate its ideal's colon by m, since

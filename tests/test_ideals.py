@@ -260,6 +260,57 @@ def test_colon_and_sum_of_minimal_ideals_never_minimalize(monkeypatch):
     assert len(calls) == 1
 
 
+def _generated_by_agrees(ideal: MonomialIdeal, gens: list) -> bool:
+    """ideal.generated_by(gens), asserted equal to the constructor's answer."""
+    got = ideal.generated_by(gens)
+    assert got == (MonomialIdeal(gens, ideal.varcount) == ideal), (ideal, gens)
+    return got
+
+
+def test_generated_by_cases():
+    # duplicates, a missing minimal generator (also with a multiple of it in
+    # its place), extra generators inside and outside the ideal, exponents
+    # above the masks' tables (at most 3), the unit and the zero ideal
+    ideal = MonomialIdeal([(2, 0, 1), (0, 3, 0), (1, 1, 1)], 3)
+    gens = list(ideal.gens)
+    cases = [
+        (gens, True),
+        (gens + gens[::-1], True),
+        (gens[1:], False),
+        (gens[1:] + [(0, 3, 1), (0, 4, 0)], False),
+        (gens + [(1, 4, 0), (9, 0, 7)], True),
+        (gens + [(1, 0, 0)], False),
+        (gens + [(0, 0, 8)], False),
+        ([], False),
+    ]
+    for candidate, want in cases:
+        assert _generated_by_agrees(ideal, candidate) == want, candidate
+    unit, zero = MonomialIdeal.unit(3), MonomialIdeal.zero(3)
+    for candidate, want in [([(0, 0, 0)], True), ([(0, 0, 0), (5, 0, 0), (0, 0, 0)], True),
+                            ([(1, 0, 0), (0, 1, 0), (0, 0, 1)], False), ([], False)]:
+        assert _generated_by_agrees(unit, candidate) == want, candidate
+    for candidate, want in [([], True), ([(0, 0, 0)], False), ([(4, 4, 4)], False)]:
+        assert _generated_by_agrees(zero, candidate) == want, candidate
+
+
+@settings(max_examples=200, deadline=None)
+@given(exponent_lists(max_size=6), st.data())
+def test_generated_by_matches_the_constructor(case, data):
+    # the ideal's own list with duplicates, with a generator dropped, with
+    # random monomials added, and random lists; the monomials reach above
+    # the masks' tables, which the first query extends for the next
+    v, exps_list = case
+    ideal = MonomialIdeal(exps_list, v)
+    mons = st.tuples(*[st.integers(0, 9)] * v)
+    extra = data.draw(st.lists(mons, max_size=4))
+    drop = data.draw(st.integers(0, max(len(ideal.gens) - 1, 0)))
+    candidates = [exps_list + exps_list, exps_list + extra,
+                  list(ideal.gens[:drop] + ideal.gens[drop + 1:]) + extra,
+                  data.draw(st.lists(mons, max_size=8)), extra + exps_list]
+    for gens in candidates:
+        _generated_by_agrees(ideal, gens)
+
+
 # -- membership / equality ------------------------------------------------------
 
 def test_contains_examples():

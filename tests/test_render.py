@@ -1,12 +1,12 @@
 from fractions import Fraction
 
 from monocurve.curve import CurveParams, build_matrix, f_poly, full_minors, mono_I, pure_powers
-from monocurve.ideals import MonomialIdeal
+from monocurve.ideals import MonomialIdeal, monomials_of_degree
 from monocurve.poly import Polynomial, pure_power, sort_key
 from monocurve.render import format_ideal, format_matrix, format_monomial, format_polynomial
 from monocurve.scalars import PrimeField, using_field
 
-from oracles import int_poly
+from oracles import format_monomial_loop, int_poly
 
 
 def test_monomial_rendering():
@@ -14,6 +14,17 @@ def test_monomial_rendering():
     assert format_monomial((1, 0)) == "x2"
     assert format_monomial((2, 3)) == "x2^2*x3^3"
     assert format_monomial((0, 1, 2), first_index=1) == "x2*x3^2"
+
+
+def test_monomial_rendering_matches_the_formatting_loop():
+    # the cached factors against each factor formatted afresh, on every
+    # monomial of degree <= 6 in 1..7 variables, the constant included
+    for v in range(1, 8):
+        for first_index in (1, 2):
+            assert format_monomial((0,) * v, first_index) == "1"
+            for degree in range(7):
+                for m in monomials_of_degree(v, degree):
+                    assert format_monomial(m, first_index) == format_monomial_loop(m, first_index)
 
 
 def test_polynomial_rendering_descending_with_signs():

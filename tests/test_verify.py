@@ -6,7 +6,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from monocurve import curve, groebner, verify
+from monocurve import curve, groebner, ideals, verify
 from monocurve.curve import cal_I, f_poly, mono_I, nu, pure_powers
 from monocurve.groebner import UNIT_ROWS, PolyIdeal, buchberger, echelon_walk, leading_ideal
 from monocurve.ideals import MonomialIdeal, monomials_between
@@ -408,7 +408,7 @@ def test_filtration_sum_matches_chained_sums():
                 if i <= d:
                     assert verify._filtration_ideal(d, N, i) == oracle, (d, N, i)
                     xi = pure_power(i - 2, v, i)
-                    actual = verify._filtration_colon(d, N, i)
+                    actual = MonomialIdeal(verify._filtration_colon(d, N, i), v)
                     assert actual == oracle.colon_mon(xi), (d, N, i)
                     assert actual == MonomialIdeal(colon_generators(gens, xi), v), (d, N, i)
 
@@ -447,12 +447,32 @@ def test_regseq_fails_without_the_last_summand(monkeypatch):
     # the actual side's F(n + i, i) without its x_{i-1}^{i-1} summand; at
     # d = 3 that leaves I_{n+i} : x_i^i, and at i = 2 there is no such
     # summand, so only i = 3 can fail
-    monkeypatch.setattr(verify, "_filtration_colon", verify._colon_ideal)
+    monkeypatch.setattr(verify, "_filtration_colon", lambda d, N, i: verify._colon_ideal(d, N, i).gens)
     report = check_assoc_graded_regseq(3, 2)
     failed = [(c.inputs["n"], c.inputs["i"]) for c in report.cases if not c.ok]
     assert failed == [(1, 3), (2, 3)]
     for case in report.cases:
         assert ("actual_gens" in case.inputs) != case.ok, case.inputs
+
+
+def test_passing_regseq_never_minimalizes(monkeypatch):
+    # the colon side is checked against the expected ideal's masks, and the
+    # expected side is summed with +, so a passing grid built from cold
+    # caches calls minimal_generators nowhere: a revert that is only slower
+    # fails here
+    verify._filtration_ideal.cache_clear()
+    verify._colon_ideal.cache_clear()
+    calls = []
+
+    def counted(monomials):
+        calls.append(len(monomials))
+        return real(monomials)
+
+    real = ideals.minimal_generators
+    monkeypatch.setattr(ideals, "minimal_generators", counted)
+    report = check_assoc_graded_regseq(5, 4)
+    assert report.all_pass and report.total == 20
+    assert calls == []
 
 
 def test_regseq_reuses_the_colon_suite_colons():
