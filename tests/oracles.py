@@ -18,9 +18,11 @@ degree sums against each composition's demands, the order function nu by
 maximising over every composition, the generators of I_n from each
 composition's block products minimalized together, the filtration sums from
 one generator list minimalized once and from the package's ideal sums
-chained one summand at a time (the package adds each summand to the cached
-sum before it), and the generators of cal_I from every product of
-field-coefficient minors multiplied out on its own.
+chained one summand at a time (the package's cached sums chain the same
+`+`, so for them the list minimalized once is the independent route), the
+generators of cal_I from every product of field-coefficient minors
+multiplied out on its own, and the text of a monomial from a loop that
+formats each factor afresh (the package joins cached factor strings).
 """
 
 from itertools import combinations, combinations_with_replacement, permutations, product
