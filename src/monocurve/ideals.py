@@ -24,10 +24,12 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from functools import reduce
-from itertools import groupby
-from operator import and_, getitem
+from itertools import compress, groupby
+from operator import and_, getitem, not_
 
 from .order import GREVELEX
+
+_CHUNK = 4096  # monomials `_DivisorMasks.undivided` filters at once
 
 
 class _DivisorMasks:
@@ -70,32 +72,49 @@ class _DivisorMasks:
     def undivided(self, batch) -> list:
         """The monomials of `batch`, in order, that no stored monomial
         divides: `has_divisor` for a batch of exponent tuples, which must be
-        nonnegative.  A table too short for the batch is first extended by
-        its top entry, which stands for every exponent above it."""
-        below = self.below
-        for p, top in enumerate(map(max, zip(*batch))):
-            if top > self.tops[p]:
-                below[p] += [below[p][-1]] * (top - self.tops[p])
-                self.tops[p] = top
-        return [m for m in batch if not reduce(and_, map(getitem, below, m))]
-
+        nonnegative.  The test runs over `_CHUNK` monomials at a time, one
+        variable at a time, ANDing each column's table entries into the
+        running hits; the chunks bound the columns held at once.  A table
+        too short for a chunk is first extended by its top entry, which
+        stands for every exponent above it."""
+        below, tops = self.below, self.tops
+        out: list[tuple] = []
+        for start in range(0, len(batch), _CHUNK):
+            chunk = batch[start:start + _CHUNK]
+            columns = list(zip(*chunk))
+            for p, top in enumerate(map(max, columns)):
+                if top > tops[p]:
+                    below[p] += [below[p][-1]] * (top - tops[p])
+                    tops[p] = top
+            hits = map(below[0].__getitem__, columns[0])
+            for table, column in zip(below[1:], columns[1:]):
+                hits = map(and_, hits, map(table.__getitem__, column))
+            out += compress(chunk, map(not_, hits))
+        return out
 
 def _count(below: list, active: int, p: int) -> int:
     """How many standard monomials in the variables 0..p lie over a fixed
     choice of the later exponents, which the stored monomials in `active`
-    divide.  Along variable p the set `below[p][e] & active` grows with e,
-    and the variables below are recounted only where it changes (after
-    Bigatti, JPAA 1997).  The pure power of variable p ends the loop at the
-    first zero; those of the variables below are always active.
+    divide; p is at least 1.  Along variable p the set `below[p][e] & active`
+    grows with e, and the variables below are recounted only where it
+    changes (after Bigatti, JPAA 1997).  At p = 1 that recount is the
+    exponent of variable 0's first hit, read in a plain loop.  The pure
+    power of variable p ends the loop at the first zero; those of the
+    variables below are always active, so variable 0 is always hit.
     """
-    if p == 0:
-        return next(e for e, bits in enumerate(below[0]) if bits & active)
     total, last = 0, None
     for bits in below[p]:
         bits &= active
         if bits != last:
             last = bits
-            lower = _count(below, bits, p - 1)
+            if p > 1:
+                lower = _count(below, bits, p - 1)
+            else:
+                lower = 0
+                for zero in below[0]:
+                    if zero & bits:
+                        break
+                    lower += 1
             if not lower:
                 break
         total += lower
@@ -145,13 +164,11 @@ def minimal_generators(monomials) -> tuple:
     if not any(ms[0]):
         return (ms[0],)  # unit ideal
     masks = _DivisorMasks(list(map(max, columns)))
-    below = masks.below
     out: list[tuple] = []
     batch: list[tuple] = []
     for _, same_degree in groupby(ms, key=sum):
         masks.add(batch)  # the survivors of the degree below
-        # every exponent lies within the tables, so they are read unclamped
-        batch = [m for m in same_degree if not reduce(and_, map(getitem, below, m))]
+        batch = masks.undivided(list(same_degree))
         out += batch
     return tuple(out)
 
@@ -248,7 +265,12 @@ class MonomialIdeal:
         return self._masks
 
     def contains_ideal(self, other: "MonomialIdeal") -> bool:
-        return all(self.contains(g) for g in other.gens)
+        """True iff every generator of `other` lies in this ideal."""
+        if other.varcount != self.varcount:
+            raise ValueError("variable count mismatch: %d vs %d" % (self.varcount, other.varcount))
+        if not self.gens:
+            return not other.gens
+        return not self._divisor_masks().undivided(other.gens)
 
     def generated_by(self, gens: list) -> bool:
         """True iff the monomials `gens`, nonnegative exponent tuples of
@@ -335,6 +357,8 @@ class MonomialIdeal:
         """Number of monomials outside the ideal (the staircase length)."""
         if not self.is_artinian():
             raise ValueError("length of a non-Artinian quotient is infinite")
+        if self.varcount == 1:
+            return self.gens[0][0]  # (x^a) leaves 1, x, ..., x^(a-1)
         masks = self._divisor_masks()
         return _count(masks.below, (1 << masks.size) - 1, self.varcount - 1)
 

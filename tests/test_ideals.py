@@ -329,6 +329,61 @@ def test_contains_matches_divisibility_scan(case, data):
         assert ideal.contains(p) == any(divides_tuple(g, p) for g in exps_list)
 
 
+def test_contains_ideal_cases():
+    # the zero and unit ideals on either side, generators above the masks'
+    # tables (at most 3), and a variable-count mismatch, which is refused
+    # even against the zero ideal
+    ideal = MonomialIdeal([(2, 0, 1), (0, 3, 0), (1, 1, 1)], 3)
+    unit, zero = MonomialIdeal.unit(3), MonomialIdeal.zero(3)
+    cases = [
+        (ideal, ideal, True), (ideal, zero, True), (ideal, unit, False),
+        (zero, zero, True), (zero, ideal, False), (zero, unit, False),
+        (unit, ideal, True), (unit, zero, True), (unit, unit, True),
+        (ideal, MonomialIdeal([(9, 0, 7), (0, 12, 0), (1, 5, 1)], 3), True),
+        (ideal, MonomialIdeal([(9, 0, 7), (0, 0, 9)], 3), False),
+        (ideal, MonomialIdeal([(1, 0, 1)], 3), False),
+    ]
+    for big, small, want in cases:
+        assert big.contains_ideal(small) == want, (big, small)
+        assert all(big.contains(g) for g in small.gens) == want, (big, small)
+    for big, small in [(ideal, MonomialIdeal.unit(2)), (zero, MonomialIdeal([(1, 0)], 2)),
+                       (unit, MonomialIdeal.zero(4))]:
+        with pytest.raises(ValueError, match="variable count mismatch"):
+            big.contains_ideal(small)
+
+
+@settings(max_examples=150, deadline=None)
+@given(exponent_lists(max_size=6), st.data())
+def test_contains_ideal_matches_membership_of_each_generator(case, data):
+    # random ideals, and multiples of the ideal's own generators, which it
+    # contains; both reach above the masks' tables
+    v, exps_list = case
+    ideal = MonomialIdeal(exps_list, v)
+    mons = st.tuples(*[st.integers(0, 9)] * v)
+    shifts = data.draw(st.lists(mons, min_size=len(ideal.gens), max_size=len(ideal.gens)))
+    other = MonomialIdeal(data.draw(st.lists(mons, max_size=6)), v)
+    multiples = MonomialIdeal(map(times, ideal.gens, shifts), v)
+    assert ideal.contains_ideal(other) == all(ideal.contains(g) for g in other.gens)
+    assert ideal.contains_ideal(multiples)
+    assert (ideal + other).contains_ideal(ideal)
+
+
+def test_undivided_across_chunks(monkeypatch):
+    # with chunks of 3 monomials, batches whose later chunks reach above the
+    # masks' tables are filtered as `has_divisor` filters them one by one,
+    # and minimalized as the all-pairs definition does
+    monkeypatch.setattr(ideals, "_CHUNK", 3)
+    rng = random.Random(5)
+    gens = mono_I(5, 3).gens
+    masks = ideals._DivisorMasks(list(map(max, zip(*gens))))
+    masks.add(gens)
+    for _ in range(20):
+        batch = [tuple(rng.randrange(top) for top in (4, 5, 6, 12)) for _ in range(rng.randrange(12))]
+        want = [m for m in batch if not masks.has_divisor(m)]
+        assert masks.undivided(batch) == want
+        assert list(minimal_generators(batch)) == minimal_generators_naive(batch)
+
+
 def test_contains_edge_cases():
     one_var = MonomialIdeal([(3,), (5,), (3,)], 1)
     assert [one_var.contains((e,)) for e in range(5)] == [False] * 3 + [True] * 2
@@ -426,6 +481,27 @@ def test_length_against_bruteforce(case, data):
     pure = [tuple(a if j == i else 0 for j in range(v)) for i, a in enumerate(powers)]
     ideal = MonomialIdeal(pure + extra, v)
     assert ideal.length_quotient() == staircase_count(ideal.gens, v)
+
+
+def test_staircase_count_calls(monkeypatch):
+    # pins the count's shape, so a speed-only change to it fails here: each
+    # level recounts the variables below only where its active set changes
+    # (which the gaps the pure powers leave in I_6 + (x_2^2, x_3^3, x_4^4)
+    # exercise) and stops at the first empty count, and variable 0 is read
+    # inline
+    calls = []
+
+    def counted(below, active, p):
+        calls.append(p)
+        return real(below, active, p)
+
+    real = ideals._count
+    monkeypatch.setattr(ideals, "_count", counted)
+    assert mono_I(6, 6).length_quotient() == 1512
+    assert len(calls) == 220
+    calls.clear()
+    assert (mono_I(6, 6) + MonomialIdeal(pure_powers(6, 4), 5)).length_quotient() == 462
+    assert len(calls) == 160
 
 
 def test_length_edge_cases():
