@@ -3,11 +3,13 @@ membership, the Artinian test, the staircase length of an Artinian ideal,
 and the monomials between two ideals.
 
 An ideal keeps one structure, divisibility masks: they answer "does a
-stored generator divide m" for minimalization and membership (after
-Bachmann & Schoenemann, ISSAC 1998), and the staircase is counted on them
-one variable at a time from the last, which splits the curve ideals best
-(after Bigatti, JPAA 1997).  The monomials between two ideals are listed by
-one upward walk from the outer ideal's generators.
+stored generator divide m" (after Bachmann & Schoenemann, ISSAC 1998) for
+one monomial in membership, and for a whole batch, one variable at a time,
+in minimalization, sums, colons and containment of ideals.  The staircase
+is counted on them one variable at a time from the last, which splits the
+curve ideals best (after Bigatti, JPAA 1997), down to the second variable,
+whose loop reads the first's count inline.  The monomials between two
+ideals are listed by one upward walk from the outer ideal's generators.
 
 Generators are exponent tuples, always stored minimal and sorted by
 (degree, exponents), so two equal ideals are structurally identical and
@@ -91,6 +93,7 @@ class _DivisorMasks:
                 hits = map(and_, hits, map(table.__getitem__, column))
             out += compress(chunk, map(not_, hits))
         return out
+
 
 def _count(below: list, active: int, p: int) -> int:
     """How many standard monomials in the variables 0..p lie over a fixed
