@@ -9,9 +9,9 @@ parametrization, which the sanity checks use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
+from typing import NamedTuple
 
 from .groebner import PolyIdeal
 from .ideals import MonomialIdeal, monomials_of_degree
@@ -23,18 +23,24 @@ class InvariantViolation(RuntimeError):
     """A consistency condition that should be a theorem failed on real data."""
 
 
-@dataclass(frozen=True)
-class CurveParams:
+class _Params(NamedTuple):
     d: int
     m: int = 1
 
-    def __post_init__(self):
-        if self.d < 2:
+
+class CurveParams(_Params):
+    """The curve's d and m, checked: d >= 2, m >= 1, gcd(d, m) = 1."""
+
+    __slots__ = ()
+
+    def __new__(cls, d: int, m: int = 1):
+        if d < 2:
             raise ValueError("d must be at least 2")
-        if self.m < 1:
+        if m < 1:
             raise ValueError("m must be at least 1")
-        if gcd(self.d, self.m) != 1:
+        if gcd(d, m) != 1:
             raise ValueError("d and m must be coprime")
+        return super().__new__(cls, d, m)
 
     @property
     def exponents(self) -> tuple[int, ...]:

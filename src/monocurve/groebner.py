@@ -16,7 +16,7 @@ from __future__ import annotations
 import heapq
 from functools import lru_cache
 from itertools import chain
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import sub
 
 from .ideals import MonomialIdeal, monomials_of_degree
@@ -271,20 +271,38 @@ def leading_ideal(ideal: PolyIdeal) -> MonomialIdeal:
 
 
 @lru_cache(maxsize=None)
-def _columns(v: int, e: int) -> dict:
-    """The column of each monomial of degree e in v variables: its place in
-    `monomials_of_degree`, ascending in the order."""
-    return {u: i for i, u in enumerate(monomials_of_degree(v, e))}
+def _columns(v: int, e: int) -> tuple:
+    """The monomials of degree e in v variables, in `monomials_of_degree`'s
+    order, ascending in the order: a monomial's place is its column."""
+    return tuple(monomials_of_degree(v, e))
+
+
+@lru_cache(maxsize=None)
+def _ints(n: int) -> tuple:
+    """0, ..., n-1, one tuple per n, so shift tables of one size share ints."""
+    return tuple(range(n))
 
 
 @lru_cache(maxsize=None)
 def _shift(v: int, e: int, m: tuple) -> tuple:
     """For each column of degree e, the column of degree e + |m| that
-    multiplying by the monomial m sends it to: for one variable read off
-    `_columns`, else the one-variable steps composed, lowest variable first."""
+    multiplying by the monomial m sends it to; () for e < 0.
+
+    Degree E lists its monomials in blocks by the first exponent b, from E
+    down, block b starting at column C(E-b+v-2, v-1).  So x_0 keeps every
+    column, and x_k, k >= 1, sends block a of degree e to block a of degree
+    e+1, as x_{k-1} sends degree e-a in v-1 variables.  A monomial of
+    higher degree composes the one-variable steps, lowest variable first."""
+    if e < 0:
+        return ()
     if sum(m) == 1:
-        column = _columns(v, e + 1)
-        return tuple(column[times(u, m)] for u in _columns(v, e))
+        k = m.index(1)
+        if k == 0:
+            return _ints(comb(e + v - 1, v - 1))
+        low = pure_power(k - 1, v - 1)
+        up = chain.from_iterable(map(comb(e - a + v - 1, v - 1).__add__, _shift(v - 1, e - a, low))
+                                 for a in range(e, -1, -1))
+        return tuple(map(_ints(comb(e + v, v - 1)).__getitem__, up))
     up = range(len(_columns(v, e)))
     for k, power in enumerate(m):
         for _ in range(power):
@@ -345,7 +363,7 @@ def echelon_walk(groups, v: int) -> tuple[list, list]:
     for e in range(cap + 1):
         if e > top and not leads:
             break  # every generator vanished in the field
-        monomials = list(_columns(v, e))
+        monomials = _columns(v, e)
         size = len(monomials)
         ups = [_shift(v, e - 1, x) for x in xs]
         pivots: dict = {}  # leading column -> row

@@ -9,14 +9,12 @@ fixed parameters (modulo the wall-time field in the summary).
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import io
 import json
 import math
 import os
 import time
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations
 from typing import Callable, NamedTuple
@@ -87,16 +85,14 @@ def _groebner_n_max(d: int) -> int:
 # -- report structure --------------------------------------------------------
 
 
-@dataclass
-class Case:
+class Case(NamedTuple):
     inputs: dict
     expected: object
     actual: object
     ok: bool
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     suite: str
     params: dict
     cases: list
@@ -136,6 +132,8 @@ class VerificationReport:
         return json.dumps(self.to_dict(include_timing), indent=2, sort_keys=True) + "\n"
 
     def to_csv(self) -> str:
+        import csv  # here, not at the top: a JSON or text run never writes CSV
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["suite", "inputs", "expected", "actual", "pass"])

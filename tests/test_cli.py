@@ -17,15 +17,25 @@ def run_cli(capsys, *args):
     return code, out, err
 
 
-def test_import_leaves_the_process_pool_out():
-    # only a --jobs run imports concurrent.futures, and with it multiprocessing
+def _imported_by_the_package(modules):
+    """The printed list of those of `modules` that `import monocurve,
+    monocurve.cli` loads in a fresh interpreter without site packages."""
     src = str(Path(monocurve.__file__).resolve().parents[1])
     code = ("import sys; sys.path.insert(0, %r); import monocurve, monocurve.cli; "
-            "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
-            % src)
-    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
-                         check=True).stdout
-    assert out == "[]\n"
+            "print([m for m in %r if m in sys.modules])" % (src, modules))
+    return subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          check=True).stdout
+
+
+def test_import_leaves_the_process_pool_out():
+    # only a --jobs run imports concurrent.futures, and with it multiprocessing
+    assert _imported_by_the_package(("concurrent.futures", "multiprocessing")) == "[]\n"
+
+
+def test_import_leaves_dataclasses_and_csv_out():
+    # the records are NamedTuples, so nothing loads dataclasses and, with
+    # it, inspect; only to_csv imports csv
+    assert _imported_by_the_package(("dataclasses", "inspect", "csv")) == "[]\n"
 
 
 def test_ideal_family_listing(capsys):

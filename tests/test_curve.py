@@ -55,6 +55,30 @@ def test_params_validation():
     assert CurveParams(3, 2).exponents == (3, 5, 7)
 
 
+def test_params_record():
+    for args, message in [((1,), "d must be at least 2"), ((3, 0), "m must be at least 1"),
+                          ((4, 2), "d and m must be coprime")]:
+        with pytest.raises(ValueError, match=message):
+            CurveParams(*args)
+    params = CurveParams(3)
+    assert params.m == 1 and params == CurveParams(3, 1) == CurveParams(d=3, m=1)
+    assert repr(params) == "CurveParams(d=3, m=1)"
+    for name in ("d", "m", "other"):
+        with pytest.raises(AttributeError):
+            setattr(params, name, 5)
+    assert (params.d, params.m) == (3, 1)
+    # two equal params, made apart, are one cache key: one miss, then a hit
+    first, second = CurveParams(5, 3), CurveParams(5, 3)
+    assert first is not second and hash(first) == hash(second)
+    before = _minor_table.cache_info()
+    table = _minor_table(first, False)
+    middle = _minor_table.cache_info()
+    assert _minor_table(second, False) is table
+    after = _minor_table.cache_info()
+    assert middle.misses - before.misses <= 1
+    assert (after.misses, after.hits) == (middle.misses, middle.hits + 1)
+
+
 def test_matrix_d3_mod_x1():
     X = build_matrix(CurveParams(3), mod_x1=True)
     want = [

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import permutations
+from itertools import chain, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +17,7 @@ from monocurve.groebner import (
 )
 from monocurve.ideals import MonomialIdeal, monomials_of_degree
 from monocurve.order import leading_term
-from monocurve.poly import Polynomial, divides
+from monocurve.poly import Polynomial, divides, pure_power
 from monocurve.scalars import RATIONALS, PrimeField, using_field
 from oracles import (
     hilbert_oracle,
@@ -248,10 +248,19 @@ def test_composed_shifts_match_one_lookup_per_product():
     # each shift by a monomial of degree 2 or 3 is composed from the
     # one-variable steps; the oracle looks up every product's column
     for v in range(1, 6):
-        for e in range(7):
+        for e in range(-1, 7):
             for s in range(4):
                 for m in monomials_of_degree(v, s):
                     assert _shift(v, e, m) == shift_by_columns(v, e, m), (v, e, m)
+
+
+def test_shift_tables_share_their_ints():
+    # x_0 keeps every column; the tables of x_1..x_4 from degree 7 to 8 in
+    # 5 variables reach every column but x_0^8's, 494 of 495, and hold one
+    # int object per column between them
+    assert _shift(5, 7, pure_power(0, 5)) == tuple(range(330))
+    tables = [_shift(5, 7, pure_power(k, 5)) for k in range(1, 5)]
+    assert len({id(i) for table in tables for i in table}) == len(set(chain(*tables))) == 494
 
 
 def test_echelon_stops_at_the_cap():

@@ -147,6 +147,14 @@ def test_csv_has_header_and_rows():
     assert lines[0] == "suite,inputs,expected,actual,pass"
     assert len(lines) == 1 + report.total
     assert all(line.endswith("pass") for line in lines[1:])
+    assert check_length_formula(2, 3).to_csv() == (
+        'suite,inputs,expected,actual,pass\n'
+        'length,"{""d"": 2, ""n"": 1}",2,2,pass\n'
+        'length,"{""d"": 2, ""n"": 2}",4,4,pass\n'
+        'length,"{""d"": 2, ""n"": 3}",6,6,pass\n')
+    # ideals carry commas, so their cells are quoted
+    assert hashlib.sha256(check_colon_identity(3, 3).to_csv().encode()).hexdigest() == (
+        "841bbfad65caab4fe5cd42c18273cdc98e1f5b0137e7e7a6591d36372aa13240")
 
 
 def test_failures_carry_counterexample_payload():
@@ -701,6 +709,15 @@ def test_pooled_cases_compute_over_the_callers_field(monkeypatch):
         report = verify._run("probe", {}, [(_active_field_key, None)] * 2, jobs=2)
     assert report.cases == [("fp", 32003)] * 2
     assert active_field().key == ("rational",)
+
+
+def test_reports_and_cases_cross_a_spawned_pool():
+    # a spawned worker pickles its report, and the cases in it, back
+    with ProcessPoolExecutor(max_workers=1, mp_context=multiprocessing.get_context("spawn")) as pool:
+        report = pool.submit(check_colon_identity, 3, 3).result(timeout=120)
+    assert type(report) is verify.VerificationReport
+    assert {type(c) for c in report.cases} == {verify.Case}
+    assert report.to_json(False) == check_colon_identity(3, 3).to_json(False)
 
 
 def test_leading_reads_k_without_with_f():
