@@ -2,18 +2,19 @@
 
 Everything ideal-theoretic lives modulo x_1, in T' = k[x_2, ..., x_d]:
 the structured matrix and its minors, the determinantal ideals and their
-weighted-composition sums, their monomial counterparts, and the S sets.
+weighted-composition sums, with the leading ideals and generator counts
+the suites read of them, their monomial counterparts, and the S sets.
 The parameter m only enters through the full-ring matrix and the curve's
 parametrization, which the sanity checks use.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
-from math import gcd
-from typing import NamedTuple
+from math import comb, gcd, prod
 
-from .groebner import PolyIdeal
+from .groebner import UNIT_ROWS, PolyIdeal, echelon_walk, integer_terms
 from .ideals import MonomialIdeal, monomials_of_degree
 from .poly import Polynomial, PolyMatrix, pure_power, times
 from .scalars import active_field
@@ -23,9 +24,7 @@ class InvariantViolation(RuntimeError):
     """A consistency condition that should be a theorem failed on real data."""
 
 
-class _Params(NamedTuple):
-    d: int
-    m: int = 1
+_Params = namedtuple("_Params", "d m", defaults=(1,))
 
 
 class CurveParams(_Params):
@@ -96,9 +95,7 @@ def build_matrix(params: CurveParams, mod_x1: bool = False) -> PolyMatrix:
 # The matrix has integer entries, so its minors are computed once over the
 # integers, in one table per (params, mod_x1); each call maps them into the
 # active field afresh, so no field-coefficient copy outlives a change of
-# field.  The products that generate cal_I are integer too, one lazy
-# generator per composition, and `cal_I` lists them all; the suites build
-# none, but walk cal_I degree by degree from the minors (`verify._cal_I_basis`).
+# field.
 
 
 @lru_cache(maxsize=None)
@@ -204,6 +201,112 @@ def cal_I(d: int, n: int) -> PolyIdeal:
     coerce = active_field().coerce
     gens = [_in_field(f, coerce) for a in compositions(d, n) for f in _composition_products(d, a)]
     return PolyIdeal(gens, d - 1)
+
+
+# -- the leading ideal of cal_I and its generator counts --------------------
+#
+# The suites build no product of minors: they walk cal_I degree by degree
+# from the minors, and count its generators from them.  What they read
+# depends on the field, so it is cached by the active field's key, which
+# each reader below looks up itself.  A walk that `echelon_walk` refuses
+# raises its ValueError through the reader; the cache keeps no refusal.
+
+
+@lru_cache(maxsize=None)
+def _cal_I_basis(field_key, d: int, n: int) -> tuple:
+    """LI(cal_I(d, n)) and its echelon rows `new` by degree, both from
+    `echelon_walk` in the active field, the rows as pairs (t, new_t), new_t
+    the rows the minors of J_t gave, t = 0 for the unit ideal's.
+
+    Every composition of n has some a_i > 0, so cal_I(n) is the sum over
+    1 <= i <= min(n, d-1) of J_i cal_I(n-i), with cal_I(0) = (1).  For K =
+    cal_I(n-i) the walk gives K_e = x K_{e-1} + span new(n-i)_e, so for f
+    a minor of J_i, of degree s, f K_{e-s} = x f K_{e-s-1} + f new(n-i)_{e-s},
+    where f K_{e-s-1} lies in cal_I(n)_{e-1}.  Hence cal_I(n)_e is x
+    cal_I(n)_{e-1} plus the sum of f new(n-i)_{e-s} over i and f, which the
+    walk reads from the pieces (f, new(n-i)); new(n-i) ends at the first
+    full degree of cal_I(n-i).
+
+    The pieces of J_i take only the rows new_t of cal_I(n-i) with t <= i.
+    By descending induction on i from d-1, where every row is read, the
+    groups above i span J_t cal_I(n-t) modulo x cal_I(n)_{e-1} for t > i.
+    A row q of new_t, t > i, is c f' r' less earlier pivots of its walk, f'
+    a minor of J_t and r' a row of cal_I(n-i-t), so f q is c f' (f r'), with
+    f r' in cal_I(n-t), less f times those pivots: f times a pivot x made
+    lies in x cal_I(n)_{e-1}, and f times one a product made is read, or is
+    the same case for a pivot read earlier.  The walk reads the groups for
+    i descending, which is faster past the default grid.
+
+    A refused cal_I(n-i) refuses cal_I(n), its ValueError raised here: a
+    minor of J_i expands along its last row into minors of J_{i-1}, so
+    cal_I(n) lies in cal_I(n-i), and its quotient is no nearer Artinian.
+    """
+    v = d - 1
+    if n == 0:
+        return MonomialIdeal.unit(v), ((0, UNIT_ROWS),)
+    belows = [_cal_I_basis(field_key, d, n - i)[1] for i in range(1, min(n, v) + 1)]
+    tags = range(len(belows), 0, -1)
+    groups = [[(f, rows) for f in _int_minors(d, i) for t, rows in belows[i - 1] if t <= i]
+              for i in tags]
+    leads, new = echelon_walk(groups, v)
+    return MonomialIdeal._of_minimal(leads, v), tuple(zip(tags, new))
+
+
+def leading_cal_I(d: int, n: int) -> MonomialIdeal:
+    """LI(cal_I(d, n)) in the active field, read off its cached basis."""
+    return _cal_I_basis(active_field().key, d, n)[0]
+
+
+def leading_cal_I_with_f(d: int, n: int, k: int) -> MonomialIdeal:
+    """LI(cal_I(d, n) + (f_1, ..., f_k)) in the active field, walked from
+    each f_i and the new rows of the cached basis of cal_I(d, n), which
+    generate it; a refused cal_I(d, n) raises its ValueError here."""
+    basis = _cal_I_basis(active_field().key, d, n)
+    v = d - 1
+    one = Polynomial({(0,) * v: 1}, v)
+    pieces = [(_int_minors(d, i)[0], UNIT_ROWS) for i in range(1, k + 1)]
+    pieces += [(one, rows) for _, rows in basis[1]]
+    return MonomialIdeal._of_minimal(echelon_walk([pieces], v)[0], v)
+
+
+def _multisets(z: int, a: int) -> int:
+    """The number of multisets of a elements drawn from z."""
+    return comb(z + a - 1, a) if a else 1
+
+
+@lru_cache(maxsize=None)
+def _cal_I_counts(field_key, d: int, n: int) -> tuple:
+    """The number of generators of cal_I(d, n), and the number of
+    inhomogeneous ones, as in the active field.
+
+    The counts need no product.  The generators are the products of a
+    multiset of a_i minors of size i+1 for each i, over the compositions a
+    of n, and T' over a field is a domain, so a product of nonzero factors
+    is nonzero, and homogeneous exactly when each factor is (the product of
+    the factors' lowest-degree parts, and of their highest, is nonzero).
+    With z_i the minors of size i+1 that are nonzero as `integer_terms`
+    reads them in the field, the generators that survive there number
+    sum_a prod_i C(z_i + a_i - 1, a_i); the homogeneous ones are the same
+    sum over the homogeneous minors.
+    """
+    p = active_field().characteristic
+    nonzero, homogeneous = [], []
+    for i in range(1, d):
+        read = [t for t in (integer_terms(f.terms, p) for f in _int_minors(d, i)) if t]
+        nonzero.append(len(read))
+        homogeneous.append(sum(1 for t in read if len(set(map(sum, t))) == 1))
+
+    def products(z: list) -> int:
+        return sum(prod(map(_multisets, z, a)) for a in compositions(d, n))
+
+    count = products(nonzero)
+    return count, count - products(homogeneous)
+
+
+def cal_I_generator_counts(d: int, n: int) -> tuple:
+    """(generators, inhomogeneous generators) of cal_I(d, n) in the active
+    field, counted from the minors."""
+    return _cal_I_counts(active_field().key, d, n)
 
 
 # -- the monomial side -----------------------------------------------------

@@ -115,9 +115,6 @@ class Polynomial:
         """Total degree; -1 for the zero polynomial."""
         return max(map(sum, self.terms), default=-1)
 
-    def is_homogeneous(self) -> bool:
-        return len(set(map(sum, self.terms))) <= 1
-
     def __repr__(self):
         if not self.terms:
             return "Polynomial(0)"
@@ -145,9 +142,6 @@ class PolyMatrix:
         self.entries = entries
         self.size = size
         self.varcount = varcounts.pop()
-
-    def submatrix(self, rows, cols) -> "PolyMatrix":
-        return PolyMatrix([[self.entries[r][c] for c in cols] for r in rows])
 
     def leading_minors(self) -> tuple:
         """For s = 1..size, the s x s minors of the first s rows, columns in

@@ -1,8 +1,11 @@
 """Identity-by-identity verification suites with structured pass/fail reports.
 
-Every suite evaluates exact equalities (integers or minimal generating
-sets), records expected vs actual per case, and never skips a failure
-silently: a failing case carries both sides' generators in its inputs.
+This module holds the cases, the suites and the reports; the ideals they
+compare, the leading ideals of cal_I and its generator counts included,
+come from `curve`.  Every suite evaluates exact equalities (integers or
+minimal generating sets), records expected vs actual per case, and never
+skips a failure silently: a failing case carries both sides' generators
+in its inputs, and a refused echelon walk its message.
 Case enumeration orders are fixed, so a suite's report is deterministic for
 fixed parameters (modulo the wall-time field in the summary).
 """
@@ -15,18 +18,19 @@ import json
 import math
 import os
 import time
+from collections import namedtuple
 from functools import lru_cache, partial
 from itertools import combinations
-from typing import Callable, NamedTuple
 
 from .curve import (
     CurveParams,
     InvariantViolation,
-    _int_minors,
     cal_I,  # not called here; kept as verify.cal_I, the name perfbench/tracer.py wraps
-    compositions,
+    cal_I_generator_counts,
     full_minors,
     lambda_set,
+    leading_cal_I,
+    leading_cal_I_with_f,
     mono_I,
     mono_I_generators,
     mono_J,
@@ -36,9 +40,8 @@ from .curve import (
     s_set,
     substitute_parametrization,
 )
-from .groebner import UNIT_ROWS, echelon_walk, integer_terms
 from .ideals import MonomialIdeal, monomials_between, multiples_outside
-from .poly import Polynomial, pure_power, times
+from .poly import pure_power, times
 from .render import format_ideal, format_monomial
 from .scalars import active_field, using_field
 
@@ -85,18 +88,11 @@ def _groebner_n_max(d: int) -> int:
 # -- report structure --------------------------------------------------------
 
 
-class Case(NamedTuple):
-    inputs: dict
-    expected: object
-    actual: object
-    ok: bool
+Case = namedtuple("Case", "inputs expected actual ok")
 
 
-class VerificationReport(NamedTuple):
-    suite: str
-    params: dict
-    cases: list
-    millis: int
+class VerificationReport(namedtuple("VerificationReport", "suite params cases millis")):
+    __slots__ = ()
 
     @property
     def total(self) -> int:
@@ -263,117 +259,11 @@ def _case_alternating(args) -> Case:
     return Case(inputs, {"alternating": alternating, "formula": formula}, actual, ok)
 
 
-# What the leading and sanity suites read of cal_I(d, n) depends on the
-# field, so it is cached by the active field's key: a basis, and facts.
-
-
-@lru_cache(maxsize=None)
-def _cal_I_basis(field_key, d: int, n: int) -> tuple | str:
-    """LI(cal_I(d, n)) and its echelon rows `new` by degree, both from
-    `echelon_walk` in the active field, the rows as pairs (t, new_t), new_t
-    the rows the minors of J_t gave, t = 0 for the unit ideal's; or the
-    walk's message of refusal.
-
-    Every composition of n has some a_i > 0, so cal_I(n) is the sum over
-    1 <= i <= min(n, d-1) of J_i cal_I(n-i), with cal_I(0) = (1).  For K =
-    cal_I(n-i) the walk gives K_e = x K_{e-1} + span new(n-i)_e, so for f
-    a minor of J_i, of degree s, f K_{e-s} = x f K_{e-s-1} + f new(n-i)_{e-s},
-    where f K_{e-s-1} lies in cal_I(n)_{e-1}.  Hence cal_I(n)_e is x
-    cal_I(n)_{e-1} plus the sum of f new(n-i)_{e-s} over i and f, which the
-    walk reads from the pieces (f, new(n-i)); new(n-i) ends at the first
-    full degree of cal_I(n-i).
-
-    The pieces of J_i take only the rows new_t of cal_I(n-i) with t <= i.
-    By descending induction on i from d-1, where every row is read, the
-    groups above i span J_t cal_I(n-t) modulo x cal_I(n)_{e-1} for t > i.
-    A row q of new_t, t > i, is c f' r' less earlier pivots of its walk, f'
-    a minor of J_t and r' a row of cal_I(n-i-t), so f q is c f' (f r'), with
-    f r' in cal_I(n-t), less f times those pivots: f times a pivot x made
-    lies in x cal_I(n)_{e-1}, and f times one a product made is read, or is
-    the same case for a pivot read earlier.  The walk reads the groups for
-    i descending, which is faster past the default grid.
-
-    A refused cal_I(n-i) refuses cal_I(n): a minor of J_i expands along its
-    last row into minors of J_{i-1}, so cal_I(n) lies in cal_I(n-i), and
-    its quotient is no nearer Artinian.
-    """
-    v = d - 1
-    if n == 0:
-        return MonomialIdeal.unit(v), ((0, UNIT_ROWS),)
-    belows = []
-    for i in range(1, min(n, v) + 1):
-        below = _cal_I_basis(field_key, d, n - i)
-        if isinstance(below, str):
-            return below
-        belows.append(below[1])
-    tags = range(len(belows), 0, -1)
-    groups = [[(f, rows) for f in _int_minors(d, i) for t, rows in belows[i - 1] if t <= i]
-              for i in tags]
-    try:
-        leads, new = echelon_walk(groups, v)
-    except ValueError as exc:
-        return str(exc)
-    return MonomialIdeal._of_minimal(leads, v), tuple(zip(tags, new))
-
-
-def _lazy_leading(d: int, n: int, k: int) -> MonomialIdeal | str:
-    """LI(cal_I(d, n) + (f_1, ..., f_k)), walked from each f_i and the new
-    rows of the cached basis of cal_I(d, n), which generate it; or the walk's
-    refusal, which a refused cal_I(d, n) passes on."""
-    basis = _cal_I_basis(active_field().key, d, n)
-    if isinstance(basis, str):
-        return basis
-    v = d - 1
-    one = Polynomial({(0,) * v: 1}, v)
-    pieces = [(_int_minors(d, i)[0], UNIT_ROWS) for i in range(1, k + 1)]
-    pieces += [(one, rows) for _, rows in basis[1]]
-    try:
-        return MonomialIdeal._of_minimal(echelon_walk([pieces], v)[0], v)
-    except ValueError as exc:
-        return str(exc)
-
-
-def _multisets(z: int, a: int) -> int:
-    """The number of multisets of a elements drawn from z."""
-    return binom(z + a - 1, a) if a else 1
-
-
-@lru_cache(maxsize=None)
-def _cal_I_facts(field_key, d: int, n: int) -> tuple:
-    """LI(cal_I(d, n)), read off its cached basis, or the refusal; the
-    number of generators and the number of inhomogeneous ones; all as in
-    the active field.
-
-    The counts need no product.  The generators are the products of a
-    multiset of a_i minors of size i+1 for each i, over the compositions a
-    of n, and T' over a field is a domain, so a product of nonzero factors
-    is nonzero, and homogeneous exactly when each factor is (the product of
-    the factors' lowest-degree parts, and of their highest, is nonzero).
-    With z_i the minors of size i+1 that are nonzero as `integer_terms`
-    reads them in the field, the generators that survive there number
-    sum_a prod_i C(z_i + a_i - 1, a_i); the homogeneous ones are the same
-    sum over the homogeneous minors.
-    """
-    p = active_field().characteristic
-    nonzero, homogeneous = [], []
-    for i in range(1, d):
-        read = [t for t in (integer_terms(f.terms, p) for f in _int_minors(d, i)) if t]
-        nonzero.append(len(read))
-        homogeneous.append(sum(1 for t in read if len(set(map(sum, t))) == 1))
-
-    def products(z: list) -> int:
-        return sum(math.prod(map(_multisets, z, a)) for a in compositions(d, n))
-
-    count = products(nonzero)
-    basis = _cal_I_basis(field_key, d, n)
-    return basis if isinstance(basis, str) else basis[0], count, count - products(homogeneous)
-
-
 def _refused(inputs: dict, expected, error: str) -> Case:
-    """The failed case of an ideal whose echelon walk was refused:
-    `echelon_walk` raises `ValueError` on an inhomogeneous piece or a
-    quotient that is not Artinian, and `_cal_I_basis` or `_lazy_leading`
-    hands on its message, here `error`."""
+    """The failed case of an ideal whose echelon walk was refused, `error`
+    the message of the `ValueError` that `echelon_walk` raises on an
+    inhomogeneous piece or a quotient that is not Artinian, and that the
+    `curve` readers let propagate to the case."""
     return Case(dict(inputs, error=error), expected, False, False)
 
 
@@ -381,9 +271,10 @@ def _case_leading(args) -> Case:
     d, n = args
     inputs = {"d": d, "n": n}
     expected = mono_I(d, n)
-    li = _cal_I_facts(active_field().key, d, n)[0]
-    if isinstance(li, str):
-        return _refused(inputs, _ideal_value(expected), li)
+    try:
+        li = leading_cal_I(d, n)
+    except ValueError as exc:
+        return _refused(inputs, _ideal_value(expected), str(exc))
     return _ideal_case(inputs, li, expected)
 
 
@@ -392,9 +283,10 @@ def _case_leading_with_f(args) -> Case:
     mono = mono_I(d, n) + MonomialIdeal(pure_powers(d, k + 1), d - 1)
     inputs = {"d": d, "n": n, "k": k}
     expected = {"contained": True, "length": mono.length_quotient(), "equal": True}
-    li = _lazy_leading(d, n, k)
-    if isinstance(li, str):
-        return _refused(inputs, expected, li)
+    try:
+        li = leading_cal_I_with_f(d, n, k)
+    except ValueError as exc:
+        return _refused(inputs, expected, str(exc))
     contained = li.contains_ideal(mono)
     len_li = li.length_quotient()
     equal = li == mono
@@ -459,17 +351,18 @@ def _case_gscolon(args) -> Case:
 
 def _case_sanity_homogeneous(args) -> Case:
     d, n = args
-    _, count, bad = _cal_I_facts(active_field().key, d, n)
+    count, bad = cal_I_generator_counts(d, n)
     return Case({"d": d, "n": n, "check": "homogeneous", "generators": count}, 0, bad, not bad)
 
 
 def _case_sanity_artinian(args) -> Case:
     d, n = args
     inputs = {"d": d, "n": n, "check": "artinian"}
-    # echelon_walk raises ValueError where the quotient is not Artinian, and
-    # _cal_I_basis turns that refusal into its message string
-    li = _cal_I_facts(active_field().key, d, n)[0]
-    return _refused(inputs, True, li) if isinstance(li, str) else Case(inputs, True, True, True)
+    try:
+        leading_cal_I(d, n)  # the walk raises ValueError where the quotient is not Artinian
+    except ValueError as exc:
+        return _refused(inputs, True, str(exc))
+    return Case(inputs, True, True, True)
 
 
 def _case_sanity_substitution(args) -> Case:
@@ -685,9 +578,9 @@ def check_socle(d: int, jobs: int = 1) -> VerificationReport:
 # -- the suite table and the aggregate run ------------------------------------
 
 
-class Suite(NamedTuple):
-    check: Callable[..., VerificationReport]
-    defaults: dict  # each optional run_suite flag the check reads -> its default at d
+# check: a suite function returning a VerificationReport; defaults: each
+# optional run_suite flag the check reads -> its default at d
+Suite = namedtuple("Suite", "check defaults")
 
 
 SUITES = {

@@ -23,6 +23,8 @@ chained one summand at a time (the package's cached sums chain the same
 generators of cal_I from every product of field-coefficient minors
 multiplied out on its own, and the text of a monomial from a loop that
 formats each factor afresh (the package joins cached factor strings).
+The submatrices and the homogeneity test are here because only the tests
+use them.
 """
 
 from itertools import combinations, combinations_with_replacement, permutations, product
@@ -48,6 +50,16 @@ def field_matrix(matrix) -> PolyMatrix:
         [[Polynomial({e: coerce(c) for e, c in p.terms.items()}, p.varcount) for p in row]
          for row in matrix.entries]
     )
+
+
+def submatrix(matrix, rows, cols) -> PolyMatrix:
+    """The matrix of the given rows and columns of `matrix`, in that order."""
+    return PolyMatrix([[matrix.entries[r][c] for c in cols] for r in rows])
+
+
+def is_homogeneous(f: Polynomial) -> bool:
+    """Whether every term of f has one degree; the zero polynomial has."""
+    return len(set(map(sum, f.terms))) <= 1
 
 
 def compare(a, b) -> int:
@@ -150,7 +162,7 @@ def _degreewise_leads(ideal: PolyIdeal):
     if not gens:
         raise ValueError("the zero ideal has an infinite quotient")
     for g in gens:
-        if not g.is_homogeneous():
+        if not is_homogeneous(g):
             raise ValueError("hilbert_oracle requires homogeneous generators")
     v = ideal.varcount
     maxdeg = max(g.degree() for g in gens)

@@ -5,7 +5,7 @@ from math import comb, gcd
 
 import pytest
 
-from monocurve import verify
+from monocurve import curve, verify
 from monocurve.curve import (
     CurveParams,
     _int_minors,
@@ -42,6 +42,7 @@ from oracles import (
     in_ideal_family,
     leibniz_determinant,
     nu_bruteforce,
+    submatrix,
 )
 
 
@@ -164,7 +165,7 @@ def test_minors_match_field_determinants(field):
         for d in range(2, 7):
             X = field_matrix(build_matrix(CurveParams(d), mod_x1=True))
             for i in range(1, d):
-                dets = [leibniz_determinant(X.submatrix(range(i + 1), cols))
+                dets = [leibniz_determinant(submatrix(X, range(i + 1), cols))
                         for cols in combinations(range(d), i + 1)]
                 minors = minor_polynomials(d, i)
                 assert minors == dets
@@ -248,7 +249,7 @@ def test_mod_x1_minors_are_the_full_minors_reduced():
 def test_minor_tables_stay_integer_after_a_gf3_run():
     # the tables are cached for every field: a GF(3) sanity run builds the
     # mod-x_1 and the full-ring one, and must leave Python ints in both
-    for cached in (_minor_table, verify._cal_I_basis, verify._cal_I_facts):
+    for cached in (_minor_table, curve._cal_I_basis, curve._cal_I_counts):
         cached.cache_clear()
     with using_field(PrimeField(3)):
         verify.check_construction_sanity(4, 3, 2)
@@ -289,7 +290,7 @@ def test_mono_J_equals_antidiagonal_shadow():
         X = build_matrix(CurveParams(d), mod_x1=True)
         for i in range(1, d):
             prods = [
-                antidiagonal_product(X.submatrix(range(i + 1), cols))
+                antidiagonal_product(submatrix(X, range(i + 1), cols))
                 for cols in combinations(range(d), i + 1)
             ]
             assert MonomialIdeal(prods, d - 1) == mono_J(d, i)

@@ -34,6 +34,7 @@ from oracles import (
     colon_generators,
     filtration_sum,
     filtration_sum_chained,
+    is_homogeneous,
     monomials_between_box,
     staircase_count,
 )
@@ -166,14 +167,14 @@ def test_failures_carry_counterexample_payload():
     assert case.inputs["expected_gens"] == "x2^3"
 
 
-def _fresh_leading_cache(monkeypatch, compute=None, build=None):
-    """Give verify empty caches of cal_I bases and facts for this test only,
-    over `build` and `compute` or the cached functions themselves; returns
-    the two caches, bases first."""
+def _fresh_leading_cache(monkeypatch, count=None, build=None):
+    """Give curve empty caches of cal_I bases and generator counts for this
+    test only, over `build` and `count` or the cached functions themselves;
+    returns the two caches, bases first."""
     caches = []
-    for name, fn in (("_cal_I_basis", build), ("_cal_I_facts", compute)):
-        fresh = functools.lru_cache(maxsize=None)(fn or getattr(verify, name).__wrapped__)
-        monkeypatch.setattr(verify, name, fresh)
+    for name, fn in (("_cal_I_basis", build), ("_cal_I_counts", count)):
+        fresh = functools.lru_cache(maxsize=None)(fn or getattr(curve, name).__wrapped__)
+        monkeypatch.setattr(curve, name, fresh)
         caches.append(fresh)
     return caches
 
@@ -183,7 +184,7 @@ def _non_artinian_cal_I(monkeypatch):
     # Artinian, and cal_I(2) with it.  The empty caches make the patched
     # minors reach the walk whatever ran before, and drop what it computed
     # when the test ends.
-    monkeypatch.setattr(verify, "_int_minors", lambda d, i: (Polynomial({(1, 1): 1}, 2),))
+    monkeypatch.setattr(curve, "_int_minors", lambda d, i: (Polynomial({(1, 1): 1}, 2),))
     _fresh_leading_cache(monkeypatch)
 
 
@@ -195,35 +196,40 @@ def _without_field(report) -> str:
 
 
 def test_leading_cache_keeps_fields_apart(monkeypatch):
-    # one build of the basis, and one computation of the facts, per field
-    # and (d, n); the basis of cal_I(3, 1) builds that of cal_I(3, 0)
-    computed, builds = [], []
-    compute, build = verify._cal_I_facts.__wrapped__, verify._cal_I_basis.__wrapped__
+    # one build of the basis per field and (d, n), and one count of the
+    # generators, which only sanity reads; the basis of cal_I(3, 1) builds
+    # that of cal_I(3, 0)
+    counted, builds = [], []
+    count, build = curve._cal_I_counts.__wrapped__, curve._cal_I_basis.__wrapped__
 
-    def record(field_key, d, n):
-        computed.append((field_key, d, n))
-        return compute(field_key, d, n)
+    def record_count(field_key, d, n):
+        counted.append((field_key, d, n))
+        return count(field_key, d, n)
 
     def record_build(field_key, d, n):
         builds.append((field_key, d, n))
         return build(field_key, d, n)
 
-    bases, cache = _fresh_leading_cache(monkeypatch, record, record_build)
+    keys = (("fp", 32003), ("rational",))
+    bases, counts = _fresh_leading_cache(monkeypatch, record_count, record_build)
     with using_field(PrimeField(32003)):
         modp = _without_field(check_leading_ideal_equality(3, 2))
     rational = check_leading_ideal_equality(3, 2).to_json(include_timing=False)
-    assert computed == [(("fp", 32003), 3, 1), (("fp", 32003), 3, 2),
-                        (("rational",), 3, 1), (("rational",), 3, 2)]
-    assert builds == [(key, 3, n) for key in (("fp", 32003), ("rational",)) for n in (1, 0, 2)]
-    assert cache.cache_info().currsize == 4
+    assert builds == [(key, 3, n) for key in keys for n in (1, 0, 2)]
     assert bases.cache_info().currsize == 6
+    assert counted == []
     assert modp == rational
-    # the sanity suite, its homogeneity cases included, reads the same
-    # entries instead of computing or building them again
-    sanity = check_construction_sanity(3, 1, 2)
-    assert sanity.all_pass
+    # the sanity suite reads the same bases instead of building them again,
+    # and counts the generators of each (field, d, n) once, however often
+    # it runs
+    for _ in range(2):
+        with using_field(PrimeField(32003)):
+            assert check_construction_sanity(3, 1, 2).all_pass
+        sanity = check_construction_sanity(3, 1, 2)
+        assert sanity.all_pass
     assert [c.inputs["generators"] for c in sanity.cases if c.inputs["check"] == "homogeneous"] == [3, 7]
-    assert len(computed) == 4
+    assert counted == [(key, 3, n) for key in keys for n in (1, 2)]
+    assert counts.cache_info().currsize == 4
     assert len(builds) == 6
 
 
@@ -256,7 +262,7 @@ def test_sanity_counts_the_generators_of_cal_I(d, field):
         counts = [(c.inputs["n"], c.inputs["generators"], c.actual)
                   for c in report.cases if c.inputs["check"] == "homogeneous"]
         built = [cal_I_products(d, n) for n in range(1, n_max + 1)]
-    assert counts == [(n, len(gens), sum(not g.is_homogeneous() for g in gens))
+    assert counts == [(n, len(gens), sum(not is_homogeneous(g) for g in gens))
                       for n, gens in enumerate(built, start=1)]
 
 
@@ -293,7 +299,7 @@ def test_lazy_leading_ideal_matches_eager_and_buchberger(field):
         for d, n in grid:
             for k in range(d):
                 ideal = PolyIdeal(list(cal_I(d, n).gens) + [f_poly(d, i) for i in range(1, k + 1)], d - 1)
-                lazy = verify._lazy_leading(d, n, k)
+                lazy = _refusal(lambda: curve.leading_cal_I_with_f(d, n, k))
                 assert lazy == _refusal(lambda: leading_ideal(ideal)), (d, n, k)
                 if isinstance(lazy, MonomialIdeal):
                     assert lazy == MonomialIdeal(buchberger(ideal).leading_monomials(), d - 1), (d, n, k)
@@ -361,8 +367,8 @@ def test_sanity_counts_generators_as_the_field_sees_them(monkeypatch):
     # is homogeneous there and x2^2 + x2 is not; the size-3 minor is real
     size_2 = [Polynomial({(2, 0): 3}, 2), Polynomial({(2, 0): 1, (1, 0): 3}, 2),
               Polynomial({(2, 0): 1, (1, 0): 1}, 2), Polynomial({(1, 1): 1}, 2)]
-    minors = verify._int_minors
-    monkeypatch.setattr(verify, "_int_minors", lambda d, i: size_2 if i == 1 else minors(d, i))
+    minors = curve._int_minors
+    monkeypatch.setattr(curve, "_int_minors", lambda d, i: size_2 if i == 1 else minors(d, i))
     _fresh_leading_cache(monkeypatch)
     counts = {}
     for field in (RATIONALS, PrimeField(3)):
@@ -386,6 +392,14 @@ def test_sanity_reports_a_non_artinian_case(monkeypatch):
 def test_leading_reports_a_non_artinian_case(monkeypatch):
     _non_artinian_cal_I(monkeypatch)
     report = check_leading_ideal_equality(3, 2)
+    assert [(c.inputs["n"], c.ok, c.actual) for c in report.cases] == [(1, False, False), (2, False, False)]
+    assert all("Artinian" in c.inputs["error"] for c in report.cases)
+
+
+def test_leading_with_f_reports_a_non_artinian_case(monkeypatch):
+    # the refused cal_I(n) refuses cal_I(n) + (f_1) with it
+    _non_artinian_cal_I(monkeypatch)
+    report = check_leading_ideal_equality(3, 2, k=1)
     assert [(c.inputs["n"], c.ok, c.actual) for c in report.cases] == [(1, False, False), (2, False, False)]
     assert all("Artinian" in c.inputs["error"] for c in report.cases)
 
@@ -498,7 +512,7 @@ def test_regseq_reuses_the_colon_suite_colons():
 def test_leading_and_sanity_build_one_table_of_each_kind():
     # leading and sanity at d = 5 read the mod-x_1 minors and the full-ring
     # minors at m = 2 from one cached table each, built once
-    for cached in (curve._minor_table, verify._cal_I_basis, verify._cal_I_facts):
+    for cached in (curve._minor_table, curve._cal_I_basis, curve._cal_I_counts):
         cached.cache_clear()
     assert check_leading_ideal_equality(5, 3).all_pass
     assert check_construction_sanity(5, 2, 3).all_pass
