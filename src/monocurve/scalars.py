@@ -4,7 +4,7 @@ The default field is the rationals (``fractions.Fraction``); an odd prime
 field GF(p) can be selected instead for faster cross-checking runs.  The
 active field is process state, switched for a scope by `using_field`: the
 CLI runs each command inside one, so a command leaves the process in the
-field it found, and a pool worker runs each case inside the caller's.  The
+field it found, and a verify pool's workers start in the caller's.  The
 two coefficient types never mix in one computation.  The GF(p) reports of
 the suites that depend on the field (leading, sanity) name the prime in
 their params.  A prime is tested by deterministic Miller-Rabin, which is

@@ -43,7 +43,7 @@ from .curve import (
 from .ideals import MonomialIdeal, monomials_between, multiples_outside
 from .poly import pure_power, times
 from .render import format_ideal, format_monomial
-from .scalars import active_field, using_field
+from .scalars import active_field, set_active_field
 
 
 def binom(a: int, b: int) -> int:
@@ -379,39 +379,38 @@ def _case_sanity_substitution(args) -> Case:
     )
 
 
-def _pool_entry(item) -> Case:
-    field, evaluator, args = item
-    with using_field(field):
-        return evaluator(args)
-
-
-def worker_count(jobs: int, cases: int) -> int:
-    """Pool size for a grid: the requested jobs, at most one per CPU and one
-    per case; 1 means serial."""
+def worker_count(jobs: int, items: int) -> int:
+    """Pool size for a list of items (cases or reports): the requested jobs,
+    at most one per CPU and one per item; 1 means serial."""
     if jobs < 1:
         raise ValueError("jobs must be at least 1, got %d" % jobs)
-    return max(1, min(jobs, os.cpu_count() or 1, cases))
+    return max(1, min(jobs, os.cpu_count() or 1, items))
+
+
+def _evaluate(items: list, jobs: int) -> list:
+    """fn(args) for each (fn, args) item, in order: serially, or on one pool,
+    shut down on return, whose workers start in the caller's active field."""
+    workers = worker_count(jobs, len(items))
+    if workers == 1:
+        return [fn(args) for fn, args in items]
+    # imported here: it pulls in multiprocessing, which a serial run never uses
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers, initializer=set_active_field, initargs=(active_field(),)) as pool:
+        futures = [pool.submit(fn, args) for fn, args in items]
+        return [f.result() for f in futures]
 
 
 def _run(suite: str, params: dict, grid: list, jobs: int) -> VerificationReport:
-    """Evaluate the grid's (evaluator, args) items in order, serially or on a
-    pool whose workers compute over the caller's active field.  Every suite
-    comes through here, so here d < 2 and a negative n_max are ValueErrors."""
+    """Evaluate the grid's (evaluator, args) cases in order through
+    `_evaluate`, and time them.  Every suite comes through here, so here
+    d < 2 and a negative n_max are ValueErrors."""
     if params.get("d", 2) < 2:
         raise ValueError("d must be at least 2, got %d" % params["d"])
     if params.get("n_max", 0) < 0:
         raise ValueError("n_max must be non-negative, got %d" % params["n_max"])
     t0 = time.perf_counter()
-    workers = worker_count(jobs, len(grid))
-    if workers == 1:
-        cases = [evaluator(args) for evaluator, args in grid]
-    else:
-        # imported here: it pulls in multiprocessing, which a serial run never uses
-        from concurrent.futures import ProcessPoolExecutor
-
-        field = active_field()
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            cases = list(pool.map(_pool_entry, [(field, ev, args) for ev, args in grid]))
+    cases = _evaluate(grid, jobs)
     millis = int((time.perf_counter() - t0) * 1000)
     return VerificationReport(suite, params, cases, millis)
 
@@ -618,13 +617,14 @@ def run_suite(
 
 
 def run_all(jobs: int = 1) -> list[VerificationReport]:
-    """The default desk-scale grid over every suite."""
+    """The default desk-scale grid over every suite, its reports spread over
+    one pool when jobs > 1, each report run serially inside its worker."""
     monomial = [name for name, s in SUITES.items() if s.defaults.get("n_max") is _monomial_n_max]
-    reports = [run_suite(name, d, jobs=jobs) for d in (2, 3, 4, 5, 6) for name in monomial]
+    items = [(partial(run_suite, name), d) for d in (2, 3, 4, 5, 6) for name in monomial]
     for d in (2, 3, 4, 5):
-        reports += [
-            run_suite("leading", d, jobs=jobs),
-            check_leading_ideal_equality(d, 4, with_f=True, jobs=jobs),
-            run_suite("sanity", d, jobs=jobs),
+        items += [
+            (partial(run_suite, "leading"), d),
+            (partial(check_leading_ideal_equality, n_max=4, with_f=True), d),
+            (partial(run_suite, "sanity"), d),
         ]
-    return reports + [run_suite("socle", d, jobs=jobs) for d in (2, 3, 4)]
+    return _evaluate(items + [(partial(run_suite, "socle"), d) for d in (2, 3, 4)], jobs)

@@ -714,8 +714,8 @@ def _active_field_key(_args):
 
 
 def test_pooled_cases_compute_over_the_callers_field(monkeypatch):
-    # spawned workers start from a fresh import, so only the field passed
-    # with each case can tell them the caller's choice
+    # spawned workers start from a fresh import, so only the field the
+    # pool's initializer sets can tell them the caller's choice
     spawn = functools.partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn"))
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", spawn)
     monkeypatch.setattr("os.cpu_count", lambda: 2)
@@ -723,6 +723,30 @@ def test_pooled_cases_compute_over_the_callers_field(monkeypatch):
         report = verify._run("probe", {}, [(_active_field_key, None)] * 2, jobs=2)
     assert report.cases == [("fp", 32003)] * 2
     assert active_field().key == ("rational",)
+
+
+def test_a_run_opens_one_pool_at_most(monkeypatch):
+    # run_all spreads its reports over one pool, a one-report run its cases
+    # over one, and a serial run opens none; the reports stay the serial ones
+    pools = []
+
+    class Counted(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Counted)
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    for field in (RATIONALS, PrimeField(32003)):
+        with using_field(field):
+            pools.clear()
+            serial = [r.to_json(include_timing=False) for r in verify.run_all()]
+            check_colon_identity(4, 4)
+            assert pools == []
+            assert [r.to_json(include_timing=False) for r in verify.run_all(jobs=2)] == serial
+            assert pools == [(2,)]  # one pool, of two workers
+            check_colon_identity(4, 4, jobs=2)
+            assert pools == [(2,), (2,)]
 
 
 def test_reports_and_cases_cross_a_spawned_pool():
