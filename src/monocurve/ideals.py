@@ -18,8 +18,10 @@ every report is deterministic.  The constructor minimalizes; the private
 proves minimal and free of duplicates, by sorting it alone.  The colon by a
 monomial and the sum of two ideals build their results that way: both read
 what the minimality of their inputs proves, filter against divisibility
-masks, and never minimalize.  `generated_by` tells whether a generating
-list, minimal or not, generates a known ideal, again on the masks alone.
+masks, and never minimalize; the colon's masks hold quotients free of the
+variable divided out, so it filters each slice of generators undivided.
+`generated_by` tells whether a generating list, minimal or not, generates a
+known ideal, again on the masks alone.
 """
 
 from __future__ import annotations
@@ -320,7 +322,11 @@ class MonomialIdeal:
         quotient t' of S_c' divides s' of S_c only if c' > c, since for
         c' <= c it would make t divide s.  So S_e is kept whole, and each
         slice below it is filtered against the masks of the quotients kept
-        above it; nothing is minimalized afresh.
+        above it; nothing is minimalized afresh.  Every quotient in those
+        masks has exponent 0 at v, so it divides s - c e_v iff it divides s:
+        column v never filters, and an exponent above its table's top reads
+        the top entry.  So each slice is filtered as it stands, and only
+        its survivors are divided by x_v^c.
         """
         if len(m) != self.varcount:
             raise ValueError("variable count mismatch")
@@ -337,14 +343,13 @@ class MonomialIdeal:
                 if c > e:
                     out.append(g[:v] + (c - e,) + g[v + 1:])
                 else:
-                    slices[c].append(g[:v] + (0,) + g[v + 1:])
+                    slices[c].append(g)
             masks = _DivisorMasks([0] * self.varcount)
-            for c in range(e, -1, -1):
-                kept = masks.undivided(slices[c])
-                if c:
-                    masks.add(kept)
+            for c in range(e, 0, -1):
+                kept = [g[:v] + (0,) + g[v + 1:] for g in masks.undivided(slices[c])]
+                masks.add(kept)
                 out += kept
-            gens = out
+            gens = out + masks.undivided(slices[0])
         return MonomialIdeal._of_minimal(gens, self.varcount)
 
     # -- Artinian structure ----------------------------------------------

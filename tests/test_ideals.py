@@ -238,6 +238,23 @@ def test_colon_mon_matches_per_generator_colon(ms, m):
         colon_generators(ms, m))
 
 
+def test_colon_filters_each_slice_before_dividing_it(monkeypatch):
+    # the masks hold quotients free of x_v, so slice c is filtered with its
+    # exponent c at v as it stands, and only its survivors are divided
+    I, m = mono_I(6, 10), pure_power(4, 5, 6)
+    batches = []
+
+    def recorded(self, batch):
+        batches.append(batch)
+        return real(self, batch)
+
+    real = ideals._DivisorMasks.undivided
+    monkeypatch.setattr(ideals._DivisorMasks, "undivided", recorded)
+    got = I.colon_mon(m)
+    assert [sorted({g[4] for g in batch}) for batch in batches] == [[c] for c in range(6, -1, -1)]
+    assert list(got.gens) == minimal_generators_naive(colon_generators(I.gens, m))
+
+
 def test_colon_and_sum_of_minimal_ideals_never_minimalize(monkeypatch):
     # both read the minimality of their inputs: from minimal ideals neither
     # calls minimal_generators, whose count is the traced cost they save

@@ -497,6 +497,12 @@ def test_passing_regseq_never_minimalizes(monkeypatch):
     assert calls == []
 
 
+def test_colons_past_one_byte_of_exponent():
+    # at d = 2 the colons read exponents past 400, more than a byte holds
+    assert check_colon_identity(2, 200).all_pass
+    assert check_assoc_graded_regseq(2, 200).all_pass
+
+
 def test_regseq_reuses_the_colon_suite_colons():
     # every colon case but (n, i) = (1, 2) reads a colon the regseq grid
     # already built: at i = 2 regseq colons only I_{n+2}
