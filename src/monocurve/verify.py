@@ -186,8 +186,7 @@ def _colon_ideal(d: int, M: int, i: int) -> MonomialIdeal:
     return mono_I(d, M).colon_mon(pure_power(i - 2, d - 1, i))
 
 
-def _case_colon(args) -> Case:
-    d, n, i = args
+def _case_colon(d: int, n: int, i: int) -> Case:
     actual = _colon_ideal(d, n, i)
     expected = MonomialIdeal.unit(d - 1) if n < i else mono_I(d, n - i + 1)
     return _ideal_case({"d": d, "n": n, "i": i}, actual, expected)
@@ -220,18 +219,16 @@ def _filtration_colon(d: int, N: int, i: int) -> list[tuple]:
     return gens
 
 
-def _case_regseq(args) -> Case:
+def _case_regseq(d: int, n: int, i: int) -> Case:
     """The colon side is checked against the expected ideal's masks, and
     minimalized only when that check fails, for the failing case's report."""
-    d, n, i = args
     gens = _filtration_colon(d, n + i, i)
     expected = _filtration_ideal(d, n + 1, i)
     actual = expected if expected.generated_by(gens) else MonomialIdeal(gens, d - 1)
     return _ideal_case({"d": d, "n": n, "i": i}, actual, expected)
 
 
-def _case_length(args) -> Case:
-    d, n = args
+def _case_length(d: int, n: int) -> Case:
     actual = _length_with_powers(d, n, 1)
     expected = expected_length(d, n)
     return Case({"d": d, "n": n}, expected, actual, actual == expected)
@@ -246,8 +243,7 @@ def _alternating_sum(length, n: int, k: int) -> int:
     return total
 
 
-def _case_alternating(args) -> Case:
-    d, n, k = args
+def _case_alternating(d: int, n: int, k: int) -> Case:
     actual = _length_with_powers(d, n, k)
     alternating = _alternating_sum(lambda N: _length_with_powers(d, N, 1), n, k)
     formula = _alternating_sum(partial(expected_length, d), n, k)
@@ -267,8 +263,7 @@ def _refused(inputs: dict, expected, error: str) -> Case:
     return Case(dict(inputs, error=error), expected, False, False)
 
 
-def _case_leading(args) -> Case:
-    d, n = args
+def _case_leading(d: int, n: int) -> Case:
     inputs = {"d": d, "n": n}
     expected = mono_I(d, n)
     try:
@@ -278,8 +273,7 @@ def _case_leading(args) -> Case:
     return _ideal_case(inputs, li, expected)
 
 
-def _case_leading_with_f(args) -> Case:
-    d, n, k = args
+def _case_leading_with_f(d: int, n: int, k: int) -> Case:
     mono = mono_I(d, n) + MonomialIdeal(pure_powers(d, k + 1), d - 1)
     inputs = {"d": d, "n": n, "k": k}
     expected = {"contained": True, "length": mono.length_quotient(), "equal": True}
@@ -296,15 +290,13 @@ def _case_leading_with_f(args) -> Case:
     return Case(inputs, expected, {"contained": contained, "length": len_li, "equal": equal}, ok)
 
 
-def _case_scount(args) -> Case:
-    d, n, j = args
+def _case_scount(d: int, n: int, j: int) -> Case:
     count = sum(len(s_set(d, a)) for a in lambda_set(d, j, n - 1))
     expected = binom(n - 2, j - 1)
     return Case({"d": d, "n": n, "j": j}, expected, count, count == expected)
 
 
-def _case_spanning(args) -> Case:
-    d, n = args
+def _case_spanning(d: int, n: int) -> Case:
     v = d - 1
     prev = mono_I(d, n - 1)
     col = mono_I(d, n).colon_mon(pure_power(v - 1, v))
@@ -342,21 +334,18 @@ def _case_spanning(args) -> Case:
     )
 
 
-def _case_gscolon(args) -> Case:
-    d, n, k = args
+def _case_gscolon(d: int, n: int, k: int) -> Case:
     lhs = _length_with_powers(d, n + 1, k) - _length_with_powers(d, n + 1, k + 1)
     rhs = _length_with_powers(d, n + 1 - k, k)
     return Case({"d": d, "n": n, "k": k}, rhs, lhs, lhs == rhs)
 
 
-def _case_sanity_homogeneous(args) -> Case:
-    d, n = args
+def _case_sanity_homogeneous(d: int, n: int) -> Case:
     count, bad = cal_I_generator_counts(d, n)
     return Case({"d": d, "n": n, "check": "homogeneous", "generators": count}, 0, bad, not bad)
 
 
-def _case_sanity_artinian(args) -> Case:
-    d, n = args
+def _case_sanity_artinian(d: int, n: int) -> Case:
     inputs = {"d": d, "n": n, "check": "artinian"}
     try:
         leading_cal_I(d, n)  # the walk raises ValueError where the quotient is not Artinian
@@ -365,8 +354,7 @@ def _case_sanity_artinian(args) -> Case:
     return Case(inputs, True, True, True)
 
 
-def _case_sanity_substitution(args) -> Case:
-    d, m, i = args
+def _case_sanity_substitution(d: int, m: int, i: int) -> Case:
     minors = full_minors(CurveParams(d, m), i)
     nonvanishing = sum(
         1 for f in minors if not substitute_parametrization(f, d, m).is_zero()
@@ -388,16 +376,16 @@ def worker_count(jobs: int, items: int) -> int:
 
 
 def _evaluate(items: list, jobs: int) -> list:
-    """fn(args) for each (fn, args) item, in order: serially, or on one pool,
-    shut down on return, whose workers start in the caller's active field."""
+    """fn(*args) for each (fn, args) item, in order: serially, or on one
+    pool, shut down on return, whose workers start in the caller's field."""
     workers = worker_count(jobs, len(items))
     if workers == 1:
-        return [fn(args) for fn, args in items]
+        return [fn(*args) for fn, args in items]
     # imported here: it pulls in multiprocessing, which a serial run never uses
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(workers, initializer=set_active_field, initargs=(active_field(),)) as pool:
-        futures = [pool.submit(fn, args) for fn, args in items]
+        futures = [pool.submit(fn, *args) for fn, args in items]
         return [f.result() for f in futures]
 
 
@@ -571,27 +559,28 @@ def _case_socle(d: int) -> Case:
 def check_socle(d: int, jobs: int = 1) -> VerificationReport:
     """The bigraded Artinian reduction of the filtration's associated graded
     ring has a one-dimensional socle (its Gorenstein property)."""
-    return _run("socle", {"d": d}, [(_case_socle, d)], jobs)
+    return _run("socle", {"d": d}, [(_case_socle, (d,))], jobs)
 
 
 # -- the suite table and the aggregate run ------------------------------------
 
 
 # check: a suite function returning a VerificationReport; defaults: each
-# optional run_suite flag the check reads -> its default at d
-Suite = namedtuple("Suite", "check defaults")
+# optional run_suite flag the check reads -> its default at d; grid: the
+# d's at which run_all runs the row at its defaults
+Suite = namedtuple("Suite", "check defaults grid")
 
 
 SUITES = {
-    "colon": Suite(check_colon_identity, {"n_max": _monomial_n_max}),
-    "regseq": Suite(check_assoc_graded_regseq, {"n_max": _monomial_n_max}),
-    "length": Suite(check_length_formula, {"n_max": _monomial_n_max}),
-    "alternating": Suite(check_alternating_lengths, {"n_max": _monomial_n_max, "k": lambda d: None}),
-    "leading": Suite(check_leading_ideal_equality, {"n_max": _groebner_n_max, "k": lambda d: None}),
-    "scounts": Suite(check_s_counts_and_spanning, {"n_max": _monomial_n_max}),
-    "gscolon": Suite(check_gs_colon_chain, {"n_max": _monomial_n_max, "k": lambda d: None}),
-    "socle": Suite(check_socle, {}),
-    "sanity": Suite(check_construction_sanity, {"n_max": _groebner_n_max, "m": lambda d: 1}),
+    "colon": Suite(check_colon_identity, {"n_max": _monomial_n_max}, range(2, 7)),
+    "regseq": Suite(check_assoc_graded_regseq, {"n_max": _monomial_n_max}, range(2, 7)),
+    "length": Suite(check_length_formula, {"n_max": _monomial_n_max}, range(2, 7)),
+    "alternating": Suite(check_alternating_lengths, {"n_max": _monomial_n_max, "k": lambda d: None}, range(2, 7)),
+    "leading": Suite(check_leading_ideal_equality, {"n_max": _groebner_n_max, "k": lambda d: None}, range(2, 6)),
+    "scounts": Suite(check_s_counts_and_spanning, {"n_max": _monomial_n_max}, range(2, 7)),
+    "gscolon": Suite(check_gs_colon_chain, {"n_max": _monomial_n_max, "k": lambda d: None}, range(2, 7)),
+    "socle": Suite(check_socle, {}, range(2, 5)),
+    "sanity": Suite(check_construction_sanity, {"n_max": _groebner_n_max, "m": lambda d: 1}, range(2, 6)),
 }
 
 
@@ -617,14 +606,10 @@ def run_suite(
 
 
 def run_all(jobs: int = 1) -> list[VerificationReport]:
-    """The default desk-scale grid over every suite, its reports spread over
-    one pool when jobs > 1, each report run serially inside its worker."""
-    monomial = [name for name, s in SUITES.items() if s.defaults.get("n_max") is _monomial_n_max]
-    items = [(partial(run_suite, name), d) for d in (2, 3, 4, 5, 6) for name in monomial]
-    for d in (2, 3, 4, 5):
-        items += [
-            (partial(run_suite, "leading"), d),
-            (partial(check_leading_ideal_equality, n_max=4, with_f=True), d),
-            (partial(run_suite, "sanity"), d),
-        ]
-    return _evaluate(items + [(partial(run_suite, "socle"), d) for d in (2, 3, 4)], jobs)
+    """The default desk-scale grid: each row of SUITES, in table order, at
+    its defaults at each d of its grid, then leading's f_1..f_k variant at
+    n_max = 4 over the same d's.  The reports are spread over one pool when
+    jobs > 1, each report run serially inside its worker."""
+    items = [(run_suite, (name, d)) for name, suite in SUITES.items() for d in suite.grid]
+    items += [(check_leading_ideal_equality, (d, 4, True)) for d in SUITES["leading"].grid]
+    return _evaluate(items, jobs)

@@ -7,7 +7,7 @@ import pytest
 
 import monocurve
 from monocurve import verify
-from monocurve.cli import main
+from monocurve.cli import _render_reports, main
 from monocurve.scalars import RATIONALS, active_field
 
 
@@ -210,6 +210,18 @@ def test_verify_csv(capsys):
     )
     assert code == 0
     assert out.splitlines()[0] == "suite,inputs,expected,actual,pass"
+
+
+def test_render_reports_joins_several_reports():
+    # the --suite all path: two reports, each rendered once, in order
+    reports = [verify.check_length_formula(2, 2), verify.check_colon_identity(2, 2)]
+    assert _render_reports(reports, "text") == reports[0].to_text() + reports[1].to_text()
+    assert json.loads(_render_reports(reports, "json")) == [r.to_dict() for r in reports]
+    lines = _render_reports(reports, "csv").splitlines(keepends=True)
+    rows = [r.to_csv().splitlines(keepends=True) for r in reports]
+    assert lines == rows[0] + rows[1][1:]
+    assert sum(line.startswith("suite,") for line in lines) == 1
+    assert len(lines) == 1 + sum(r.total for r in reports) == 5
 
 
 def test_verify_out_file(tmp_path, capsys):

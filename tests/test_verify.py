@@ -111,13 +111,21 @@ def test_socle_report_bytes_are_pinned():
 
 
 def test_run_all_reports_are_pinned():
-    # the full default grid, the record of what `verify --suite all` checks
+    # the full default grid, the record of what `verify --suite all` checks:
+    # each row of SUITES at its grid's d's in table order, then leading's
+    # with-f variant over leading's grid
     reports = verify.run_all()
-    text = "".join(r.to_json(include_timing=False) for r in reports)
+    order = [(name, d, False) for name, s in verify.SUITES.items() for d in s.grid]
+    order += [("leading", d, True) for d in verify.SUITES["leading"].grid]
+    assert [(r.suite, r.params["d"], r.params.get("with_f", False)) for r in reports] == order
+    texts = [r.to_json(include_timing=False) for r in reports]
     assert (len(reports), sum(r.total for r in reports)) == (45, 683)
     assert all(r.all_pass for r in reports)
-    assert (hashlib.sha256(text.encode()).hexdigest()
-            == "422588d18c09886ffac07b2cd8d8354748ea80f2b007846f411417ad908d28c0")
+    # order-free: each report's bytes, whatever the list's order
+    assert (hashlib.sha256("".join(sorted(texts)).encode()).hexdigest()
+            == "16d21539ba0e35bfe109befdc580a0dc82d18a77cad60880decb1d8f14e4206c")
+    assert (hashlib.sha256("".join(texts).encode()).hexdigest()
+            == "71a104a4c97f834644e4e114940f34bef4d25e9ac534dd8d85d310d76e9e029f")
 
 
 def test_report_schema_and_counts():
@@ -715,7 +723,7 @@ def test_worker_pool_on_groebner_suite():
     assert serial == pooled
 
 
-def _active_field_key(_args):
+def _active_field_key():
     return active_field().key
 
 
@@ -726,7 +734,7 @@ def test_pooled_cases_compute_over_the_callers_field(monkeypatch):
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", spawn)
     monkeypatch.setattr("os.cpu_count", lambda: 2)
     with using_field(PrimeField(32003)):
-        report = verify._run("probe", {}, [(_active_field_key, None)] * 2, jobs=2)
+        report = verify._run("probe", {}, [(_active_field_key, ())] * 2, jobs=2)
     assert report.cases == [("fp", 32003)] * 2
     assert active_field().key == ("rational",)
 
