@@ -3,13 +3,16 @@ membership, the Artinian test, the staircase length of an Artinian ideal,
 and the monomials between two ideals.
 
 An ideal keeps one structure, divisibility masks: they answer "does a
-stored generator divide m" (after Bachmann & Schoenemann, ISSAC 1998) for
-one monomial in membership, and for a whole batch, one variable at a time,
-in minimalization, sums, colons and containment of ideals.  The staircase
-is counted on them one variable at a time from the last, which splits the
+stored generator divide m" (after Bachmann & Schoenemann, ISSAC 1998).
+`contains` asks it for one monomial, reading an exponent above the tables
+without growing them; `outside` asks it for a list, one variable at a time,
+as do minimalization, sums, colons and containment of ideals.  The
+Artinian test reads the masks' entries for exponent 0.  The staircase is
+counted on them one variable at a time from the last, which splits the
 curve ideals best (after Bigatti, JPAA 1997), down to the second variable,
 whose loop reads the first's count inline.  The monomials between two
-ideals are listed by one upward walk from the outer ideal's generators.
+ideals are listed by an upward walk from the outer ideal's generators, one
+layer at a time, each layer filtered by `outside` as one list.
 
 Generators are exponent tuples, always stored minimal and sorted by
 (degree, exponents), so two equal ideals are structurally identical and
@@ -21,15 +24,16 @@ what the minimality of their inputs proves, filter against divisibility
 masks, and never minimalize; the colon's masks hold quotients free of the
 variable divided out, so it filters each slice of generators undivided.
 `generated_by` tells whether a generating list, minimal or not, generates a
-known ideal, again on the masks alone.
+known ideal, again on the masks alone, which test only the monomials of the
+list outside the ideal's minimal generators.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from functools import reduce
-from itertools import compress, groupby
-from operator import and_, getitem, not_
+from itertools import compress, groupby, repeat
+from operator import add, and_, getitem, not_
 
 from .order import GREVELEX
 
@@ -53,11 +57,24 @@ class _DivisorMasks:
         self.tops = tops
         self.size = 0
 
+    def _reach(self, tops) -> None:
+        """Extend each variable's table that is shorter than the exponent
+        `tops` gives it, by its top entry, which stands for every exponent
+        above it."""
+        below, have = self.below, self.tops
+        for p, top in enumerate(tops):
+            if top > have[p]:
+                below[p] += [below[p][-1]] * (top - have[p])
+                have[p] = top
+
     def add(self, batch: list) -> None:
-        """Store the monomials of `batch` as the next bits; their exponents
-        must lie within the tables."""
+        """Store the monomials of `batch`, nonnegative exponent tuples, as
+        the next bits; a table too short for them is first extended, so the
+        masks need not be built with their final tops."""
+        columns = list(zip(*batch))
+        self._reach(map(max, columns))
         shift = self.size
-        for table, column in zip(self.below, zip(*batch)):
+        for table, column in zip(self.below, columns):
             exact = [0] * len(table)
             for i, e in enumerate(column):
                 exact[e] |= 1 << i
@@ -73,23 +90,23 @@ class _DivisorMasks:
             return False  # no monomial divides one with a negative exponent
         return reduce(and_, map(getitem, self.below, map(min, m, self.tops))) != 0
 
-    def undivided(self, batch) -> list:
+    def undivided(self, batch: list) -> list:
         """The monomials of `batch`, in order, that no stored monomial
-        divides: `has_divisor` for a batch of exponent tuples, which must be
-        nonnegative.  The test runs over `_CHUNK` monomials at a time, one
-        variable at a time, ANDing each column's table entries into the
-        running hits; the chunks bound the columns held at once.  A table
-        too short for a chunk is first extended by its top entry, which
-        stands for every exponent above it."""
-        below, tops = self.below, self.tops
+        divides: `has_divisor` for a list of exponent tuples, which must be
+        nonnegative.  With nothing stored nothing is divided, and `batch`
+        itself is returned.  Otherwise the test runs over `_CHUNK` monomials
+        at a time, one variable at a time, ANDing each column's table
+        entries into the running hits; the chunks bound the columns held at
+        once.  A table too short for a chunk is first extended, as `add`
+        extends it."""
+        if not self.size:
+            return batch
+        below = self.below
         out: list[tuple] = []
         for start in range(0, len(batch), _CHUNK):
             chunk = batch[start:start + _CHUNK]
             columns = list(zip(*chunk))
-            for p, top in enumerate(map(max, columns)):
-                if top > tops[p]:
-                    below[p] += [below[p][-1]] * (top - tops[p])
-                    tops[p] = top
+            self._reach(map(max, columns))
             hits = map(below[0].__getitem__, columns[0])
             for table, column in zip(below[1:], columns[1:]):
                 hits = map(and_, hits, map(table.__getitem__, column))
@@ -126,26 +143,29 @@ def _count(below: list, active: int, p: int) -> int:
     return total
 
 
-def multiples_outside(gens, varcount: int, in_ideal: Callable[[tuple], bool]) -> list[tuple]:
-    """The multiples of `gens` that the membership test `in_ideal` rejects,
-    by degree and then in decreasing lex order; there must be finitely many.
+def multiples_outside(gens, varcount: int, outside: Callable[[list], Iterable]) -> list[tuple]:
+    """The multiples of `gens` outside an ideal, by degree and then in
+    decreasing lex order; there must be finitely many.  `outside` filters
+    a list of monomials down to those outside the ideal.
 
-    Walks up from the gens one variable at a time, pruning every monomial
-    `in_ideal` accepts.  That reaches each multiple outside the ideal, since
-    every divisor of a monomial outside an ideal is outside it too.
+    Walks up from the gens one layer at a time: each layer's monomials
+    times each variable, less those already tested, are handed to
+    `outside` as one list, and its survivors are the next layer.  That
+    reaches each multiple outside the ideal, since every divisor of a
+    monomial outside an ideal is outside it too.
     """
     seen = set(gens)
-    stack = [g for g in seen if not in_ideal(g)]
-    found = list(stack)
-    while stack:
-        m = stack.pop()
+    layer = list(outside(list(seen)))
+    found = []
+    while layer:
+        found += layer
+        columns = list(zip(*layer))
+        ups = set()
         for p in range(varcount):
-            up = m[:p] + (m[p] + 1,) + m[p + 1:]
-            if up not in seen:
-                seen.add(up)
-                if not in_ideal(up):
-                    stack.append(up)
-                    found.append(up)
+            ups.update(zip(*columns[:p], map(add, columns[p], repeat(1)), *columns[p + 1:]))
+        ups -= seen
+        seen |= ups
+        layer = list(outside(list(ups)))
     return sorted(found, key=GREVELEX)
 
 
@@ -265,28 +285,41 @@ class MonomialIdeal:
     def _divisor_masks(self) -> _DivisorMasks:
         """The masks of the generators, built on first use."""
         if self._masks is None:
-            self._masks = _DivisorMasks(list(map(max, zip(*self.gens))))
+            self._masks = _DivisorMasks([0] * self.varcount)
             self._masks.add(self.gens)
         return self._masks
+
+    def outside(self, monomials: list) -> list:
+        """The monomials of the list that this ideal does not contain, in
+        order: `contains` for a batch, tested on the masks a chunk at a
+        time.  Each must be a nonnegative exponent tuple of length
+        `varcount`.  The zero ideal's masks store nothing, so it returns
+        the list as it is."""
+        if set(map(len, monomials)) - {self.varcount}:
+            m = next(m for m in monomials if len(m) != self.varcount)
+            raise ValueError("monomial %r has %d variables, ideal has %d"
+                             % (m, len(m), self.varcount))
+        if min(map(min, monomials), default=0) < 0:
+            raise ValueError("negative exponent in %r" % (min(monomials, key=min),))
+        return self._divisor_masks().undivided(monomials)
 
     def contains_ideal(self, other: "MonomialIdeal") -> bool:
         """True iff every generator of `other` lies in this ideal."""
         if other.varcount != self.varcount:
             raise ValueError("variable count mismatch: %d vs %d" % (self.varcount, other.varcount))
-        if not self.gens:
-            return not other.gens
-        return not self._divisor_masks().undivided(other.gens)
+        return not self.outside(other.gens)
 
     def generated_by(self, gens: list) -> bool:
-        """True iff the monomials `gens`, nonnegative exponent tuples of
-        length `varcount`, generate this ideal.  A monomial ideal's minimal
-        generators lie in every monomial generating set, so that is: each
-        minimal generator is among `gens`, and each of `gens` lies in the
-        ideal."""
-        if not self.gens:
-            return not gens
-        return (set(gens).issuperset(self.gens)
-                and not self._divisor_masks().undivided(gens))
+        """True iff the monomials `gens` generate this ideal.  A monomial
+        ideal's minimal generators lie in every monomial generating set, so
+        that is: each minimal generator is among `gens`, and each of the
+        rest, which `outside` checks are nonnegative exponent tuples of
+        length `varcount`, lies in the ideal."""
+        rest = set(gens)
+        if not rest.issuperset(self.gens):
+            return False
+        rest.difference_update(self.gens)
+        return not self.outside(list(rest))
 
     # -- arithmetic ------------------------------------------------------
 
@@ -355,11 +388,14 @@ class MonomialIdeal:
     # -- Artinian structure ----------------------------------------------
 
     def is_artinian(self) -> bool:
-        """True iff every variable has a pure power among the generators."""
-        for v in range(self.varcount):
-            if not any(sum(g) == g[v] for g in self.gens):
-                return False
-        return True
+        """True iff every variable has a pure power among the generators.
+        Variable v has one iff some generator has exponent 0 at every other
+        variable: iff the AND of the masks' entries for exponent 0 over the
+        other variables is nonzero.  The zero ideal is not Artinian."""
+        if not self.gens:
+            return False
+        zeros = [table[0] for table in self._divisor_masks().below]
+        return all(reduce(and_, zeros[:v] + zeros[v + 1:], -1) for v in range(self.varcount))
 
     def length_quotient(self) -> int:
         """Number of monomials outside the ideal (the staircase length)."""
@@ -376,4 +412,4 @@ def monomials_between(outer: MonomialIdeal, inner: MonomialIdeal) -> list[tuple]
     decreasing lex order; `inner` must be Artinian."""
     if not inner.is_artinian():
         raise ValueError("difference against a non-Artinian ideal is infinite")
-    return multiples_outside(outer.gens, inner.varcount, inner.contains)
+    return multiples_outside(outer.gens, inner.varcount, inner.outside)

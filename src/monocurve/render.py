@@ -2,7 +2,9 @@
 
 Polynomial terms print in descending GREVELEX order; ideal generators
 print sorted by (degree, exponents) ascending.  Variables are x2..xd by
-default; full-ring values pass first_index=1.
+default; full-ring values pass first_index=1.  One renderer writes every
+monomial: an ideal's generators all at once, column by column, and a
+single monomial as a list of one.
 """
 
 from __future__ import annotations
@@ -17,12 +19,26 @@ from .poly import Polynomial, PolyMatrix
 
 @lru_cache(maxsize=None)
 def _factor(p: int, e: int) -> str:
-    """The factor x<p>^<e> of a monomial, e nonzero: x<p> for e = 1."""
-    return "x%d" % p if e == 1 else "x%d^%d" % (p, e)
+    """The factor x<p>^<e> of a monomial followed by "*": x<p>* for e = 1,
+    and "" for e = 0."""
+    return "" if not e else "x%d*" % p if e == 1 else "x%d^%d*" % (p, e)
+
+
+def _monomials(ms, first_index: int) -> str:
+    """The monomials `ms`, exponent tuples of one length, rendered and
+    joined by ", "; the constant alone renders as "1".
+
+    The monomials are rendered by columns: each variable's exponents are
+    mapped through one table of its factors, each factor ending in "*",
+    and each monomial's factors are joined.  The "*" that then ends each
+    monomial is dropped from the joined text at once."""
+    columns = [map({e: _factor(p, e) for e in set(column)}.__getitem__, column)
+               for p, column in enumerate(zip(*ms), first_index)]
+    return ", ".join(map("".join, zip(*columns))).replace("*, ", ", ")[:-1] or "1"
 
 
 def format_monomial(m: tuple, first_index: int = 2) -> str:
-    return "*".join([_factor(p, e) for p, e in enumerate(m, first_index) if e]) or "1"
+    return _monomials((m,), first_index)
 
 
 def _sign_split(c):
@@ -54,7 +70,7 @@ def format_ideal(ideal: MonomialIdeal, first_index: int = 2) -> str:
     if ideal.is_zero():
         return "0"
     # MonomialIdeal stores its generators sorted by (degree, exponents)
-    return ", ".join(format_monomial(g, first_index) for g in ideal.gens)
+    return _monomials(ideal.gens, first_index)
 
 
 def format_matrix(matrix: PolyMatrix, first_index: int = 1) -> str:

@@ -20,7 +20,8 @@ import os
 import time
 from collections import namedtuple
 from functools import lru_cache, partial
-from itertools import combinations
+from itertools import combinations, filterfalse, repeat
+from operator import add
 
 from .curve import (
     CurveParams,
@@ -192,6 +193,14 @@ def _case_colon(d: int, n: int, i: int) -> Case:
     return _ideal_case({"d": d, "n": n, "i": i}, actual, expected)
 
 
+def _times_power(gens, j: int) -> list[tuple]:
+    """The monomials `gens` of T', a nonempty list, each times x_j^j: j
+    added to their column for x_j, the (j-1)-th."""
+    columns = list(zip(*gens))
+    columns[j - 2] = map(add, columns[j - 2], repeat(j))
+    return list(zip(*columns))
+
+
 @lru_cache(maxsize=None)
 def _filtration_ideal(d: int, N: int, i: int) -> MonomialIdeal:
     """I_N + sum over 2 <= j < i of x_j^j I_{N-j}, the sum at i - 1 plus
@@ -202,8 +211,7 @@ def _filtration_ideal(d: int, N: int, i: int) -> MonomialIdeal:
     if i <= 2:
         return mono_I(d, N)
     j = i - 1
-    pw = pure_power(j - 2, d - 1, j)
-    scaled = [times(g, pw) for g in mono_I(d, N - j).gens]
+    scaled = _times_power(mono_I(d, N - j).gens, j)
     return _filtration_ideal(d, N, j) + MonomialIdeal._of_minimal(scaled, d - 1)
 
 
@@ -214,8 +222,7 @@ def _filtration_colon(d: int, N: int, i: int) -> list[tuple]:
     for j != i."""
     gens = list(_colon_ideal(d, N, i).gens)
     for j in range(2, i):
-        pw = pure_power(j - 2, d - 1, j)
-        gens += [times(g, pw) for g in _colon_ideal(d, N - j, i).gens]
+        gens += _times_power(_colon_ideal(d, N - j, i).gens, j)
     return gens
 
 
@@ -315,7 +322,7 @@ def _case_spanning(d: int, n: int) -> Case:
             spanning = False
             witness_missing = m
             break
-    members = all(prev.contains(m) for m in listed)
+    members = not prev.outside(list(listed))
     diff = col.length_quotient() - prev.length_quotient()
     bound = binom(n + d - 3, d - 2)
     ok = contained and spanning and members and diff <= bound
@@ -523,7 +530,8 @@ def _reduction_pieces(d: int) -> list[list[tuple]]:
             raise InvariantViolation(
                 "Artinian reduction still has nonzero pieces past level %d" % cap
             )
-        basis = multiples_outside(mono_I_generators(d, n), d - 1, partial(_in_denominator, d, n))
+        outside = partial(filterfalse, partial(_in_denominator, d, n))
+        basis = multiples_outside(mono_I_generators(d, n), d - 1, outside)
         pieces.append(basis)
         zeros = zeros + 1 if not basis else 0
         n += 1

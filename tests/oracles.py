@@ -21,8 +21,13 @@ one generator list minimalized once and from the package's ideal sums
 chained one summand at a time (the package's cached sums chain the same
 `+`, so for them the list minimalized once is the independent route), the
 generators of cal_I from every product of field-coefficient minors
-multiplied out on its own, and the text of a monomial from a loop that
-formats each factor afresh (the package joins cached factor strings).
+multiplied out on its own, the text of a monomial from a loop that
+formats each factor afresh, and an ideal's from those texts joined (the
+package renders every generator at once, column by column), the Artinian
+test from a scan of the generators for pure powers (the package reads its
+divisibility masks), and the multiples of a generating set outside an
+ideal from a depth-first walk that tests one monomial at a time (the
+package walks layer by layer and filters each layer as one list).
 The submatrices and the homogeneity test are here because only the tests
 use them.
 """
@@ -254,6 +259,43 @@ def format_monomial_loop(m: tuple, first_index: int = 2) -> str:
             name = "x%d" % (p + first_index)
             parts.append(name if e == 1 else "%s^%d" % (name, e))
     return "*".join(parts)
+
+
+def format_ideal_loop(ideal: MonomialIdeal, first_index: int = 2) -> str:
+    """An ideal's text, generator by generator: "0" for the zero ideal,
+    else each generator's `format_monomial_loop`, joined by ", "."""
+    if ideal.is_zero():
+        return "0"
+    return ", ".join(format_monomial_loop(g, first_index) for g in ideal.gens)
+
+
+def is_artinian_scan(ideal: MonomialIdeal) -> bool:
+    """True iff every variable has a pure power among the generators,
+    looked for generator by generator."""
+    for v in range(ideal.varcount):
+        if not any(sum(g) == g[v] for g in ideal.gens):
+            return False
+    return True
+
+
+def multiples_outside_dfs(gens, varcount: int, in_ideal) -> list[tuple]:
+    """The multiples of `gens` that the one-monomial membership test
+    `in_ideal` rejects, by degree and then in decreasing lex order: a
+    depth-first walk up from the gens, one monomial and one variable at a
+    time, pruning each monomial `in_ideal` accepts."""
+    seen = set(gens)
+    stack = [g for g in seen if not in_ideal(g)]
+    found = list(stack)
+    while stack:
+        m = stack.pop()
+        for p in range(varcount):
+            up = m[:p] + (m[p] + 1,) + m[p + 1:]
+            if up not in seen:
+                seen.add(up)
+                if not in_ideal(up):
+                    stack.append(up)
+                    found.append(up)
+    return sorted(found, key=GREVELEX)
 
 
 def colon_generators(gens, m) -> list[tuple]:

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,17 +11,22 @@ from monocurve.ideals import (
     minimal_generators,
     monomials_between,
     monomials_of_degree,
+    multiples_outside,
 )
 from monocurve.poly import pure_power, times
+from monocurve.render import format_ideal
 
 from oracles import (
     colon_generators,
     divides_tuple,
     filtration_sum,
+    format_ideal_loop,
     ideal_power,
     ideal_product,
+    is_artinian_scan,
     minimal_generators_naive,
     monomials_between_box,
+    multiples_outside_dfs,
     scaled_ideal,
     staircase_count,
     terms_equal,
@@ -328,6 +334,89 @@ def test_generated_by_matches_the_constructor(case, data):
         _generated_by_agrees(ideal, gens)
 
 
+def test_generated_by_tests_only_the_monomials_outside_the_minimal_set(monkeypatch):
+    # the minimal generators are known to lie in the ideal: only the rest
+    # of the list reaches the masks
+    ideal = mono_I(5, 4)
+    extra = [times(g, pure_power(p % 4, 4)) for p, g in enumerate(ideal.gens[:8])]
+    batches = []
+
+    def recorded(self, batch):
+        batches.append(list(batch))
+        return real(self, batch)
+
+    real = ideals._DivisorMasks.undivided
+    monkeypatch.setattr(ideals._DivisorMasks, "undivided", recorded)
+    assert ideal.generated_by(list(ideal.gens) * 2 + extra + extra[:3])
+    assert sorted(m for batch in batches for m in batch) == sorted(set(extra))
+    batches.clear()
+    assert ideal.generated_by(list(ideal.gens))
+    assert batches == [[]]
+
+
+def test_outside_and_generated_by_reject_tuples_that_are_not_monomials():
+    # a negative exponent would read a table's top entry, and a tuple of the
+    # wrong length would be cut short by the columns: both are named
+    ideal = MonomialIdeal([(1, 0)], 2)
+    for query in (ideal, MonomialIdeal.zero(2), MonomialIdeal.unit(2)):
+        for bad in [(1, -1), (-3, 5), (1, 0, 0), (2,), ()]:
+            with pytest.raises(ValueError, match=re.escape(repr(bad))):
+                query.generated_by([(1, 0), (0, 0), bad])
+            with pytest.raises(ValueError, match=re.escape(repr(bad))):
+                query.outside([(3, 3), bad, (0, 4)])
+    assert not ideal.contains((1, -1))
+    assert ideal.outside([(0, 3), (2, 1), (0, 0)]) == [(0, 3), (0, 0)]
+    assert ideal.outside([]) == []
+
+
+def test_masks_extend_their_own_tables():
+    # `add` grows tables too short for its batch, and nothing stored
+    # filters nothing
+    masks = ideals._DivisorMasks([0, 0])
+    batch = [(2, 5), (0, 0)]
+    assert masks.undivided(batch) is batch
+    masks.add([(3, 1)])
+    assert masks.tops == [3, 1]
+    assert masks.has_divisor((3, 1)) and masks.has_divisor((7, 4))
+    assert not masks.has_divisor((2, 1)) and not masks.has_divisor((3, 0))
+    assert masks.undivided([(3, 0), (4, 9), (2, 2)]) == [(3, 0), (2, 2)]
+
+
+exponents = st.integers(0, 4) | st.integers(0, 300)
+
+
+@st.composite
+def generator_sets(draw):
+    """(varcount, first_index, generators): 1 to 6 variables, exponents up
+    to 300, and the zero and unit ideals."""
+    v = draw(st.integers(1, 6))
+    mons = st.tuples(*[exponents] * v)
+    gens = draw(st.lists(mons, max_size=8) | st.just([]) | st.just([(0,) * v]))
+    return v, draw(st.sampled_from([1, 2])), gens
+
+
+@settings(max_examples=200, deadline=None)
+@given(generator_sets(), st.data())
+def test_batched_paths_match_their_loop_references(case, data):
+    # rendering, the Artinian test, batch membership and the walk above
+    # an ideal, each against the loop it replaced; the walk's inner ideal
+    # adds small pure powers, so that finitely many monomials lie outside
+    v, first_index, gens = case
+    ideal = MonomialIdeal(gens, v)
+    assert format_ideal(ideal, first_index) == format_ideal_loop(ideal, first_index)
+    assert ideal.is_artinian() == is_artinian_scan(ideal)
+    probes = data.draw(st.lists(st.tuples(*[exponents] * v), max_size=12))
+    assert ideal.outside(probes) == [m for m in probes if not ideal.contains(m)]
+    top = (5, 5, 4, 3, 3, 2)[v - 1]
+    powers = data.draw(st.lists(st.integers(1, top), min_size=v, max_size=v))
+    inner = ideal + MonomialIdeal([pure_power(p, v, a) for p, a in enumerate(powers)], v)
+    assert inner.is_artinian() and is_artinian_scan(inner)
+    walk = multiples_outside(ideal.gens, v, inner.outside)
+    assert walk == multiples_outside_dfs(ideal.gens, v, inner.contains)
+    outer = MonomialIdeal(data.draw(st.lists(st.tuples(*[st.integers(0, 3)] * v), max_size=4)), v)
+    assert monomials_between(outer, inner) == monomials_between_box(outer, inner)
+
+
 # -- membership / equality ------------------------------------------------------
 
 def test_contains_examples():
@@ -472,6 +561,7 @@ def test_is_artinian_examples():
     assert not MonomialIdeal([(1, 1)], 2).is_artinian()
     assert mono_I(4, 3).is_artinian()
     assert MonomialIdeal.unit(2).is_artinian()
+    assert not MonomialIdeal.zero(2).is_artinian()
 
 
 def test_length_requires_artinian():

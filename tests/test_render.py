@@ -1,12 +1,13 @@
 from fractions import Fraction
 
+from monocurve import render
 from monocurve.curve import CurveParams, build_matrix, f_poly, full_minors, mono_I, pure_powers
 from monocurve.ideals import MonomialIdeal, monomials_of_degree
 from monocurve.poly import Polynomial, pure_power, sort_key
 from monocurve.render import format_ideal, format_matrix, format_monomial, format_polynomial
 from monocurve.scalars import PrimeField, using_field
 
-from oracles import format_monomial_loop, int_poly
+from oracles import format_ideal_loop, format_monomial_loop, int_poly
 
 
 def test_monomial_rendering():
@@ -52,6 +53,20 @@ def test_ideal_rendering():
     assert format_ideal(MonomialIdeal.zero(2)) == "0"
     assert format_ideal(MonomialIdeal.unit(2)) == "1"
     assert format_ideal(mono_I(3, 2)) == "x3^3, x2^2*x3^2, x2^3*x3, x2^4"
+
+
+def test_ideal_rendering_renders_no_monomial_alone(monkeypatch):
+    # an ideal is rendered by columns, with no call per generator to the
+    # one-monomial renderer
+    ideals = [mono_I(5, 6), mono_I(6, 4), MonomialIdeal([(0, 7, 1), (3, 0, 0)], 3),
+              MonomialIdeal.unit(3), MonomialIdeal.zero(3)]
+    want = [format_ideal_loop(ideal, first_index) for ideal in ideals for first_index in (1, 2)]
+
+    def refused(m, first_index=2):
+        raise AssertionError("format_monomial called on %r" % (m,))
+
+    monkeypatch.setattr(render, "format_monomial", refused)
+    assert [format_ideal(ideal, first_index) for ideal in ideals for first_index in (1, 2)] == want
 
 
 def test_stored_generators_are_in_rendering_order():

@@ -422,6 +422,18 @@ def test_spanning_bound_is_attained():
                 assert case.inputs["equality_observed"], case.inputs
 
 
+def test_spanning_and_socle_test_membership_in_batches(monkeypatch):
+    # the spanning case's members, the walk between two ideals and the
+    # socle's pieces filter whole lists: none asks `contains` one monomial
+    # at a time
+    def refused(self, m):
+        raise AssertionError("contains called on %r" % (m,))
+
+    monkeypatch.setattr(MonomialIdeal, "contains", refused)
+    assert check_s_counts_and_spanning(4, 5).all_pass
+    assert check_socle(4).all_pass
+
+
 def test_filtration_sum_matches_chained_sums():
     # the one-pass generator list, the cached sum built from the sum at
     # i - 1 and the socle denominator against ideal sums built one summand
