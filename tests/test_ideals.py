@@ -351,7 +351,7 @@ def test_generated_by_tests_only_the_monomials_outside_the_minimal_set(monkeypat
     assert sorted(m for batch in batches for m in batch) == sorted(set(extra))
     batches.clear()
     assert ideal.generated_by(list(ideal.gens))
-    assert batches == [[]]
+    assert not any(batches)
 
 
 def test_outside_and_generated_by_reject_tuples_that_are_not_monomials():
@@ -400,7 +400,9 @@ def generator_sets(draw):
 def test_batched_paths_match_their_loop_references(case, data):
     # rendering, the Artinian test, batch membership and the walk above
     # an ideal, each against the loop it replaced; the walk's inner ideal
-    # adds small pure powers, so that finitely many monomials lie outside
+    # adds small pure powers to the drawn one, so that finitely many
+    # monomials lie outside it, and it starts from a small outer ideal
+    # and from the unit ideal
     v, first_index, gens = case
     ideal = MonomialIdeal(gens, v)
     assert format_ideal(ideal, first_index) == format_ideal_loop(ideal, first_index)
@@ -411,9 +413,10 @@ def test_batched_paths_match_their_loop_references(case, data):
     powers = data.draw(st.lists(st.integers(1, top), min_size=v, max_size=v))
     inner = ideal + MonomialIdeal([pure_power(p, v, a) for p, a in enumerate(powers)], v)
     assert inner.is_artinian() and is_artinian_scan(inner)
-    walk = multiples_outside(ideal.gens, v, inner.outside)
-    assert walk == multiples_outside_dfs(ideal.gens, v, inner.contains)
     outer = MonomialIdeal(data.draw(st.lists(st.tuples(*[st.integers(0, 3)] * v), max_size=4)), v)
+    for start in (outer.gens, MonomialIdeal.unit(v).gens):
+        walk = multiples_outside(start, v, inner.outside)
+        assert walk == multiples_outside_dfs(start, v, inner.contains)
     assert monomials_between(outer, inner) == monomials_between_box(outer, inner)
 
 
